@@ -1,0 +1,165 @@
+"""Frozen CLI and figure output: every byte must match the files in tests/golden/.
+
+Each case stores the command's exit status and exact stdout in
+tests/golden/<name>.out; render cases also store the SVG they write in
+tests/golden/<name>.svg. The six demo figures are compared with the committed
+demos/output/*.svg. After an intended output change, rewrite the corpus with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from bicircle import (
+    ExtendedPoint,
+    FuzzFailure,
+    FuzzReport,
+    Point2,
+    ProbePoint,
+    ScenarioConfig,
+    cli,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = ROOT / "demos"
+SVG_NAME = "figure.svg"
+
+WORKED = ["--a", "2", "--r1", "3", "--r2", "2"]
+TANGENT = ["--a", "2", "--r1", "2", "--r2", "2"]
+DISJOINT = ["--a", "3", "--r1", "2", "--r2", "1"]
+NESTED = ["--a", "1", "--r1", "5", "--r2", "1"]
+
+CASES = {
+    "compute-worked": ["compute", *WORKED, "--p", "2", "--q", "1"],
+    "compute-axis": ["compute", *WORKED, "--p", "3", "--q", "0"],
+    "compute-collapse-to-a": ["compute", *WORKED, "--p", "0", "--q", "2"],
+    "compute-collapse-to-d": ["compute", *WORKED, "--p", "1", "--q", "2"],
+    "compute-radical-axis": ["compute", *WORKED, "--p", "5/8", "--q", "-3"],
+    "compute-tangent": ["compute", *TANGENT, "--p", "1", "--q", "1"],
+    "compute-tangent-through-bc": ["compute", *TANGENT, "--p", "0", "--q", "1"],
+    "compute-disjoint": ["compute", *DISJOINT, "--p", "1", "--q", "2"],
+    "compute-scenario-json": [
+        "compute", "--scenario", '{"a": "2", "r1": "3", "r2": "2"}', "--p", "1/3", "--q", "0.5",
+    ],
+    "compute-scenario-text": ["compute", "--scenario", " 7/2 3 1.5 ", "--p=-1/2", "--q=-3/7"],
+    "compute-degenerate-probe": ["compute", *WORKED, "--p", "1", "--q", "0"],
+    "locus-generic": ["locus", *WORKED, "--p", "2"],
+    "locus-fixed-point": ["locus", *WORKED, "--p", "5/8"],
+    "locus-tangent": ["locus", *TANGENT, "--p", "1"],
+    "locus-disjoint": ["locus", *DISJOINT, "--p", "-2/3"],
+    "locus-invalid-scenario": ["locus", *NESTED, "--p", "2"],
+    "classify-generic": ["classify", *WORKED, "--p", "2", "--q", "1"],
+    "classify-all-flags": ["classify", *TANGENT, "--p", "0", "--q", "0"],
+    "verify-pass": ["verify", *WORKED],
+    "verify-custom-samples": ["verify", *WORKED, "--q-samples", "4,-1/9, 5"],
+    "verify-wrong-ordering": ["verify", *DISJOINT],
+    "fuzz-default": ["fuzz", "--trials", "1000", "--seed", "360"],
+    "fuzz-failures": ["fuzz", "--trials", "2", "--seed", "7"],
+    "render-worked": ["render", *WORKED, "--p", "2", "--q", "1", "--out", SVG_NAME],
+    "render-clip": ["render", *WORKED, "--p", "2", "--q", "1", "--out", SVG_NAME, "--clip"],
+    "render-bare": [
+        "render", *WORKED, "--p", "5/8", "--q", "1", "--out", SVG_NAME,
+        "--no-labels", "--no-radical-axis", "--width", "640", "--height", "480",
+    ],
+    "render-axis-clip": ["render", *WORKED, "--p", "3", "--q", "0", "--out", SVG_NAME, "--clip"],
+    "render-tangent": ["render", *TANGENT, "--p", "0", "--q", "1", "--out", SVG_NAME],
+    "render-disjoint": ["render", *DISJOINT, "--p", "1", "--q", "2", "--out", SVG_NAME],
+}
+
+
+def _fake_fuzz(trials, seed):
+    """A fuzz report with one finite and one at-infinity disagreement."""
+    return FuzzReport(trials, seed, (
+        FuzzFailure(
+            0, ScenarioConfig(2, 3, 2), ProbePoint(2, 1),
+            ExtendedPoint.finite(Point2(13, -18)), ExtendedPoint.finite(Point2(13, "18/5")),
+        ),
+        FuzzFailure(
+            1, ScenarioConfig(2, 2, 2), ProbePoint(1, "-1/2"),
+            ExtendedPoint.at_infinity(1, 2), ExtendedPoint.at_infinity(0, -3),
+        ),
+    ))
+
+
+# Cases whose command runs with a module attribute of the CLI replaced.
+PATCHED = {"fuzz-failures": ("run_oracle_fuzz", _fake_fuzz)}
+
+
+def run_case(name: str) -> tuple[bytes, bytes | None]:
+    """(exit line plus stdout, SVG written or None), run in the current directory."""
+    stdout = io.StringIO()
+    patch = mock.patch.object(cli, *PATCHED[name]) if name in PATCHED else nullcontext()
+    with patch, redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(CASES[name]))
+        except SystemExit as exc:
+            code = exc.code
+    svg = Path(SVG_NAME)
+    written = svg.read_bytes() if svg.exists() else None
+    if written is not None:
+        svg.unlink()
+    return f"exit {code}\n{stdout.getvalue()}".encode(), written
+
+
+def load_demo_figures():
+    spec = importlib.util.spec_from_file_location("render_figures", DEMOS / "render_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out, svg = run_case(name)
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    expected_svg = GOLDEN / f"{name}.svg"
+    assert svg == (expected_svg.read_bytes() if expected_svg.exists() else None)
+
+
+def test_corpus_has_no_stray_files():
+    recorded = {path.stem for path in GOLDEN.iterdir()}
+    assert recorded == set(CASES)
+
+
+def test_demo_figures_match_committed_svgs():
+    demo = load_demo_figures()
+    assert sorted(name for name, *_ in demo.FIGURES) == sorted(
+        path.stem for path in (DEMOS / "output").glob("*.svg")
+    )
+    for name, cfg, p, q, options in demo.FIGURES:
+        svg = demo.figure(cfg, p, q, **options).encode("utf-8")
+        assert svg == (DEMOS / "output" / f"{name}.svg").read_bytes(), name
+
+
+def record() -> None:
+    """Rewrite every golden file from the current code."""
+    GOLDEN.mkdir(exist_ok=True)
+    for path in GOLDEN.iterdir():
+        path.unlink()
+    with tempfile.TemporaryDirectory() as workdir:
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            for name in sorted(CASES):
+                out, svg = run_case(name)
+                (GOLDEN / f"{name}.out").write_bytes(out)
+                if svg is not None:
+                    (GOLDEN / f"{name}.svg").write_bytes(svg)
+        finally:
+            os.chdir(here)
+    print(f"recorded {len(CASES)} cases into {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()
