@@ -51,7 +51,6 @@ from .exact import (
     ExtendedScalar,
     Line,
     Point2,
-    Rational,
     as_rational,
     circle_contains,
     collinear_det,

@@ -26,9 +26,9 @@ from .construction import (
     verify_concurrency,
 )
 from .errors import GeometryError
-from .exact import INFINITY, ExtendedPoint, Line, Point2, format_rational, parse_rational
+from .exact import INFINITY, ExtendedPoint, Line, Point2, parse_rational
 from .figures import RenderSpec, render_svg
-from .scenario import ScenarioConfig, derive, parse_scenario, validate
+from .scenario import Ordering, ScenarioConfig, derive, parse_scenario
 
 
 def _rational(text: str) -> Fraction:
@@ -39,29 +39,28 @@ def _rational(text: str) -> Fraction:
 
 
 def _q_samples(text: str) -> list[Fraction]:
-    try:
-        return [parse_rational(part) for part in text.split(",") if part.strip()]
-    except GeometryError as exc:
-        raise argparse.ArgumentTypeError(f"{type(exc).__name__}: {exc}")
+    return [_rational(part) for part in text.split(",") if part.strip()]
 
 
-def _encode_point(point: Point2) -> list[str]:
-    return [format_rational(point.x), format_rational(point.y)]
+# How each value a report holds is written; rationals become exact strings.
+_JSON_FORMS = {
+    Fraction: str,
+    type(INFINITY): lambda _: "infinity",
+    Ordering: lambda ordering: ordering.value,
+    frozenset: lambda flags: [flag.value for flag in CaseFlag if flag in flags],
+    Point2: lambda point: [point.x, point.y],
+    Line: lambda line: [line.a, line.b, line.c],
+    ExtendedPoint: lambda value: (
+        {"finite": value.point} if value.is_finite else {"atInfinity": value.direction}
+    ),
+    ScenarioConfig: vars,
+    ProbePoint: vars,
+}
 
 
-def _encode_line(line: Line) -> list[str]:
-    return [format_rational(line.a), format_rational(line.b), format_rational(line.c)]
-
-
-def _encode_extended(value: ExtendedPoint) -> dict:
-    if value.is_finite:
-        return {"finite": _encode_point(value.point)}
-    dx, dy = value.direction
-    return {"atInfinity": [format_rational(dx), format_rational(dy)]}
-
-
-def _encode_flags(flags) -> list[str]:
-    return [flag.value for flag in CaseFlag if flag in flags]
+def _encode(value):
+    """The ``default`` hook of json.dumps for the package's value types."""
+    return _JSON_FORMS[type(value)](value)
 
 
 def _scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -137,57 +136,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_report(cfg: ScenarioConfig) -> dict:
-    return {
-        "a": format_rational(cfg.a),
-        "r1": format_rational(cfg.r1),
-        "r2": format_rational(cfg.r2),
-    }
-
-
 def _run_compute(args) -> tuple[dict, int]:
-    cfg = args.cfg
-    ordering = validate(cfg)
+    scene = derive(args.cfg)
     probe = ProbePoint(args.p, args.q)
-    result = construct_image(derive(cfg), probe)
+    result = construct_image(scene, probe)
     return {
         "command": "compute",
-        "scenario": _scenario_report(cfg),
-        "ordering": ordering.value,
-        "probe": {"p": format_rational(probe.p), "q": format_rational(probe.q)},
-        "M": _encode_point(result.M),
-        "N": _encode_point(result.N),
-        "lineAM": _encode_line(result.line_am),
-        "lineDN": _encode_line(result.line_dn),
-        "Pprime": _encode_extended(result.p_prime),
-        "classification": _encode_flags(result.flags),
+        "scenario": scene.cfg,
+        "ordering": scene.ordering,
+        "probe": probe,
+        "M": result.M,
+        "N": result.N,
+        "lineAM": result.line_am,
+        "lineDN": result.line_dn,
+        "Pprime": result.p_prime,
+        "classification": result.flags,
     }, 0
 
 
 def _run_locus(args) -> tuple[dict, int]:
-    cfg = args.cfg
-    value = locus_x(cfg, args.p)
-    if value is INFINITY:
-        encoded, fixed = "infinity", False
-    else:
-        encoded, fixed = format_rational(value), value == args.p
+    value = locus_x(args.cfg, args.p)
     return {
         "command": "locus",
-        "scenario": _scenario_report(cfg),
-        "p": format_rational(args.p),
-        "pPrime": encoded,
-        "fixedPoint": fixed,
+        "scenario": args.cfg,
+        "p": args.p,
+        "pPrime": value,
+        "fixedPoint": value == args.p,
     }, 0
 
 
 def _run_classify(args) -> tuple[dict, int]:
-    cfg = args.cfg
-    flags = classify_case(cfg, ProbePoint(args.p, args.q))
+    probe = ProbePoint(args.p, args.q)
     return {
         "command": "classify",
-        "scenario": _scenario_report(cfg),
-        "probe": {"p": format_rational(args.p), "q": format_rational(args.q)},
-        "classification": _encode_flags(flags),
+        "scenario": args.cfg,
+        "probe": probe,
+        "classification": classify_case(args.cfg, probe),
     }, 0
 
 
@@ -196,9 +180,9 @@ def _run_verify(args) -> tuple[dict, int]:
     passed = verify_concurrency(cfg, args.q_samples)
     report = {
         "command": "verify",
-        "scenario": _scenario_report(cfg),
-        "p": format_rational(derive(cfg).radical_axis_x),
-        "qSamples": [format_rational(q) for q in args.q_samples],
+        "scenario": cfg,
+        "p": derive(cfg).radical_axis_x,
+        "qSamples": args.q_samples,
         "passed": passed,
     }
     return report, 0 if passed else 1
@@ -209,13 +193,10 @@ def _run_fuzz(args) -> tuple[dict, int]:
     failures = [
         {
             "trial": failure.trial,
-            "scenario": _scenario_report(failure.config),
-            "probe": {
-                "p": format_rational(failure.probe.p),
-                "q": format_rational(failure.probe.q),
-            },
-            "geometric": _encode_extended(failure.geometric),
-            "closedForm": _encode_extended(failure.closed_form),
+            "scenario": failure.config,
+            "probe": failure.probe,
+            "geometric": failure.geometric,
+            "closedForm": failure.closed_form,
         }
         for failure in report.failures
     ]
@@ -251,7 +232,7 @@ def _run_render(args) -> tuple[dict, int]:
         "command": "render",
         "out": args.out,
         "bytes": len(svg.encode("utf-8")),
-        "Pprime": _encode_extended(result.p_prime),
+        "Pprime": result.p_prime,
     }, 0
 
 
@@ -275,7 +256,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, default=_encode))
     return status
 
 

@@ -98,7 +98,7 @@ def _classify(scene: DerivedScene, probe: ProbePoint) -> frozenset:
         flags.add(CaseFlag.COLLAPSES_TO_A)
     if probe.p == scene.C.x:
         flags.add(CaseFlag.COLLAPSES_TO_D)
-    if scene.B == scene.C:
+    if scene.ordering is Ordering.EXTERNALLY_TANGENT:
         flags.add(CaseFlag.TOUCHING_CIRCLES)
     if probe.p == scene.radical_axis_x:
         flags.add(CaseFlag.ON_RADICAL_AXIS)
@@ -137,9 +137,6 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     only kernel constructions and never the closed-form expressions, so it
     serves as the independent oracle for image_closed_form.
     """
-    point = probe.point
-    if point == scene.B or point == scene.C:
-        raise DegenerateProbe(f"probe {point} coincides with a chord base point")
     m = construct_m(scene, probe)
     n = construct_n(scene, probe)
     line_am = tangent_at(scene.k1, scene.A) if m == scene.A else line_through(scene.A, m)
@@ -156,16 +153,17 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
 
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     """Closed-form route: evaluate (p', q') directly from (a, r1, r2, p, q)."""
-    validate(cfg)
+    ordering = validate(cfg)
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     p, q = probe.p, probe.q
     if q == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
-    if r1 + r2 == 2 * a and q != 0:
+    if ordering is Ordering.EXTERNALLY_TANGENT:
         # Tangent circles: AM and DN stay perpendicular to the chord through
-        # B = C, so the image recedes along that normal direction.
+        # B = C, so the image recedes along that normal direction (vertical
+        # when q = 0).
         return ExtendedPoint.at_infinity(q, (a - r2) - p)
-    if q == 0 or r1 + r2 == 2 * a:
+    if q == 0:
         return ExtendedPoint.at_infinity(0, 1)
     den = r1 + r2 - 2 * a
     p_im = (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / den
@@ -179,10 +177,10 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     Depends on (a, r1, r2, p) only, never on q: that is the fixed-line
     theorem this package verifies.
     """
-    validate(cfg)
+    ordering = validate(cfg)
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     p = as_rational(p)
-    if r1 + r2 == 2 * a:
+    if ordering is Ordering.EXTERNALLY_TANGENT:
         return INFINITY
     return (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / (r1 + r2 - 2 * a)
 
@@ -222,9 +220,9 @@ def verify_concurrency(cfg: ScenarioConfig, q_samples) -> bool:
     probe (radical_axis_x, q) is pushed through the synthetic construction
     and the image must land exactly back on the radical axis.
     """
-    if validate(cfg) is not Ordering.INTERSECTING_ABCD:
-        raise WrongOrdering("concurrency check needs properly intersecting circles")
     scene = derive(cfg)
+    if scene.ordering is not Ordering.INTERSECTING_ABCD:
+        raise WrongOrdering("concurrency check needs properly intersecting circles")
     p = scene.radical_axis_x
     for q in q_samples:
         q = as_rational(q)

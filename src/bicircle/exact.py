@@ -25,11 +25,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-#: The scalar type of the kernel. fractions.Fraction already guarantees the
-#: canonical form this package relies on: lowest terms, positive denominator.
-Rational = Fraction
-
-
 class _Infinity:
     """Symbolic infinity for scalar parameters; a single shared instance."""
 

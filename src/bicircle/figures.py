@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, locus_x
-from .exact import INFINITY, Line, Point2, as_rational, meet
-from .scenario import DerivedScene, ScenarioConfig
+from .exact import INFINITY, Line, Point2, as_rational
+from .scenario import DerivedScene
 
 __all__ = ["RenderSpec", "Viewport", "decimal6", "layout", "render_svg"]
 
@@ -149,21 +149,14 @@ def layout(spec: RenderSpec) -> Viewport:
 def _line_in_rect(line: Line, rect) -> tuple[Point2, Point2] | None:
     """Extreme intersection points of a line with a rectangle, or None if outside."""
     xmin, xmax, ymin, ymax = rect
-    edges = [Line(1, 0, -xmin), Line(1, 0, -xmax), Line(0, 1, -ymin), Line(0, 1, -ymax)]
-    corners = {
-        edges[0]: (Point2(xmin, ymin), Point2(xmin, ymax)),
-        edges[1]: (Point2(xmax, ymin), Point2(xmax, ymax)),
-        edges[2]: (Point2(xmin, ymin), Point2(xmax, ymin)),
-        edges[3]: (Point2(xmin, ymax), Point2(xmax, ymax)),
-    }
+    a, b, c = line.a, line.b, line.c
+    # Substitute each edge into a*x + b*y + c = 0. A line lying on an edge
+    # meets the two perpendicular edges at that edge's corners.
     candidates = set()
-    for edge in edges:
-        if line == edge:
-            candidates.update(corners[edge])
-            continue
-        hit = meet(line, edge)
-        if hit.is_finite:
-            candidates.add(hit.point)
+    if b != 0:
+        candidates.update(Point2(x, -(a * x + c) / b) for x in (xmin, xmax))
+    if a != 0:
+        candidates.update(Point2(-(b * y + c) / a, y) for y in (ymin, ymax))
     inside = sorted(
         (p for p in candidates if xmin <= p.x <= xmax and ymin <= p.y <= ymax),
         key=lambda p: (p.x, p.y),
@@ -298,8 +291,7 @@ def render_svg(spec: RenderSpec) -> str:
         em.full_line("probe-line", Line(1, 0, -spec.probe.p), _COLORS["probe"], _ACCENT_WIDTH)
         # The image line exists whenever the circles are not tangent, even if
         # this particular probe sends its image point to infinity along it.
-        cfg = ScenarioConfig(scene.k2.center.x, scene.k1.radius, scene.k2.radius)
-        image_x = locus_x(cfg, spec.probe.p)
+        image_x = locus_x(scene.cfg, spec.probe.p)
         if image_x is not INFINITY:
             em.full_line("image-line", Line(1, 0, -image_x), _COLORS["image"], _ACCENT_WIDTH)
 

@@ -51,8 +51,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class DerivedScene:
-    """Everything named that follows from a valid ScenarioConfig."""
+    """A validated ScenarioConfig, its ordering, and everything named that follows."""
 
+    cfg: ScenarioConfig
+    ordering: Ordering
     k1: Circle
     k2: Circle
     A: Point2
@@ -87,10 +89,12 @@ def validate(cfg: ScenarioConfig) -> Ordering:
 
 def derive(cfg: ScenarioConfig) -> DerivedScene:
     """Build circles, axis points, the axis, and the radical axis abscissa."""
-    validate(cfg)
+    ordering = validate(cfg)
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     radical_x = (r1 * r1 - r2 * r2) / (4 * a)
     return DerivedScene(
+        cfg=cfg,
+        ordering=ordering,
         k1=Circle(Point2(-a, 0), r1),
         k2=Circle(Point2(a, 0), r2),
         A=Point2(-a - r1, 0),
