@@ -2,8 +2,8 @@
 
 Every numeric value in a report is an exact rational string ("13", "-18",
 "5/8"); nothing is ever serialized through floating point. Exit status is 0
-on success, 1 on a domain error (the error name goes to stderr), and 2 on a
-usage error.
+on success, 1 on a domain or I/O error (the error name goes to stderr), and
+2 on a usage error.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ def _rational(text: str) -> Fraction:
 
 def _q_samples(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip()]
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 # How each value a report holds is written; rationals become exact strings.
@@ -120,15 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fuzz = sub.add_parser("fuzz", help="random trials comparing the two image routes")
-    fuzz.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    fuzz.add_argument("--trials", type=_at_least(0), default=DEFAULT_TRIALS)
     fuzz.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     render = sub.add_parser("render", help="write an SVG figure for one probe")
     _scenario_args(render)
     _probe_args(render)
     render.add_argument("--out", required=True, help="output SVG path")
-    render.add_argument("--width", type=int, default=800)
-    render.add_argument("--height", type=int, default=600)
+    render.add_argument("--width", type=_at_least(64), default=800)
+    render.add_argument("--height", type=_at_least(64), default=600)
     render.add_argument("--no-radical-axis", action="store_true")
     render.add_argument("--no-labels", action="store_true")
     render.add_argument("--clip", action="store_true",
@@ -253,7 +263,7 @@ def main(argv=None) -> int:
         args.cfg = _resolve_scenario(parser, args)
     try:
         report, status = _RUNNERS[args.command](args)
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=2, default=_encode))

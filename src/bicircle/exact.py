@@ -12,6 +12,7 @@ everything here is safe to share freely across threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -52,16 +53,24 @@ def as_rational(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "13", "-18", "5/8", or a finite decimal such as "0.625" exactly."""
+    """Parse "13", "-18", "5/8", or a finite decimal such as "0.625" exactly.
+
+    Each integer part may have at most sys.get_int_max_str_digits() digits,
+    CPython's cap on converting text to int.
+    """
     body = text.strip()
     if not _RATIONAL_RE.fullmatch(body):
         raise ParseError(f"not a rational literal: {text!r}")
-    if "/" in body:
-        num, _, den = body.partition("/")
-        if int(den) == 0:
-            raise ZeroDenominator(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(body)
+    try:
+        if "/" in body:
+            num, _, den = body.partition("/")
+            if int(den) == 0:
+                raise ZeroDenominator(f"zero denominator: {text!r}")
+            return Fraction(int(num), int(den))
+        return Fraction(body)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"literal too long: a part has more than {limit} digits") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -123,7 +123,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if body.startswith("{"):
         try:
             data = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or a number over the digit cap
             raise ParseError(f"bad scenario JSON: {exc}") from None
         if not isinstance(data, dict) or set(data) != {"a", "r1", "r2"}:
             raise ParseError("scenario JSON needs exactly the keys a, r1, r2")

@@ -1,6 +1,7 @@
 """CLI contract: JSON shapes, exit codes, reproducibility."""
 
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -250,3 +251,58 @@ class TestScenarioForms:
             main(["locus", "--scenario", "2 3", "--p", "1"])
         assert excinfo.value.code == 2
         assert "ParseError" in capsys.readouterr().err
+
+
+class TestInputLimits:
+    HUGE = "1" * (sys.get_int_max_str_digits() + 1)
+
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, p", [(HUGE, "1"), ("2", f"1/{HUGE}")])
+    def test_huge_literal_in_flag(self, capsys, a, p):
+        err = self.usage_error(capsys, ["locus", "--a", a, "--r1", "3", "--r2", "2", "--p", p])
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize(
+        "form",
+        ["{} 3 2", '{{"a": "{}", "r1": "3", "r2": "2"}}', '{{"a": {}, "r1": 3, "r2": 2}}'],
+    )
+    def test_huge_literal_in_scenario(self, capsys, form):
+        err = self.usage_error(capsys, ["locus", "--scenario", form.format(self.HUGE), "--p", "1"])
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_render_size_below_64(self, capsys, tmp_path, flag):
+        out_path = tmp_path / "x.svg"
+        err = self.usage_error(
+            capsys,
+            ["render", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q", "1",
+             "--out", str(out_path), flag, "10"],
+        )
+        assert "at least 64" in err
+        assert not out_path.exists()
+
+    def test_negative_trials(self, capsys):
+        err = self.usage_error(capsys, ["fuzz", "--trials", "-5"])
+        assert "at least 0" in err
+
+    def test_zero_trials_allowed(self, capsys):
+        code, out, _ = run(capsys, ["fuzz", "--trials", "0"])
+        assert code == 0
+        assert json.loads(out)["trials"] == 0
+
+
+class TestOutputErrors:
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            ["render", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q", "1",
+             "--out", str(tmp_path / "missing" / "x.svg")],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FileNotFoundError: ")
