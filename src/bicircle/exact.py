@@ -26,6 +26,7 @@ from .errors import (
     ZeroDenominator,
 )
 
+
 class _Infinity:
     """Symbolic infinity for scalar parameters; a single shared instance."""
 
