@@ -39,7 +39,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _q_samples(text: str) -> list[Fraction]:
-    return [_rational(part) for part in text.split(",") if part.strip()]
+    samples = [_rational(part) for part in text.split(",") if part.strip()]
+    if not samples:
+        raise argparse.ArgumentTypeError("needs at least one q sample")
+    if 0 in samples:
+        raise argparse.ArgumentTypeError("q samples must be nonzero")
+    return samples
 
 
 def _at_least(low: int):

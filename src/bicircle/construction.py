@@ -243,11 +243,21 @@ def random_rational(rng: random.Random, low: int = -50, high: int = 50,
 
 
 def random_scenario(rng: random.Random) -> ScenarioConfig:
-    """Rejection-sample (a, r1, r2) until the configuration is admissible."""
+    """Rejection-sample (a, r1, r2) until the configuration is admissible.
+
+    Each attempt draws what three random_rational(rng) calls draw, in the same
+    order, but rejects a nonpositive numerator before building anything:
+    validate rejects those, since every denominator is positive.
+    """
     while True:
-        cfg = ScenarioConfig(
-            random_rational(rng), random_rational(rng), random_rational(rng)
+        a, ad, r1, r1d, r2, r2d = (
+            rng.randint(-50, 50), rng.randint(1, 20),
+            rng.randint(-50, 50), rng.randint(1, 20),
+            rng.randint(-50, 50), rng.randint(1, 20),
         )
+        if a <= 0 or r1 <= 0 or r2 <= 0:
+            continue
+        cfg = ScenarioConfig(Fraction(a, ad), Fraction(r1, r1d), Fraction(r2, r2d))
         try:
             validate(cfg)
         except InvalidScenario:

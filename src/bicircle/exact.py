@@ -45,7 +45,13 @@ _RATIONAL_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
 
 
 def as_rational(value) -> Fraction:
-    """Coerce int/str/Fraction to Fraction; floats are rejected as inexact."""
+    """Coerce int/str/Fraction to Fraction; floats are rejected as inexact.
+
+    A Fraction is returned as it is: Fractions are immutable, so sharing one
+    is safe, and the kernel builds each Fraction it returns exactly once.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing inexact float {value!r}; pass a Fraction, an int, or a rational string"
@@ -85,7 +91,8 @@ def normalize_direction(dx, dy) -> tuple[Fraction, Fraction]:
     if dx == 0 and dy == 0:
         raise ValueError("direction must be nonzero")
     m = lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * m), int(dy * m)
+    ix = dx.numerator * (m // dx.denominator)
+    iy = dy.numerator * (m // dy.denominator)
     g = gcd(ix, iy)
     ix //= g
     iy //= g
@@ -190,23 +197,84 @@ class Circle:
         return f"circle(center={self.center}, r={self.radius})"
 
 
+# The four kernel constructions below compute on integers: a point or a
+# difference of points becomes integer coordinates over the lcm of its own
+# denominators, a line its integer coefficients over theirs. Scaling each
+# vector by its own lcm, not all inputs by one, keeps the integers short on
+# tall rationals. Each Fraction of a result is built once, by _point or _line.
+
+def _homogeneous(p: Point2) -> tuple[int, int, int]:
+    """Integers (x, y, w) with p = (x/w, y/w), w the lcm of p's denominators."""
+    xd, yd = p.x.denominator, p.y.denominator
+    w = lcm(xd, yd)
+    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
+
+
+def _delta(p: Point2, q: Point2) -> tuple[int, int, int]:
+    """Integers (x, y, w) with q - p = (x/w, y/w)."""
+    pxd, pyd, qxd, qyd = p.x.denominator, p.y.denominator, q.x.denominator, q.y.denominator
+    w = lcm(pxd, pyd, qxd, qyd)
+    return (
+        q.x.numerator * (w // qxd) - p.x.numerator * (w // pxd),
+        q.y.numerator * (w // qyd) - p.y.numerator * (w // pyd),
+        w,
+    )
+
+
+def _coefficients(line: Line) -> tuple[int, int, int]:
+    """Integers proportional to (a, b, c): a is 0 or 1, so only b and c have denominators."""
+    bd, cd = line.b.denominator, line.c.denominator
+    w = lcm(bd, cd)
+    return line.a.numerator * w, line.b.numerator * (w // bd), line.c.numerator * (w // cd)
+
+
+def _point(x: int, y: int, w: int) -> Point2:
+    """The point (x/w, y/w) of integers, w nonzero."""
+    return Point2(Fraction(x, w), Fraction(y, w))
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _line(a: int, b: int, c: int) -> Line:
+    """The Line a*x + b*y + c = 0 of integers, (a, b) nonzero, scaled as Line scales."""
+    scale = a or b
+    line = object.__new__(Line)
+    object.__setattr__(line, "a", _ONE if a else _ZERO)
+    object.__setattr__(line, "b", Fraction(b, a) if a else _ONE)
+    object.__setattr__(line, "c", Fraction(c, scale))
+    return line
+
+
+def _radius_vector(k: Circle, point: Point2) -> tuple[int, int, int]:
+    """Integers (x, y, w) with point - center = (x/w, y/w); PointNotOnCircle if off k."""
+    x, y, w = _delta(k.center, point)
+    r = k.radius
+    if (x * x + y * y) * r.denominator**2 != (r.numerator * w) ** 2:
+        raise PointNotOnCircle(f"{point} is not on {k}")
+    return x, y, w
+
+
 def line_through(p1: Point2, p2: Point2) -> Line:
     """The unique line containing two distinct points."""
     if p1 == p2:
         raise IdenticalPoints(f"cannot join a point to itself: {p1}")
-    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
+    dx, dy, _ = _delta(p1, p2)
+    x, y, w = _homogeneous(p1)
+    # Normal (dy, -dx) through p1, times w.
+    return _line(dy * w, -dx * w, dx * y - dy * x)
 
 
 def meet(l1: Line, l2: Line) -> ExtendedPoint:
     """Intersection of two distinct lines; parallels meet at infinity."""
     if l1 == l2:
         raise CoincidentLines("lines coincide; intersection is not a point")
-    det = l1.a * l2.b - l2.a * l1.b
+    a1, b1, c1 = _coefficients(l1)
+    a2, b2, c2 = _coefficients(l2)
+    det = a1 * b2 - a2 * b1
     if det == 0:
         return ExtendedPoint.at_infinity(l1.b, -l1.a)
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l1.c * l2.a - l2.c * l1.a) / det
-    return ExtendedPoint.finite(Point2(x, y))
+    return ExtendedPoint.finite(_point(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det))
 
 
 def collinear_det(p1: Point2, p2: Point2, p3: Point2) -> Fraction:
@@ -252,25 +320,24 @@ def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
     line is tangent at ``base`` the two roots coincide and ``base`` itself is
     returned.
     """
-    if not circle_contains(k, base):
-        raise PointNotOnCircle(f"{base} is not on {k}")
+    ex, ey, m = _radius_vector(k, base)
     if base == through:
         raise IdenticalPoints("chord direction undefined: points coincide")
-    dx = through.x - base.x
-    dy = through.y - base.y
-    ex = base.x - k.center.x
-    ey = base.y - k.center.y
-    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
-    return Point2(base.x + s * dx, base.y + s * dy)
+    dx, dy, _ = _delta(base, through)
+    # With d = through - base and e = base - center, the second root is
+    # s = -2 (d.e) / (d.d). The scale of d cancels from s * d, so d may be
+    # any multiple of through - base; e must be exact, hence the m below.
+    x, y, w = _homogeneous(base)
+    num = -2 * (dx * ex + dy * ey) * w
+    den = (dx * dx + dy * dy) * m
+    return _point(x * den + num * dx, y * den + num * dy, w * den)
 
 
 def tangent_at(k: Circle, point: Point2) -> Line:
     """Tangent line of k at a point of k: through the point, normal to the radius."""
-    if not circle_contains(k, point):
-        raise PointNotOnCircle(f"{point} is not on {k}")
-    a = point.x - k.center.x
-    b = point.y - k.center.y
-    return Line(a, b, -(a * point.x + b * point.y))
+    a, b, _ = _radius_vector(k, point)
+    x, y, w = _homogeneous(point)
+    return _line(a * w, b * w, -(a * x + b * y))
 
 
 def power_of_point(k: Circle, point: Point2) -> Fraction:

@@ -123,7 +123,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if body.startswith("{"):
         try:
             data = json.loads(body)
-        except ValueError as exc:  # malformed JSON, or a number over the digit cap
+        # Malformed JSON, a number over the digit cap, or nesting too deep.
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad scenario JSON: {exc}") from None
         if not isinstance(data, dict) or set(data) != {"a", "r1", "r2"}:
             raise ParseError("scenario JSON needs exactly the keys a, r1, r2")

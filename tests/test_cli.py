@@ -275,6 +275,26 @@ class TestInputLimits:
         err = self.usage_error(capsys, ["locus", "--scenario", form.format(self.HUGE), "--p", "1"])
         assert "ParseError" in err
 
+    def test_deeply_nested_scenario_json(self, capsys):
+        deep = "[" * 30_000 + "]" * 30_000
+        form = f'{{"a": {deep}, "r1": "3", "r2": "2"}}'
+        err = self.usage_error(capsys, ["locus", "--scenario", form, "--p", "1"])
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize("samples", ["0", "1,0"])
+    def test_zero_q_sample(self, capsys, samples):
+        err = self.usage_error(
+            capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2", "--q-samples", samples]
+        )
+        assert "nonzero" in err
+
+    @pytest.mark.parametrize("samples", ["", ","])
+    def test_empty_q_samples(self, capsys, samples):
+        err = self.usage_error(
+            capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2", "--q-samples", samples]
+        )
+        assert "at least one q sample" in err
+
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_render_size_below_64(self, capsys, tmp_path, flag):
         out_path = tmp_path / "x.svg"

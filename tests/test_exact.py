@@ -287,3 +287,127 @@ class TestValueDiscipline:
     def test_line_normalization_is_canonical(self):
         assert Line(2, 4, 6) == Line(1, 2, 3)
         assert Line(0, -2, 8) == Line(0, 1, -4)
+
+
+# --- the integer kernel against the Fraction formulas it replaced ----------
+
+def ref_line_through(p1, p2):
+    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
+
+
+def ref_meet(l1, l2):
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        return ExtendedPoint.at_infinity(l1.b, -l1.a)
+    x = (l1.b * l2.c - l2.b * l1.c) / det
+    y = (l1.c * l2.a - l2.c * l1.a) / det
+    return ExtendedPoint.finite(Point2(x, y))
+
+
+def ref_second_intersection(k, base, through):
+    dx = through.x - base.x
+    dy = through.y - base.y
+    ex = base.x - k.center.x
+    ey = base.y - k.center.y
+    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
+    return Point2(base.x + s * dx, base.y + s * dy)
+
+
+def ref_tangent_at(k, point):
+    a = point.x - k.center.x
+    b = point.y - k.center.y
+    return Line(a, b, -(a * point.x + b * point.y))
+
+
+TALL = 10**50
+tall_rationals = st.builds(F, st.integers(-TALL, TALL), st.integers(TALL // 10, TALL))
+tall_radii = st.builds(F, st.integers(1, TALL), st.integers(TALL // 10, TALL))
+# Small heights as in the fuzz oracle, and ~50-digit numerators and denominators.
+KERNEL_INPUTS = {
+    "small": (rationals, radii),
+    "tall": (tall_rationals, tall_radii),
+}
+
+
+def kernel_strategies(height):
+    values, radius = KERNEL_INPUTS[height]
+    pts = st.builds(Point2, values, values)
+    return values, pts, st.builds(Circle, pts, radius), st.one_of(st.just(INFINITY), values)
+
+
+def assert_exact_fields(*values):
+    assert all(type(value) is F for value in values)
+
+
+@pytest.mark.parametrize("height", sorted(KERNEL_INPUTS))
+class TestKernelMatchesReference:
+    def test_line_through(self, height):
+        _, pts, _, _ = kernel_strategies(height)
+
+        @given(pts, pts)
+        def check(p1, p2):
+            assume(p1 != p2)
+            line = line_through(p1, p2)
+            assert line == ref_line_through(p1, p2)
+            assert_exact_fields(line.a, line.b, line.c)
+
+        check()
+
+    def test_meet(self, height):
+        values, pts, _, _ = kernel_strategies(height)
+
+        @given(pts, pts, pts, values, st.booleans())
+        def check(p1, p2, p3, shift, parallel):
+            assume(p1 != p2 and p1 != p3)
+            l1 = line_through(p1, p2)
+            l2 = Line(l1.a, l1.b, l1.c + shift) if parallel else line_through(p1, p3)
+            assume(l1 != l2)
+            result = meet(l1, l2)
+            assert result == ref_meet(l1, l2)
+            if result.is_finite:
+                assert_exact_fields(result.point.x, result.point.y)
+
+        check()
+
+    def test_second_intersection(self, height):
+        _, pts, circs, ts = kernel_strategies(height)
+
+        @given(circs, ts, pts)
+        def check(k, t, through):
+            base = param_point(k, t)
+            assume(through != base)
+            other = second_intersection(k, base, through)
+            assert other == ref_second_intersection(k, base, through)
+            assert_exact_fields(other.x, other.y)
+
+        check()
+
+    def test_tangent_at(self, height):
+        _, _, circs, ts = kernel_strategies(height)
+
+        @given(circs, ts)
+        def check(k, t):
+            base = param_point(k, t)
+            line = tangent_at(k, base)
+            assert line == ref_tangent_at(k, base)
+            assert_exact_fields(line.a, line.b, line.c)
+
+        check()
+
+    def test_errors_still_raise(self, height):
+        _, pts, circs, ts = kernel_strategies(height)
+
+        @given(circs, ts, pts)
+        def check(k, t, point):
+            with pytest.raises(IdenticalPoints):
+                line_through(point, point)
+            base = param_point(k, t)
+            with pytest.raises(IdenticalPoints):
+                second_intersection(k, base, base)
+            assume(not circle_contains(k, point))
+            with pytest.raises(PointNotOnCircle):
+                second_intersection(k, point, base)
+            with pytest.raises(PointNotOnCircle):
+                tangent_at(k, point)
+
+        check()
