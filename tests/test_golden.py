@@ -2,8 +2,10 @@
 
 Each case stores the command's exit status and exact stdout in
 tests/golden/<name>.out; render cases also store the SVG they write in
-tests/golden/<name>.svg. The six demo figures are compared with the committed
-demos/output/*.svg. After an intended output change, rewrite the corpus with
+tests/golden/<name>.svg. The three printing demo scripts store theirs, from a
+child interpreter, in tests/golden/demo-<script>.out. The six demo figures are
+compared with the committed demos/output/*.svg. After an intended output
+change, rewrite the corpus with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -11,6 +13,7 @@ demos/output/*.svg. After an intended output change, rewrite the corpus with
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
@@ -19,6 +22,7 @@ from unittest import mock
 
 import pytest
 
+import bicircle
 from bicircle import (
     ExtendedPoint,
     FuzzFailure,
@@ -91,6 +95,10 @@ def _fake_fuzz(trials, seed):
     ))
 
 
+# Demo scripts that print their results; render_figures.py writes files instead.
+DEMO_SCRIPTS = ("locus_sweep", "special_cases", "worked_example")
+
+
 # Cases whose command runs with a module attribute of the CLI replaced.
 PATCHED = {"fuzz-failures": ("run_oracle_fuzz", _fake_fuzz)}
 
@@ -111,6 +119,17 @@ def run_case(name: str) -> tuple[bytes, bytes | None]:
     return f"exit {code}\n{stdout.getvalue()}".encode(), written
 
 
+def run_demo(script: str) -> bytes:
+    """Exit line plus stdout of demos/<script>.py, run in a child interpreter."""
+    # The child imports the same package as this test, installed or not.
+    paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = subprocess.run(
+        [sys.executable, str(DEMOS / f"{script}.py")], capture_output=True, env=env
+    )
+    return b"exit %d\n" % child.returncode + child.stdout
+
+
 def load_demo_figures():
     spec = importlib.util.spec_from_file_location("render_figures", DEMOS / "render_figures.py")
     module = importlib.util.module_from_spec(spec)
@@ -127,9 +146,14 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     assert svg == (expected_svg.read_bytes() if expected_svg.exists() else None)
 
 
+@pytest.mark.parametrize("script", DEMO_SCRIPTS)
+def test_demo_output_matches_golden(script):
+    assert run_demo(script) == (GOLDEN / f"demo-{script}.out").read_bytes()
+
+
 def test_corpus_has_no_stray_files():
     recorded = {path.stem for path in GOLDEN.iterdir()}
-    assert recorded == set(CASES)
+    assert recorded == set(CASES) | {f"demo-{script}" for script in DEMO_SCRIPTS}
 
 
 def test_demo_figures_match_committed_svgs():
@@ -158,7 +182,9 @@ def record() -> None:
                     (GOLDEN / f"{name}.svg").write_bytes(svg)
         finally:
             os.chdir(here)
-    print(f"recorded {len(CASES)} cases into {GOLDEN}", file=sys.stderr)
+    for script in DEMO_SCRIPTS:
+        (GOLDEN / f"demo-{script}.out").write_bytes(run_demo(script))
+    print(f"recorded {len(CASES) + len(DEMO_SCRIPTS)} cases into {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
