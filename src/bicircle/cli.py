@@ -2,8 +2,8 @@
 
 Every numeric value in a report is an exact rational string ("13", "-18",
 "5/8"); nothing is ever serialized through floating point. Exit status is 0
-on success, 1 on a domain or I/O error (the error name goes to stderr), and
-2 on a usage error.
+on success, 1 on a domain or I/O error or a report value too long to write
+(the error name goes to stderr), and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -271,7 +271,14 @@ def main(argv=None) -> int:
     except (GeometryError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2, default=_encode))
+    try:
+        text = json.dumps(report, indent=2, default=_encode)
+    except ValueError as exc:
+        # A report rational whose numerator or denominator has more digits
+        # than sys.get_int_max_str_digits(), though every input had fewer.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     return status
 
 

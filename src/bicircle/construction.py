@@ -46,7 +46,7 @@ from .exact import (
     second_intersection,
     tangent_at,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, derive, validate
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _numerators, derive, validate
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -151,23 +151,28 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     return ImageResult(m, n, line_am, line_dn, p_prime, _classify(scene, probe))
 
 
+# The image of a probe on the axis, straight up; ExtendedPoint is immutable.
+_VERTICAL = ExtendedPoint.at_infinity(0, 1)
+
+
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     """Closed-form route: evaluate (p', q') directly from (a, r1, r2, p, q)."""
     ordering = validate(cfg)
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
-    p, q = probe.p, probe.q
-    if q == 0 and (p == a - r2 or p == r1 - a):
+    # a, r1, r2 and p over one common denominator d > 0.
+    d, a, r1, r2, p = _numerators(cfg, probe.p)
+    q_n, q_d = probe.q.numerator, probe.q.denominator
+    if q_n == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
     if ordering is Ordering.EXTERNALLY_TANGENT:
         # Tangent circles: AM and DN stay perpendicular to the chord through
-        # B = C, so the image recedes along that normal direction (vertical
-        # when q = 0).
-        return ExtendedPoint.at_infinity(q, (a - r2) - p)
-    if q == 0:
-        return ExtendedPoint.at_infinity(0, 1)
-    den = r1 + r2 - 2 * a
-    p_im = (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / den
-    q_im = ((r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p)) / (q * den)
+        # B = C, so the image recedes along that normal direction (q, a - r2 - p)
+        # (vertical when q = 0), here scaled by d * q_d.
+        return ExtendedPoint.at_infinity(q_n * d, (a - r2 - p) * q_d)
+    if q_n == 0:
+        return _VERTICAL
+    s, den = r1 + r2 + 2 * a, r1 + r2 - 2 * a
+    p_im = Fraction(r2 * r2 - r1 * r1 + p * s, d * den)
+    q_im = Fraction(s * (a - r1 + p) * (a - r2 - p) * q_d, d * d * den * q_n)
     return ExtendedPoint.finite(Point2(p_im, q_im))
 
 
@@ -178,11 +183,11 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     theorem this package verifies.
     """
     ordering = validate(cfg)
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     p = as_rational(p)
     if ordering is Ordering.EXTERNALLY_TANGENT:
         return INFINITY
-    return (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / (r1 + r2 - 2 * a)
+    d, a, r1, r2, p = _numerators(cfg, p)
+    return Fraction(r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a), d * (r1 + r2 - 2 * a))
 
 
 def tangent_half_params(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[ExtendedScalar, ExtendedScalar]:
@@ -242,6 +247,22 @@ def random_rational(rng: random.Random, low: int = -50, high: int = 50,
     return Fraction(rng.randint(low, high), rng.randint(1, max_denominator))
 
 
+def _randint(getrandbits, low: int, high: int) -> int:
+    """What randint(low, high) returns for a random.Random whose getrandbits is given.
+
+    randint draws getrandbits(k), k the bit length of the range size, until
+    a draw falls below that size. Drawing the same way here, without
+    randint's layers of calls, leaves every seeded stream and getstate()
+    as randint would.
+    """
+    size = high - low + 1
+    k = size.bit_length()
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    return low + r
+
+
 def random_scenario(rng: random.Random) -> ScenarioConfig:
     """Rejection-sample (a, r1, r2) until the configuration is admissible.
 
@@ -249,11 +270,12 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     order, but rejects a nonpositive numerator before building anything:
     validate rejects those, since every denominator is positive.
     """
+    getrandbits = rng.getrandbits
     while True:
         a, ad, r1, r1d, r2, r2d = (
-            rng.randint(-50, 50), rng.randint(1, 20),
-            rng.randint(-50, 50), rng.randint(1, 20),
-            rng.randint(-50, 50), rng.randint(1, 20),
+            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
+            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
+            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
         )
         if a <= 0 or r1 <= 0 or r2 <= 0:
             continue
@@ -266,11 +288,20 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
 
 
 def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
-    """Random probe that does not sit on a chord base point (B or C)."""
+    """Random probe that does not sit on a chord base point (B or C).
+
+    Draws what two random_rational(rng) calls draw, in the same order.
+    """
+    getrandbits = rng.getrandbits
     while True:
-        probe = ProbePoint(random_rational(rng), random_rational(rng))
-        if probe.point != scene.B and probe.point != scene.C:
-            return probe
+        pn, pd, qn, qd = (
+            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
+            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
+        )
+        p = Fraction(pn, pd)
+        # B and C lie on the axis, so only a probe with q = 0 can hit them.
+        if qn or (p != scene.B.x and p != scene.C.x):
+            return ProbePoint(p, Fraction(qn, qd))
 
 
 def trial_rng(seed: int, index: int) -> random.Random:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidScenario, ParseError
-from .exact import Circle, Line, Point2, as_rational, parse_rational
+from .exact import _ZERO, Circle, Line, Point2, as_rational, parse_rational
 
 __all__ = [
     "Ordering",
@@ -66,15 +66,32 @@ class DerivedScene:
     Z: Point2
 
 
+def _numerators(cfg: ScenarioConfig, p: Fraction | None = None) -> tuple[int, ...]:
+    """Integers (d, a, r1, r2) with cfg.a = a/d, cfg.r1 = r1/d, cfg.r2 = r2/d.
+
+    d is the product of the denominators, so it is positive and comparisons
+    and signs carry over from the rationals to the integers. Given p, the
+    tuple is (d, a, r1, r2, p) with p over the same d.
+    """
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
+    d = ad * r1d * r2d
+    a_n, r1_n, r2_n = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
+    if p is None:
+        return d, a_n, r1_n, r2_n
+    pd = p.denominator
+    return d * pd, a_n * pd, r1_n * pd, r2_n * pd, p.numerator * d
+
+
 def validate(cfg: ScenarioConfig) -> Ordering:
     """Classify the configuration, rejecting everything outside the two orderings."""
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
-    if a <= 0:
-        raise InvalidScenario(f"a must be positive, got {a}")
-    if r1 <= 0:
-        raise InvalidScenario(f"r1 must be positive, got {r1}")
-    if r2 <= 0:
-        raise InvalidScenario(f"r2 must be positive, got {r2}")
+    if cfg.a.numerator <= 0:
+        raise InvalidScenario(f"a must be positive, got {cfg.a}")
+    if cfg.r1.numerator <= 0:
+        raise InvalidScenario(f"r1 must be positive, got {cfg.r1}")
+    if cfg.r2.numerator <= 0:
+        raise InvalidScenario(f"r2 must be positive, got {cfg.r2}")
+    _, a, r1, r2 = _numerators(cfg)
     if 2 * a <= abs(r1 - r2):
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
@@ -87,23 +104,26 @@ def validate(cfg: ScenarioConfig) -> Ordering:
     return Ordering.DISJOINT_ACBD
 
 
+_AXIS = Line(0, 1, 0)
+
+
 def derive(cfg: ScenarioConfig) -> DerivedScene:
     """Build circles, axis points, the axis, and the radical axis abscissa."""
     ordering = validate(cfg)
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
-    radical_x = (r1 * r1 - r2 * r2) / (4 * a)
+    d, a, r1, r2 = _numerators(cfg)
+    radical_x = Fraction(r1 * r1 - r2 * r2, 4 * a * d)
     return DerivedScene(
         cfg=cfg,
         ordering=ordering,
-        k1=Circle(Point2(-a, 0), r1),
-        k2=Circle(Point2(a, 0), r2),
-        A=Point2(-a - r1, 0),
-        B=Point2(a - r2, 0),
-        C=Point2(r1 - a, 0),
-        D=Point2(a + r2, 0),
-        axis=Line(0, 1, 0),
+        k1=Circle(Point2(-cfg.a, _ZERO), cfg.r1),
+        k2=Circle(Point2(cfg.a, _ZERO), cfg.r2),
+        A=Point2(Fraction(-a - r1, d), _ZERO),
+        B=Point2(Fraction(a - r2, d), _ZERO),
+        C=Point2(Fraction(r1 - a, d), _ZERO),
+        D=Point2(Fraction(a + r2, d), _ZERO),
+        axis=_AXIS,
         radical_axis_x=radical_x,
-        Z=Point2(radical_x, 0),
+        Z=Point2(radical_x, _ZERO),
     )
 
 

@@ -326,3 +326,24 @@ class TestOutputErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("FileNotFoundError: ")
+
+
+class TestReportLimits:
+    """Inputs under the literal cap whose report values exceed the int-string cap."""
+
+    TALL = "7" * 3000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locus", "--a", TALL, "--r1", TALL, "--r2", "3", "--p", f"{TALL}/7"],
+            ["compute", "--a", TALL, "--r1", TALL, "--r2", "3", "--p", f"1/{TALL}", "--q", "2"],
+        ],
+        ids=["locus", "compute"],
+    )
+    def test_report_too_long_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ValueError: ")
+        assert "limit" in err

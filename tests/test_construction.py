@@ -14,6 +14,7 @@ from bicircle import (
     CaseFlag,
     DegenerateProbe,
     ExtendedPoint,
+    GeometryError,
     IndeterminateParam,
     InvalidScenario,
     Line,
@@ -334,6 +335,32 @@ class TestSeededTrials:
             assert random_scenario(rng) == reference(ref_rng)
             assert rng.getstate() == ref_rng.getstate()
 
+    def test_random_probe_keeps_the_rng_stream(self):
+        rejected = set()
+
+        def reference(rng, scene):
+            while True:
+                probe = ProbePoint(random_rational(rng), random_rational(rng))
+                if probe.point != scene.B and probe.point != scene.C:
+                    return probe
+                rejected.add((scene.ordering, probe.point == scene.B, probe.point == scene.C))
+
+        scenes = [derive(WORKED), derive(TANGENT)]
+        for seed in range(3000):
+            scene = scenes[seed % 2]
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                probe = random_probe(rng, scene)
+                assert probe == reference(ref_rng, scene)
+                assert type(probe.p) is F and type(probe.q) is F
+            assert rng.getstate() == ref_rng.getstate()
+        # The streams reach a draw on B alone, on C alone, and on B = C.
+        assert rejected == {
+            (Ordering.INTERSECTING_ABCD, True, False),
+            (Ordering.INTERSECTING_ABCD, False, True),
+            (Ordering.EXTERNALLY_TANGENT, True, True),
+        }
+
 
 def fractions_built(fn, *args):
     """Count Fraction.__new__ calls made while fn runs, with a profile hook."""
@@ -356,15 +383,116 @@ def fractions_built(fn, *args):
 class TestWorkCount:
     """Fraction objects built per call: exact counts, the same on any machine.
 
-    The kernel builds each Fraction of a result once. Measured: construct_image
-    on the worked case builds 10 (87 with the Fraction kernel), and
-    run_oracle_fuzz(20, 360) builds 1636 (4860 before integer pre-rejection
-    in random_scenario and the integer kernel).
+    The kernel and the scenario layer build each Fraction of a result once.
+    Measured on the worked case: construct_image builds 10 (87 with the
+    Fraction kernel), derive 6 (30 with Fraction formulas), image_closed_form
+    2 (29) and locus_x 2 (19); run_oracle_fuzz(20, 360) builds 478 (4860
+    before integer pre-rejection in random_scenario and the integer kernel,
+    1636 before the integer scenario layer).
     """
 
     def test_construct_image_worked_case(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
         assert fractions_built(construct_image, scene, probe) <= 10
 
+    def test_derive_worked_case(self):
+        assert fractions_built(derive, WORKED) <= 6
+
+    def test_image_closed_form_worked_case(self):
+        assert fractions_built(image_closed_form, WORKED, ProbePoint(2, 1)) <= 2
+
+    def test_locus_x_worked_case(self):
+        assert fractions_built(locus_x, WORKED, 2) <= 2
+
     def test_oracle_fuzz(self):
-        assert fractions_built(run_oracle_fuzz, 20, 360) <= 1636
+        assert fractions_built(run_oracle_fuzz, 20, 360) <= 478
+
+
+# Reference versions of image_closed_form and locus_x: the Fraction formulas
+# the integer versions replaced.
+
+def ref_image_closed_form(cfg, probe):
+    ordering = validate(cfg)
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    p, q = probe.p, probe.q
+    if q == 0 and (p == a - r2 or p == r1 - a):
+        raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
+    if ordering is Ordering.EXTERNALLY_TANGENT:
+        return ExtendedPoint.at_infinity(q, (a - r2) - p)
+    if q == 0:
+        return ExtendedPoint.at_infinity(0, 1)
+    den = r1 + r2 - 2 * a
+    p_im = (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / den
+    q_im = ((r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p)) / (q * den)
+    return ExtendedPoint.finite(Point2(p_im, q_im))
+
+
+def ref_locus_x(cfg, p):
+    ordering = validate(cfg)
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    if ordering is Ordering.EXTERNALLY_TANGENT:
+        return INFINITY
+    return (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / (r1 + r2 - 2 * a)
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of the GeometryError it raised."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+TALL = 10**50
+# Small heights as in the fuzz oracle, and ~50-digit numerators and denominators.
+CLOSED_FORM_INPUTS = {
+    "small": (rationals, positives),
+    "tall": (
+        st.builds(F, st.integers(-TALL, TALL), st.integers(TALL // 10, TALL)),
+        st.builds(F, st.integers(1, TALL), st.integers(TALL // 10, TALL)),
+    ),
+}
+
+
+@st.composite
+def closed_form_inputs(draw, height):
+    """A scenario (possibly invalid or tangent) and a probe, often on a special line."""
+    values, radius = CLOSED_FORM_INPUTS[height]
+    a, r1 = draw(radius), draw(radius)
+    cfg = draw(st.sampled_from([
+        ScenarioConfig(a, r1, draw(radius)),
+        ScenarioConfig(draw(values), r1, draw(radius)),
+        ScenarioConfig(a + r1, 2 * r1, 2 * a),  # externally tangent
+    ]))
+    # B.x, C.x and the radical axis, as long as a is nonzero.
+    special = [cfg.a - cfg.r2, cfg.r1 - cfg.a]
+    if cfg.a:
+        special.append((cfg.r1 * cfg.r1 - cfg.r2 * cfg.r2) / (4 * cfg.a))
+    p = draw(st.one_of(values, st.sampled_from(special)))
+    q = draw(st.one_of(values, st.just(F(0))))
+    return cfg, ProbePoint(p, q)
+
+
+@pytest.mark.parametrize("height", sorted(CLOSED_FORM_INPUTS))
+class TestClosedFormMatchesReference:
+    def test_image_closed_form(self, height):
+        @given(closed_form_inputs(height))
+        def check(inputs):
+            image = outcome(image_closed_form, *inputs)
+            assert image == outcome(ref_image_closed_form, *inputs)
+            if isinstance(image, ExtendedPoint):
+                fields = (image.point.x, image.point.y) if image.is_finite else image.direction
+                assert all(type(value) is F for value in fields)
+
+        check()
+
+    def test_locus_x(self, height):
+        @given(closed_form_inputs(height))
+        def check(inputs):
+            cfg, probe = inputs
+            value = outcome(locus_x, cfg, probe.p)
+            assert value == outcome(ref_locus_x, cfg, probe.p)
+            if not isinstance(value, tuple):
+                assert value is INFINITY or type(value) is F
+
+        check()

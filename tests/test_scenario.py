@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bicircle import (
+    Circle,
+    DerivedScene,
     InvalidScenario,
     Line,
     Ordering,
@@ -141,3 +143,107 @@ class TestParseScenario:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             parse_scenario("{not json")
+
+
+# Reference versions of validate and derive: the Fraction formulas the
+# integer versions replaced.
+
+def ref_validate(cfg):
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    if a <= 0:
+        raise InvalidScenario(f"a must be positive, got {a}")
+    if r1 <= 0:
+        raise InvalidScenario(f"r1 must be positive, got {r1}")
+    if r2 <= 0:
+        raise InvalidScenario(f"r2 must be positive, got {r2}")
+    if 2 * a <= abs(r1 - r2):
+        raise InvalidScenario(
+            "one circle contains or internally touches the other (2a <= |r1 - r2|)"
+        )
+    gap = r1 + r2 - 2 * a
+    if gap > 0:
+        return Ordering.INTERSECTING_ABCD
+    if gap == 0:
+        return Ordering.EXTERNALLY_TANGENT
+    return Ordering.DISJOINT_ACBD
+
+
+def ref_derive(cfg):
+    ordering = ref_validate(cfg)
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    radical_x = (r1 * r1 - r2 * r2) / (4 * a)
+    return DerivedScene(
+        cfg=cfg,
+        ordering=ordering,
+        k1=Circle(Point2(-a, 0), r1),
+        k2=Circle(Point2(a, 0), r2),
+        A=Point2(-a - r1, 0),
+        B=Point2(a - r2, 0),
+        C=Point2(r1 - a, 0),
+        D=Point2(a + r2, 0),
+        axis=Line(0, 1, 0),
+        radical_axis_x=radical_x,
+        Z=Point2(radical_x, 0),
+    )
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of the InvalidScenario it raised."""
+    try:
+        return fn(*args)
+    except InvalidScenario as exc:
+        return InvalidScenario, str(exc)
+
+
+def scene_fields(scene):
+    points = (scene.k1.center, scene.k2.center, scene.A, scene.B, scene.C, scene.D, scene.Z)
+    values = [scene.k1.radius, scene.k2.radius, scene.radical_axis_x]
+    values += [scene.axis.a, scene.axis.b, scene.axis.c]
+    return values + [v for point in points for v in (point.x, point.y)]
+
+
+TALL = 10**50
+# Small heights as in the fuzz oracle, and ~50-digit numerators and denominators.
+SCENARIO_INPUTS = {
+    "small": (
+        st.fractions(min_value=-50, max_value=50, max_denominator=20),
+        positives,
+    ),
+    "tall": (
+        st.builds(F, st.integers(-TALL, TALL), st.integers(TALL // 10, TALL)),
+        st.builds(F, st.integers(1, TALL), st.integers(TALL // 10, TALL)),
+    ),
+}
+
+
+def scenario_configs(height):
+    """Any signs, positive values, and externally tangent circles."""
+    values, radius = SCENARIO_INPUTS[height]
+    tangent = st.builds(
+        lambda a, r1: ScenarioConfig(a + r1, 2 * r1, 2 * a), radius, radius
+    )
+    return st.one_of(
+        st.builds(ScenarioConfig, values, values, values),
+        st.builds(ScenarioConfig, radius, radius, radius),
+        tangent,
+    )
+
+
+@pytest.mark.parametrize("height", sorted(SCENARIO_INPUTS))
+class TestScenarioMatchesReference:
+    def test_validate(self, height):
+        @given(scenario_configs(height))
+        def check(cfg):
+            assert outcome(validate, cfg) == outcome(ref_validate, cfg)
+
+        check()
+
+    def test_derive(self, height):
+        @given(scenario_configs(height))
+        def check(cfg):
+            scene = outcome(derive, cfg)
+            assert scene == outcome(ref_derive, cfg)
+            if isinstance(scene, DerivedScene):
+                assert all(type(value) is F for value in scene_fields(scene))
+
+        check()
