@@ -78,6 +78,11 @@ def _encode(value):
     return _JSON_FORMS[type(value)](value)
 
 
+def _report(fields: dict, status: int = 0) -> tuple[str, int]:
+    """A report's JSON text and exit status; ValueError if a value is too long to write."""
+    return json.dumps(fields, indent=2, default=_encode), status
+
+
 def _scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a", type=_rational, help="half center distance")
     parser.add_argument("--r1", type=_rational, help="radius of the left circle")
@@ -151,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_compute(args) -> tuple[dict, int]:
+def _run_compute(args) -> tuple[str, int]:
     scene = derive(args.cfg)
     probe = ProbePoint(args.p, args.q)
     result = construct_image(scene, probe)
-    return {
+    return _report({
         "command": "compute",
         "scenario": scene.cfg,
         "ordering": scene.ordering,
@@ -166,44 +171,43 @@ def _run_compute(args) -> tuple[dict, int]:
         "lineDN": result.line_dn,
         "Pprime": result.p_prime,
         "classification": result.flags,
-    }, 0
+    })
 
 
-def _run_locus(args) -> tuple[dict, int]:
+def _run_locus(args) -> tuple[str, int]:
     value = locus_x(args.cfg, args.p)
-    return {
+    return _report({
         "command": "locus",
         "scenario": args.cfg,
         "p": args.p,
         "pPrime": value,
         "fixedPoint": value == args.p,
-    }, 0
+    })
 
 
-def _run_classify(args) -> tuple[dict, int]:
+def _run_classify(args) -> tuple[str, int]:
     probe = ProbePoint(args.p, args.q)
-    return {
+    return _report({
         "command": "classify",
         "scenario": args.cfg,
         "probe": probe,
         "classification": classify_case(args.cfg, probe),
-    }, 0
+    })
 
 
-def _run_verify(args) -> tuple[dict, int]:
+def _run_verify(args) -> tuple[str, int]:
     cfg = args.cfg
     passed = verify_concurrency(cfg, args.q_samples)
-    report = {
+    return _report({
         "command": "verify",
         "scenario": cfg,
         "p": derive(cfg).radical_axis_x,
         "qSamples": args.q_samples,
         "passed": passed,
-    }
-    return report, 0 if passed else 1
+    }, 0 if passed else 1)
 
 
-def _run_fuzz(args) -> tuple[dict, int]:
+def _run_fuzz(args) -> tuple[str, int]:
     report = run_oracle_fuzz(trials=args.trials, seed=args.seed)
     failures = [
         {
@@ -215,17 +219,16 @@ def _run_fuzz(args) -> tuple[dict, int]:
         }
         for failure in report.failures
     ]
-    encoded = {
+    return _report({
         "command": "fuzz",
         "trials": report.trials,
         "seed": report.seed,
         "failures": len(failures),
         "failureDetails": failures,
-    }
-    return encoded, 0 if not failures else 1
+    }, 0 if not failures else 1)
 
 
-def _run_render(args) -> tuple[dict, int]:
+def _run_render(args) -> tuple[str, int]:
     cfg = args.cfg
     scene = derive(cfg)
     probe = ProbePoint(args.p, args.q)
@@ -241,14 +244,16 @@ def _run_render(args) -> tuple[dict, int]:
         clip=args.clip,
     )
     svg = render_svg(spec)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
-    return {
+    # Encoded first, so a report that cannot be written leaves no figure either.
+    report = _report({
         "command": "render",
         "out": args.out,
         "bytes": len(svg.encode("utf-8")),
         "Pprime": result.p_prime,
-    }, 0
+    })
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(svg)
+    return report
 
 
 _RUNNERS = {
@@ -267,15 +272,10 @@ def main(argv=None) -> int:
     if args.command != "fuzz":
         args.cfg = _resolve_scenario(parser, args)
     try:
-        report, status = _RUNNERS[args.command](args)
-    except (GeometryError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        text = json.dumps(report, indent=2, default=_encode)
-    except ValueError as exc:
-        # A report rational whose numerator or denominator has more digits
-        # than sys.get_int_max_str_digits(), though every input had fewer.
+        text, status = _RUNNERS[args.command](args)
+    # ValueError: a report rational with more digits than
+    # sys.get_int_max_str_digits(), though every input had fewer.
+    except (GeometryError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(text)

@@ -151,29 +151,27 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     return ImageResult(m, n, line_am, line_dn, p_prime, _classify(scene, probe))
 
 
-# The image of a probe on the axis, straight up; ExtendedPoint is immutable.
-_VERTICAL = ExtendedPoint.at_infinity(0, 1)
-
-
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
-    """Closed-form route: evaluate (p', q') directly from (a, r1, r2, p, q)."""
-    ordering = validate(cfg)
+    """Closed-form route: the image (p' : q' : 1) from (a, r1, r2, p, q) as one triple.
+
+    q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
+    w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
+    """
+    validate(cfg)
     # a, r1, r2 and p over one common denominator d > 0.
     d, a, r1, r2, p = _numerators(cfg, probe.p)
     q_n, q_d = probe.q.numerator, probe.q.denominator
     if q_n == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
-    if ordering is Ordering.EXTERNALLY_TANGENT:
-        # Tangent circles: AM and DN stay perpendicular to the chord through
-        # B = C, so the image recedes along that normal direction (q, a - r2 - p)
-        # (vertical when q = 0), here scaled by d * q_d.
-        return ExtendedPoint.at_infinity(q_n * d, (a - r2 - p) * q_d)
-    if q_n == 0:
-        return _VERTICAL
     s, den = r1 + r2 + 2 * a, r1 + r2 - 2 * a
-    p_im = Fraction(r2 * r2 - r1 * r1 + p * s, d * den)
-    q_im = Fraction(s * (a - r1 + p) * (a - r2 - p) * q_d, d * d * den * q_n)
-    return ExtendedPoint.finite(Point2(p_im, q_im))
+    x = (r2 * r2 - r1 * r1 + p * s) * d * q_n
+    y = s * (a - r1 + p) * (a - r2 - p) * q_d
+    w = d * d * den * q_n
+    if x == y == w == 0:
+        # Tangent circles with the probe line through B = C: AM and DN both
+        # collapse onto the axis, so the image escapes along it.
+        return ExtendedPoint.at_infinity(1, 0)
+    return ExtendedPoint(x, y, w)
 
 
 def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:

@@ -2,8 +2,8 @@
 
 Every coordinate is an arbitrary-precision rational (``fractions.Fraction``)
 and every operation is exact: no floating point enters this module, and no
-square root is ever taken. Points at infinity are explicit values carrying
-a normalized direction, never approximations by large coordinates.
+square root is ever taken. A point at infinity is an integer triple (x : y : 0),
+an exact direction, never an approximation by large coordinates.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share freely across threads.
@@ -85,22 +85,6 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def normalize_direction(dx, dy) -> tuple[Fraction, Fraction]:
-    """Canonical direction: coprime integer pair, first nonzero component positive."""
-    dx, dy = as_rational(dx), as_rational(dy)
-    if dx == 0 and dy == 0:
-        raise ValueError("direction must be nonzero")
-    m = lcm(dx.denominator, dy.denominator)
-    ix = dx.numerator * (m // dx.denominator)
-    iy = dy.numerator * (m // dy.denominator)
-    g = gcd(ix, iy)
-    ix //= g
-    iy //= g
-    if ix < 0 or (ix == 0 and iy < 0):
-        ix, iy = -ix, -iy
-    return (Fraction(ix), Fraction(iy))
-
-
 @dataclass(frozen=True)
 class Point2:
     x: Fraction
@@ -116,38 +100,60 @@ class Point2:
 
 @dataclass(frozen=True)
 class ExtendedPoint:
-    """A point of the extended plane: finite, or a direction at infinity.
+    """A point of the extended plane as a primitive integer triple (x : y : w).
 
-    Two at-infinity values compare equal exactly when their normalized
-    directions coincide, so all parallels share one point at infinity.
+    w > 0 is the finite point (x/w, y/w), w = 0 the point at infinity in
+    direction (x, y), which all parallels share. The triple is divided by its
+    gcd and signed so the first nonzero of (w, x, y) is positive: each point
+    has one triple, so equal points compare and hash equal.
     """
 
-    point: Point2 | None = None
-    direction: tuple[Fraction, Fraction] | None = None
+    x: int
+    y: int
+    w: int
 
     def __post_init__(self):
-        if (self.point is None) == (self.direction is None):
-            raise ValueError("exactly one of point/direction must be set")
-        if self.direction is not None:
-            object.__setattr__(self, "direction", normalize_direction(*self.direction))
+        x, y, w = self.x, self.y, self.w
+        g = gcd(x, y, w)
+        if g == 0:
+            raise ValueError("direction must be nonzero")
+        if (w, x, y) < (0, 0, 0):
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "x", x // g)
+            object.__setattr__(self, "y", y // g)
+            object.__setattr__(self, "w", w // g)
 
     @classmethod
     def finite(cls, point: Point2) -> "ExtendedPoint":
-        return cls(point=point)
+        return cls(*_homogeneous(point))
 
     @classmethod
     def at_infinity(cls, dx, dy) -> "ExtendedPoint":
-        return cls(direction=(dx, dy))
+        x, y, _ = _homogeneous(Point2(dx, dy))
+        return cls(x, y, 0)
 
     @property
     def is_finite(self) -> bool:
-        return self.point is not None
+        return self.w != 0
+
+    @property
+    def point(self) -> Point2 | None:
+        return _point(self.x, self.y, self.w) if self.w else None
+
+    @property
+    def direction(self) -> tuple[Fraction, Fraction] | None:
+        return None if self.w else (Fraction(self.x), Fraction(self.y))
 
     def __str__(self) -> str:
         if self.is_finite:
             return str(self.point)
-        dx, dy = self.direction
-        return f"at infinity, direction ({dx}, {dy})"
+        return f"at infinity, direction ({self.x}, {self.y})"
+
+
+def normalize_direction(dx, dy) -> tuple[Fraction, Fraction]:
+    """Canonical direction: coprime integer pair, first nonzero component positive."""
+    return ExtendedPoint.at_infinity(dx, dy).direction
 
 
 @dataclass(frozen=True)
@@ -266,15 +272,12 @@ def line_through(p1: Point2, p2: Point2) -> Line:
 
 
 def meet(l1: Line, l2: Line) -> ExtendedPoint:
-    """Intersection of two distinct lines; parallels meet at infinity."""
+    """Intersection of two distinct lines; parallels meet at infinity, where w = 0."""
     if l1 == l2:
         raise CoincidentLines("lines coincide; intersection is not a point")
     a1, b1, c1 = _coefficients(l1)
     a2, b2, c2 = _coefficients(l2)
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return ExtendedPoint.at_infinity(l1.b, -l1.a)
-    return ExtendedPoint.finite(_point(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, det))
+    return ExtendedPoint(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
 
 
 def collinear_det(p1: Point2, p2: Point2, p3: Point2) -> Fraction:

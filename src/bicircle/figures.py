@@ -23,6 +23,7 @@ from .scenario import DerivedScene
 
 __all__ = ["RenderSpec", "Viewport", "decimal6", "layout", "render_svg"]
 
+_MARGIN = Fraction(1, 10)  # of the width and the height, blank on each side
 # Fixed pixel-unit style constants (converted to model units via the scale).
 _CIRCLE_WIDTH = Fraction(3, 2)
 _LINE_WIDTH = Fraction(1)
@@ -54,9 +55,9 @@ _COLORS = {
 
 def decimal6(value: Fraction) -> str:
     """Decimal string with exactly six fractional digits, rounded half to even."""
-    scaled = as_rational(value) * 10**6
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r > scaled.denominator or (2 * r == scaled.denominator and q % 2):
+    value = as_rational(value)
+    q, r = divmod(value.numerator * 10**6, value.denominator)
+    if 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
         q += 1
     sign = "-" if q < 0 else ""
     magnitude = abs(q)
@@ -65,14 +66,13 @@ def decimal6(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw. width/height are pixels; margin is a fraction of them."""
+    """What to draw. width/height are pixels."""
 
     scene: DerivedScene
     probe: ProbePoint | None = None
     result: ImageResult | None = None
     width: int = 800
     height: int = 600
-    margin: Fraction = Fraction(1, 10)
     show_radical_axis: bool = True
     labels: bool = True
     clip: bool = False
@@ -80,7 +80,6 @@ class RenderSpec:
     def __post_init__(self):
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64 pixels")
-        object.__setattr__(self, "margin", as_rational(self.margin))
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,16 @@ class Viewport:
         return xmin <= point.x <= xmax and ymin <= point.y <= ymax
 
 
-def _model_points(spec: RenderSpec) -> list[Point2]:
-    points = [spec.scene.Z]
+def _probe_points(spec: RenderSpec) -> list[tuple[str, Point2]]:
+    """Whichever of P, M, N and a finite P′ the spec holds, with their names."""
+    named = []
     if spec.probe is not None:
-        points.append(spec.probe.point)
+        named.append(("P", spec.probe.point))
     if spec.result is not None:
-        points.extend([spec.result.M, spec.result.N])
+        named.extend([("M", spec.result.M), ("N", spec.result.N)])
         if spec.result.p_prime.is_finite:
-            points.append(spec.result.p_prime.point)
-    return points
+            named.append(("P′", spec.result.p_prime.point))
+    return named
 
 
 def layout(spec: RenderSpec) -> Viewport:
@@ -134,12 +134,12 @@ def layout(spec: RenderSpec) -> Viewport:
     ]
     ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
     if not spec.clip:
-        for point in _model_points(spec):
+        for _, point in [("Z", scene.Z), *_probe_points(spec)]:
             xs.append(point.x)
             ys.append(point.y)
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    effective_w = spec.width * (1 - 2 * spec.margin)
-    effective_h = spec.height * (1 - 2 * spec.margin)
+    effective_w = spec.width * (1 - 2 * _MARGIN)
+    effective_h = spec.height * (1 - 2 * _MARGIN)
     scale = min(effective_w / (xmax - xmin), effective_h / (ymax - ymin))
     tx = Fraction(spec.width, 2) - scale * (xmin + xmax) / 2
     ty = Fraction(spec.height, 2) + scale * (ymin + ymax) / 2
@@ -204,7 +204,7 @@ class _Emitter:
     """Accumulates SVG elements in model coordinates (y negated on output)."""
 
     def __init__(self, viewport: Viewport):
-        self.viewport = viewport
+        self.rect = viewport.visible_rect()
         self.scale = viewport.scale
         self.parts: list[str] = []
 
@@ -225,7 +225,7 @@ class _Emitter:
 
     def full_line(self, cls: str, line: Line, color: str, width: Fraction,
                   dash: bool = False) -> None:
-        span = _line_in_rect(line, self.viewport.visible_rect())
+        span = _line_in_rect(line, self.rect)
         if span is not None:
             self.segment(cls, span[0], span[1], color, width, dash)
 
@@ -272,9 +272,9 @@ class _Emitter:
 def render_svg(spec: RenderSpec) -> str:
     """Produce the SVG document text for a render spec (byte-deterministic)."""
     viewport = layout(spec)
-    rect = viewport.visible_rect()
     scene = spec.scene
     em = _Emitter(viewport)
+    rect = xmin, xmax, ymin, ymax = em.rect
 
     em.circle("circle-k1", scene.k1.center, scene.k1.radius, _COLORS["circle"], _CIRCLE_WIDTH)
     em.circle("circle-k2", scene.k2.center, scene.k2.radius, _COLORS["circle"], _CIRCLE_WIDTH)
@@ -313,21 +313,12 @@ def render_svg(spec: RenderSpec) -> str:
         em.full_line("construction construction-dn", result.line_dn,
                      _COLORS["construction"], _ACCENT_WIDTH)
 
-    named: list[tuple[str, Point2]] = [
-        ("A", scene.A), ("B", scene.B), ("C", scene.C), ("D", scene.D)
-    ]
-    if spec.probe is not None:
-        named.append(("P", spec.probe.point))
-    if result is not None:
-        named.extend([("M", result.M), ("N", result.N)])
-        if result.p_prime.is_finite:
-            named.append(("P′", result.p_prime.point))
-
     label_dx = _LABEL_DX / viewport.scale
     label_dy = _LABEL_DY / viewport.scale
-    center = Point2((rect[0] + rect[1]) / 2, (rect[2] + rect[3]) / 2)
+    center = Point2((xmin + xmax) / 2, (ymin + ymax) / 2)
+    named = [("A", scene.A), ("B", scene.B), ("C", scene.C), ("D", scene.D), *_probe_points(spec)]
     for name, point in named:
-        if viewport.contains(point):
+        if xmin <= point.x <= xmax and ymin <= point.y <= ymax:
             em.marker(name, point)
             anchor = Point2(point.x + label_dx, point.y + label_dy)
         else:
@@ -346,7 +337,7 @@ def render_svg(spec: RenderSpec) -> str:
             em.text("point-label", name, anchor, name, _COLORS["label"])
 
     if result is not None and not result.p_prime.is_finite:
-        caption_at = Point2(rect[0] + 2 * label_dx, rect[3] - 3 * label_dy)
+        caption_at = Point2(xmin + 2 * label_dx, ymax - 3 * label_dy)
         em.text("caption", "", caption_at, "P′ at infinity", _COLORS["caption"])
 
     body = "\n".join(em.parts)

@@ -347,3 +347,15 @@ class TestReportLimits:
         assert out == ""
         assert err.startswith("ValueError: ")
         assert "limit" in err
+
+    def test_render_report_too_long_writes_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys,
+            ["render", "--a", self.TALL, "--r1", self.TALL, "--r2", "3",
+             "--p", f"1/{self.TALL}", "--q", "2", "--out", str(out_path)],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ValueError: ")
+        assert not out_path.exists()

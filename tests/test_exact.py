@@ -1,6 +1,7 @@
 """Kernel operations: frozen example values plus exact property tests."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,6 +42,10 @@ points = st.builds(Point2, rationals, rationals)
 radii = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 circles = st.builds(Circle, points, radii)
 params = st.one_of(st.just(INFINITY), rationals)
+# Homogeneous triples, small and ~40-digit, with a nonzero entry.
+integers = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
+nonzero_integers = integers.filter(bool)
+triples = st.tuples(integers, integers, integers).filter(any)
 
 
 class TestRationalText:
@@ -269,6 +274,65 @@ class TestExtendedPoint:
 
     def test_normalize_direction_integers(self):
         assert normalize_direction(F(6, 4), F(-9, 4)) == (2, -3)
+
+    def test_triple_is_primitive_and_signed(self):
+        assert ExtendedPoint(4, 6, -2) == ExtendedPoint(-2, -3, 1)
+        value = ExtendedPoint(0, -6, 0)
+        assert (value.x, value.y, value.w) == (0, 1, 0)
+
+    def test_zero_triple_rejected(self):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            ExtendedPoint(0, 0, 0)
+
+    def test_float_direction_rejected(self):
+        with pytest.raises(TypeError):
+            ExtendedPoint.at_infinity(0.5, 1)
+
+    @given(triples, nonzero_integers)
+    def test_scaled_triple_is_the_same_point(self, triple, k):
+        value = ExtendedPoint(*triple)
+        scaled = ExtendedPoint(*(k * c for c in triple))
+        assert scaled == value
+        assert hash(scaled) == hash(value)
+
+    @given(points)
+    def test_finite_round_trip(self, p):
+        value = ExtendedPoint.finite(p)
+        assert value.is_finite and value.direction is None
+        assert value.point == p
+        assert type(value.point.x) is F and type(value.point.y) is F
+
+    @given(rationals, rationals)
+    def test_at_infinity_matches_reference(self, dx, dy):
+        assume(dx or dy)
+        value = ExtendedPoint.at_infinity(dx, dy)
+        assert not value.is_finite and value.point is None
+        assert value.direction == ref_normalize_direction(dx, dy)
+        assert all(type(c) is F for c in value.direction)
+        assert normalize_direction(dx, dy) == value.direction
+
+    @given(points, points, rationals)
+    def test_parallel_lines_meet_at_their_direction(self, p1, p2, shift):
+        assume(p1 != p2 and shift != 0)
+        l1 = line_through(p1, p2)
+        l2 = Line(l1.a, l1.b, l1.c + shift)
+        assert meet(l1, l2) == ExtendedPoint.at_infinity(p2.x - p1.x, p2.y - p1.y)
+
+
+def ref_normalize_direction(dx, dy):
+    """The Fraction normalization that ExtendedPoint.at_infinity replaced."""
+    dx, dy = F(dx), F(dy)
+    if dx == 0 and dy == 0:
+        raise ValueError("direction must be nonzero")
+    m = lcm(dx.denominator, dy.denominator)
+    ix = dx.numerator * (m // dx.denominator)
+    iy = dy.numerator * (m // dy.denominator)
+    g = gcd(ix, iy)
+    ix //= g
+    iy //= g
+    if ix < 0 or (ix == 0 and iy < 0):
+        ix, iy = -ix, -iy
+    return (F(ix), F(iy))
 
 
 class TestValueDiscipline:
