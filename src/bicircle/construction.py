@@ -3,8 +3,8 @@
 Given a valid scene and a probe point P = (p, q), the chord through C and P
 meets k1 again at M, the chord through B and P meets k2 again at N, and the
 lines AM and DN meet at the image P'. The synthetic route (construct_image)
-performs exactly those kernel steps. The closed-form route (image_closed_form)
-evaluates
+performs exactly those kernel steps, on integer triples (see exact.py). The
+closed-form route (image_closed_form) evaluates
 
     p' = (r2^2 - r1^2 + p(r1 + r2 + 2a)) / (r1 + r2 - 2a)
     q' = (r1 + r2 + 2a)(a - r1 + p)(a - r2 - p) / (q(r1 + r2 - 2a))
@@ -36,15 +36,17 @@ from fractions import Fraction
 from .errors import DegenerateProbe, IndeterminateParam, InvalidScenario, WrongOrdering
 from .exact import (
     INFINITY,
+    Circle,
     ExtendedPoint,
     ExtendedScalar,
     Line,
     Point2,
+    _conic,
+    _cross,
+    _polar,
+    _second,
+    _triple,
     as_rational,
-    line_through,
-    meet,
-    second_intersection,
-    tangent_at,
 )
 from .scenario import DerivedScene, Ordering, ScenarioConfig, _numerators, derive, validate
 
@@ -62,49 +64,55 @@ class CaseFlag(Enum):
     ON_RADICAL_AXIS = "OnRadicalAxis"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbePoint:
     """The probe P = (p, q); p doubles as the abscissa of the probe line."""
 
     p: Fraction
     q: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        object.__setattr__(self, "q", as_rational(self.q))
+    def __init__(self, p, q):
+        object.__setattr__(self, "p", as_rational(p))
+        object.__setattr__(self, "q", as_rational(q))
 
     @property
     def point(self) -> Point2:
         return Point2(self.p, self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImageResult:
-    """Everything the synthetic construction produces for one probe."""
+    """Everything the synthetic construction produces for one probe.
 
-    M: Point2
-    N: Point2
+    M and N are the Point2 views of the ExtendedPoint triples m and n.
+    """
+
+    m: ExtendedPoint
+    n: ExtendedPoint
     line_am: Line
     line_dn: Line
     p_prime: ExtendedPoint
     flags: frozenset
+    M = property(lambda self: self.m.point)
+    N = property(lambda self: self.n.point)
+
+    def __init__(self, m, n, line_am, line_dn, p_prime, flags):  # past the frozen __setattr__
+        self.__dict__.update(m=m, n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime, flags=flags)
+
+
+_GENERIC = frozenset({CaseFlag.GENERIC})
 
 
 def _classify(scene: DerivedScene, probe: ProbePoint) -> frozenset:
-    flags = set()
-    if probe.q == 0:
-        flags.add(CaseFlag.PROBE_ON_AXIS)
-    if probe.p == scene.B.x:
-        flags.add(CaseFlag.COLLAPSES_TO_A)
-    if probe.p == scene.C.x:
-        flags.add(CaseFlag.COLLAPSES_TO_D)
-    if scene.ordering is Ordering.EXTERNALLY_TANGENT:
-        flags.add(CaseFlag.TOUCHING_CIRCLES)
-    if probe.p == scene.radical_axis_x:
-        flags.add(CaseFlag.ON_RADICAL_AXIS)
-    if not flags:
-        flags.add(CaseFlag.GENERIC)
-    return frozenset(flags)
+    p = probe.p
+    flags = frozenset(flag for flag, holds in (
+        (CaseFlag.PROBE_ON_AXIS, probe.q == 0),
+        (CaseFlag.COLLAPSES_TO_A, p == scene.B.x),
+        (CaseFlag.COLLAPSES_TO_D, p == scene.C.x),
+        (CaseFlag.TOUCHING_CIRCLES, scene.ordering is Ordering.EXTERNALLY_TANGENT),
+        (CaseFlag.ON_RADICAL_AXIS, p == scene.radical_axis_x),
+    ) if holds)
+    return flags or _GENERIC
 
 
 def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
@@ -112,43 +120,50 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     return _classify(derive(cfg), probe)
 
 
+def _chord(k: Circle, base: Point2, probe: tuple[int, int, int], name: str) -> ExtendedPoint:
+    """Second intersection with k of the chord ``name`` from base through the probe triple."""
+    point = _second(_conic(k), _triple(base), probe)
+    if not any(point):  # zero exactly when the probe is the base
+        raise DegenerateProbe(f"probe coincides with {name[0]}; chord {name} is undefined")
+    return ExtendedPoint(*point)
+
+
 def construct_m(scene: DerivedScene, probe: ProbePoint) -> Point2:
     """Second intersection of chord CP with k1 (M = C itself if CP is tangent)."""
-    point = probe.point
-    if point == scene.C:
-        raise DegenerateProbe("probe coincides with C; chord CP is undefined")
-    return second_intersection(scene.k1, scene.C, point)
+    return _chord(scene.k1, scene.C, _triple(probe.point), "CP").point
 
 
 def construct_n(scene: DerivedScene, probe: ProbePoint) -> Point2:
     """Second intersection of chord BP with k2 (N = B itself if BP is tangent)."""
-    point = probe.point
-    if point == scene.B:
-        raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    return second_intersection(scene.k2, scene.B, point)
+    return _chord(scene.k2, scene.B, _triple(probe.point), "BP").point
 
 
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route: M, N, lines AM and DN, and their intersection P'.
 
-    When a chord degenerates (M = A or N = D, which happens exactly for
-    probes on the axis) the corresponding line is replaced by the tangent at
-    A or D, the limiting position of the moving chord line. This route uses
-    only kernel constructions and never the closed-form expressions, so it
-    serves as the independent oracle for image_closed_form.
+    The steps are chained on integer triples; M, N, the lines and P' are
+    divided by their gcd where they are stored. When a chord degenerates
+    (M = A or N = D, exactly for probes on the axis) the join is the zero
+    triple and the line is the tangent at A or D, the limiting position of
+    the moving chord line. This route uses only kernel constructions and
+    never the closed form, so it is the independent oracle for
+    image_closed_form.
     """
-    m = construct_m(scene, probe)
-    n = construct_n(scene, probe)
-    line_am = tangent_at(scene.k1, scene.A) if m == scene.A else line_through(scene.A, m)
-    line_dn = tangent_at(scene.k2, scene.D) if n == scene.D else line_through(scene.D, n)
-    if line_am == line_dn:
+    p, q = probe.p, probe.q
+    xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
+    m = _chord(scene.k1, scene.C, xyw, "CP")
+    n = _chord(scene.k2, scene.B, xyw, "BP")
+    a, d = _triple(scene.A), _triple(scene.D)
+    am, dn = _cross(a, (m.x, m.y, m.w)), _cross(d, (n.x, n.y, n.w))
+    line_am = Line(*(am if any(am) else _polar(_conic(scene.k1), a)))
+    line_dn = Line(*(dn if any(dn) else _polar(_conic(scene.k2), d)))
+    x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
+    if not (x or y or w):
         # Only reachable for tangent circles with the probe on the vertical
         # through B = C: both chords are tangent there and AM, DN collapse
         # onto the axis. The image escapes along that common direction.
-        p_prime = ExtendedPoint.at_infinity(*line_am.direction)
-    else:
-        p_prime = meet(line_am, line_dn)
-    return ImageResult(m, n, line_am, line_dn, p_prime, _classify(scene, probe))
+        x, y = line_am.coefficients[1], -line_am.coefficients[0]
+    return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w), _classify(scene, probe))
 
 
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
@@ -167,11 +182,9 @@ def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     x = (r2 * r2 - r1 * r1 + p * s) * d * q_n
     y = s * (a - r1 + p) * (a - r2 - p) * q_d
     w = d * d * den * q_n
-    if x == y == w == 0:
-        # Tangent circles with the probe line through B = C: AM and DN both
-        # collapse onto the axis, so the image escapes along it.
-        return ExtendedPoint.at_infinity(1, 0)
-    return ExtendedPoint(x, y, w)
+    # All zero for tangent circles with the probe line through B = C: AM and
+    # DN both collapse onto the axis, so the image escapes along it.
+    return ExtendedPoint(x, y, w) if x or y or w else ExtendedPoint(1, 0, 0)
 
 
 def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
@@ -196,23 +209,13 @@ def tangent_half_params(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[Extende
     error.
     """
     validate(cfg)
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     p, q = probe.p, probe.q
-    u_num = r1 - a - p
-    if q == 0:
-        if u_num == 0:
-            raise IndeterminateParam("probe coincides with C: u = 0/0")
-        u: ExtendedScalar = INFINITY
-    else:
-        u = u_num / q
-    v_den = r2 - a + p
-    if v_den == 0:
-        if q == 0:
-            raise IndeterminateParam("probe coincides with B: v = 0/0")
-        v: ExtendedScalar = INFINITY
-    else:
-        v = q / v_den
-    return u, v
+    u_num, v_den = cfg.r1 - cfg.a - p, cfg.r2 - cfg.a + p
+    if q == 0 and u_num == 0:
+        raise IndeterminateParam("probe coincides with C: u = 0/0")
+    if q == 0 and v_den == 0:
+        raise IndeterminateParam("probe coincides with B: v = 0/0")
+    return (u_num / q if q else INFINITY), (q / v_den if v_den else INFINITY)
 
 
 def verify_concurrency(cfg: ScenarioConfig, q_samples) -> bool:

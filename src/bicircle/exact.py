@@ -2,8 +2,10 @@
 
 Every coordinate is an arbitrary-precision rational (``fractions.Fraction``)
 and every operation is exact: no floating point enters this module, and no
-square root is ever taken. A point at infinity is an integer triple (x : y : 0),
-an exact direction, never an approximation by large coordinates.
+square root is ever taken. ExtendedPoint and Line are primitive integer
+triples with Fraction views, and the kernel computes on triples with +, -
+and * alone. A point at infinity (x : y : 0) is an exact direction, never an
+approximation by large coordinates.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share freely across threads.
@@ -15,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -85,63 +88,64 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point2:
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", as_rational(x))
+        object.__setattr__(self, "y", as_rational(y))
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtendedPoint:
     """A point of the extended plane as a primitive integer triple (x : y : w).
 
     w > 0 is the finite point (x/w, y/w), w = 0 the point at infinity in
     direction (x, y), which all parallels share. The triple is divided by its
     gcd and signed so the first nonzero of (w, x, y) is positive: each point
-    has one triple, so equal points compare and hash equal.
+    has one triple, so equal points compare and hash equal. ``point`` and
+    ``direction`` are Fraction views, built on first read.
     """
 
     x: int
     y: int
     w: int
 
-    def __post_init__(self):
-        x, y, w = self.x, self.y, self.w
+    def __init__(self, x: int, y: int, w: int):
         g = gcd(x, y, w)
         if g == 0:
             raise ValueError("direction must be nonzero")
         if (w, x, y) < (0, 0, 0):
             g = -g
         if g != 1:
-            object.__setattr__(self, "x", x // g)
-            object.__setattr__(self, "y", y // g)
-            object.__setattr__(self, "w", w // g)
+            x, y, w = x // g, y // g, w // g
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def finite(cls, point: Point2) -> "ExtendedPoint":
-        return cls(*_homogeneous(point))
+        return cls(*_triple(point))
 
     @classmethod
     def at_infinity(cls, dx, dy) -> "ExtendedPoint":
-        x, y, _ = _homogeneous(Point2(dx, dy))
+        x, y, _ = _triple(Point2(dx, dy))
         return cls(x, y, 0)
 
     @property
     def is_finite(self) -> bool:
         return self.w != 0
 
-    @property
+    @cached_property
     def point(self) -> Point2 | None:
-        return _point(self.x, self.y, self.w) if self.w else None
+        return Point2(Fraction(self.x, self.w), Fraction(self.y, self.w)) if self.w else None
 
-    @property
+    @cached_property
     def direction(self) -> tuple[Fraction, Fraction] | None:
         return None if self.w else (Fraction(self.x), Fraction(self.y))
 
@@ -156,26 +160,44 @@ def normalize_direction(dx, dy) -> tuple[Fraction, Fraction]:
     return ExtendedPoint.at_infinity(dx, dy).direction
 
 
-@dataclass(frozen=True)
-class Line:
-    """Locus of a*x + b*y + c = 0, scaled so the first nonzero of (a, b) is 1.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
-    The scaling makes equality of Line values coincide with equality of the
-    loci they describe.
+
+@dataclass(frozen=True, init=False)
+class Line:
+    """Locus of a*x + b*y + c = 0 as a primitive integer triple ``coefficients``.
+
+    The triple is divided by its gcd and signed so the first nonzero of
+    (a, b) is positive: equal lines compare and hash equal. ``a``, ``b`` and
+    ``c`` are Fraction views, scaled so that first nonzero is 1 and built on
+    first read.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    coefficients: tuple[int, int, int]
 
-    def __post_init__(self):
-        a, b, c = as_rational(self.a), as_rational(self.b), as_rational(self.c)
-        if a == 0 and b == 0:
+    def __init__(self, a, b, c):
+        if not (type(a) is type(b) is type(c) is int):
+            a, b, c = as_rational(a), as_rational(b), as_rational(c)
+            m = lcm(a.denominator, b.denominator, c.denominator)
+            a, b, c = (v.numerator * (m // v.denominator) for v in (a, b, c))
+        if not (a or b):
             raise ValueError("degenerate line: a and b are both zero")
-        scale = a if a != 0 else b
-        object.__setattr__(self, "a", a / scale)
-        object.__setattr__(self, "b", b / scale)
-        object.__setattr__(self, "c", c / scale)
+        g = gcd(a, b, c)
+        if (a, b) < (0, 0):
+            g = -g
+        if g != 1:
+            a, b, c = a // g, b // g, c // g
+        object.__setattr__(self, "coefficients", (a, b, c))
+
+    @cached_property
+    def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
+        a, b, c = self.coefficients
+        c = Fraction(c, a or b) if c else _ZERO
+        return (_ONE, Fraction(b, a) if b else _ZERO, c) if a else (_ZERO, _ONE, c)
+
+    a = property(lambda self: self._fractions[0])
+    b = property(lambda self: self._fractions[1])
+    c = property(lambda self: self._fractions[2])
 
     def contains(self, point: Point2) -> bool:
         return self.a * point.x + self.b * point.y + self.c == 0
@@ -186,114 +208,104 @@ class Line:
     @property
     def direction(self) -> tuple[Fraction, Fraction]:
         """Normalized direction vector of the line."""
-        return normalize_direction(self.b, -self.a)
+        return ExtendedPoint(self.coefficients[1], -self.coefficients[0], 0).direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circle:
     center: Point2
     radius: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", as_rational(self.radius))
-        if self.radius <= 0:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: Point2, radius):
+        radius = as_rational(radius)
+        if radius.numerator <= 0:
+            raise ValueError(f"circle radius must be positive, got {radius}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     def __str__(self) -> str:
         return f"circle(center={self.center}, r={self.radius})"
 
 
-# The four kernel constructions below compute on integers: a point or a
-# difference of points becomes integer coordinates over the lcm of its own
-# denominators, a line its integer coefficients over theirs. Scaling each
-# vector by its own lcm, not all inputs by one, keeps the integers short on
-# tall rationals. Each Fraction of a result is built once, by _point or _line.
+# The kernel core computes on integer triples with +, - and * alone: a point
+# (x : y : w), a line (a : b : c) through the points with a*x + b*y + c*w = 0,
+# and a circle as the conic s(x² + y²) + u*x*w + v*y*w + t*w² = 0, written
+# (s, u, v, t). Join and meet are cross products and the tangent is a polar.
 
-def _homogeneous(p: Point2) -> tuple[int, int, int]:
-    """Integers (x, y, w) with p = (x/w, y/w), w the lcm of p's denominators."""
-    xd, yd = p.x.denominator, p.y.denominator
-    w = lcm(xd, yd)
-    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
-
-
-def _delta(p: Point2, q: Point2) -> tuple[int, int, int]:
-    """Integers (x, y, w) with q - p = (x/w, y/w)."""
-    pxd, pyd, qxd, qyd = p.x.denominator, p.y.denominator, q.x.denominator, q.y.denominator
-    w = lcm(pxd, pyd, qxd, qyd)
-    return (
-        q.x.numerator * (w // qxd) - p.x.numerator * (w // pxd),
-        q.y.numerator * (w // qyd) - p.y.numerator * (w // pyd),
-        w,
-    )
+def _triple(p: Point2) -> tuple[int, int, int]:
+    """Integers (x, y, w) with p = (x/w, y/w), w the product of p's denominators."""
+    x, y = p.x, p.y
+    xd, yd = x.denominator, y.denominator
+    return x.numerator * yd, y.numerator * xd, xd * yd
 
 
-def _coefficients(line: Line) -> tuple[int, int, int]:
-    """Integers proportional to (a, b, c): a is 0 or 1, so only b and c have denominators."""
-    bd, cd = line.b.denominator, line.c.denominator
-    w = lcm(bd, cd)
-    return line.a.numerator * w, line.b.numerator * (w // bd), line.c.numerator * (w // cd)
+def _conic(k: Circle) -> tuple[int, int, int, int]:
+    """(s, u, v, t) of k: (x - cx)² + (y - cy)² - r² times (cw·rd)², center (cx/cw, cy/cw)."""
+    cx, cy, cw = _triple(k.center)
+    rn, rd = k.radius.numerator, k.radius.denominator
+    rr = rd * rd
+    return cw * cw * rr, -2 * cx * cw * rr, -2 * cy * cw * rr, (cx * cx + cy * cy) * rr - (rn * cw) ** 2
 
 
-def _point(x: int, y: int, w: int) -> Point2:
-    """The point (x/w, y/w) of integers, w nonzero."""
-    return Point2(Fraction(x, w), Fraction(y, w))
+def _cross(u, v) -> tuple[int, int, int]:
+    """The line through two points, or the point on two lines; zero iff they coincide."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _polar(k, p) -> tuple[int, int, int]:
+    """Twice the polar line of p for the conic k: the tangent at p when p is on k."""
+    s, u, v, t = k
+    x, y, w = p
+    return 2 * s * x + u * w, 2 * s * y + v * w, u * x + v * y + 2 * t * w
 
 
-def _line(a: int, b: int, c: int) -> Line:
-    """The Line a*x + b*y + c = 0 of integers, (a, b) nonzero, scaled as Line scales."""
-    scale = a or b
-    line = object.__new__(Line)
-    object.__setattr__(line, "a", _ONE if a else _ZERO)
-    object.__setattr__(line, "b", Fraction(b, a) if a else _ONE)
-    object.__setattr__(line, "c", Fraction(c, scale))
-    return line
+def _second(k, base, through) -> tuple[int, int, int]:
+    """Second point of the conic k on the line from ``base`` (on k) to ``through``.
+
+    On base + λ·through, k takes 2λ·B(base, through) + λ²·Q(through), since
+    Q(base) = 0. The other root λ = -2B/Q gives Q·base - 2B·through (Vieta):
+    base itself when the line is tangent there, and zero iff through = base.
+    """
+    l0, l1, l2 = _polar(k, through)
+    (b0, b1, b2), (t0, t1, t2) = base, through
+    q, b = t0 * l0 + t1 * l1 + t2 * l2, 2 * (b0 * l0 + b1 * l1 + b2 * l2)
+    return q * b0 - b * t0, q * b1 - b * t1, q * b2 - b * t2
 
 
-def _radius_vector(k: Circle, point: Point2) -> tuple[int, int, int]:
-    """Integers (x, y, w) with point - center = (x/w, y/w); PointNotOnCircle if off k."""
-    x, y, w = _delta(k.center, point)
-    r = k.radius
-    if (x * x + y * y) * r.denominator**2 != (r.numerator * w) ** 2:
+def _on_circle(k: Circle, point: Point2) -> tuple[tuple, tuple, tuple]:
+    """k's conic, the point's triple and its polar; PointNotOnCircle off k, where p·polar ≠ 0."""
+    conic, p = _conic(k), _triple(point)
+    polar = _polar(conic, p)
+    if p[0] * polar[0] + p[1] * polar[1] + p[2] * polar[2]:
         raise PointNotOnCircle(f"{point} is not on {k}")
-    return x, y, w
+    return conic, p, polar
 
 
 def line_through(p1: Point2, p2: Point2) -> Line:
     """The unique line containing two distinct points."""
     if p1 == p2:
         raise IdenticalPoints(f"cannot join a point to itself: {p1}")
-    dx, dy, _ = _delta(p1, p2)
-    x, y, w = _homogeneous(p1)
-    # Normal (dy, -dx) through p1, times w.
-    return _line(dy * w, -dx * w, dx * y - dy * x)
+    return Line(*_cross(_triple(p1), _triple(p2)))
 
 
 def meet(l1: Line, l2: Line) -> ExtendedPoint:
     """Intersection of two distinct lines; parallels meet at infinity, where w = 0."""
     if l1 == l2:
         raise CoincidentLines("lines coincide; intersection is not a point")
-    a1, b1, c1 = _coefficients(l1)
-    a2, b2, c2 = _coefficients(l2)
-    return ExtendedPoint(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1)
+    return ExtendedPoint(*_cross(l1.coefficients, l2.coefficients))
 
 
 def collinear_det(p1: Point2, p2: Point2, p3: Point2) -> Fraction:
     """Determinant of the 3x3 matrix with rows (x_i, y_i, 1); zero iff collinear."""
-    return (
-        p1.x * (p2.y - p3.y)
-        - p1.y * (p2.x - p3.x)
-        + (p2.x * p3.y - p3.x * p2.y)
-    )
+    t1, t2, t3 = _triple(p1), _triple(p2), _triple(p3)
+    return Fraction(sum(u * v for u, v in zip(_cross(t1, t2), t3)), t1[2] * t2[2] * t3[2])
 
 
 def circle_contains(k: Circle, point: Point2) -> bool:
     """Exact membership test for the circle (the curve, not the disk)."""
-    dx = point.x - k.center.x
-    dy = point.y - k.center.y
-    return dx * dx + dy * dy == k.radius * k.radius
+    return power_of_point(k, point) == 0
 
 
 def param_point(k: Circle, t: ExtendedScalar) -> Point2:
@@ -316,31 +328,19 @@ def param_point(k: Circle, t: ExtendedScalar) -> Point2:
 def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
     """Other intersection of k with the line joining ``base`` (on k) to ``through``.
 
-    Writing points of the line as base + s * (through - base) and substituting
-    into the circle equation gives a quadratic in s whose constant term
-    vanishes because base lies on k. The known root s = 0 factors out, so the
-    second root is rational (Vieta); no square root is ever needed. When the
-    line is tangent at ``base`` the two roots coincide and ``base`` itself is
-    returned.
+    Rational by Vieta's formula, no square root needed; ``base`` itself when
+    the line is tangent there.
     """
-    ex, ey, m = _radius_vector(k, base)
+    conic, b, _ = _on_circle(k, base)
     if base == through:
         raise IdenticalPoints("chord direction undefined: points coincide")
-    dx, dy, _ = _delta(base, through)
-    # With d = through - base and e = base - center, the second root is
-    # s = -2 (d.e) / (d.d). The scale of d cancels from s * d, so d may be
-    # any multiple of through - base; e must be exact, hence the m below.
-    x, y, w = _homogeneous(base)
-    num = -2 * (dx * ex + dy * ey) * w
-    den = (dx * dx + dy * dy) * m
-    return _point(x * den + num * dx, y * den + num * dy, w * den)
+    x, y, w = _second(conic, b, _triple(through))
+    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def tangent_at(k: Circle, point: Point2) -> Line:
-    """Tangent line of k at a point of k: through the point, normal to the radius."""
-    a, b, _ = _radius_vector(k, point)
-    x, y, w = _homogeneous(point)
-    return _line(a * w, b * w, -(a * x + b * y))
+    """Tangent line of k at a point of k: the polar of the point."""
+    return Line(*_on_circle(k, point)[2])
 
 
 def power_of_point(k: Circle, point: Point2) -> Fraction:
@@ -353,23 +353,13 @@ def power_of_point(k: Circle, point: Point2) -> Fraction:
 def radical_axis(k1: Circle, k2: Circle) -> Line:
     """Line of equal power with respect to two non-concentric circles.
 
-    Subtracting the two circle equations cancels the quadratic terms, which
-    is why the locus is a line.
+    Subtracting the two circle equations, each scaled to x² + y² + ..., cancels
+    the quadratic terms, which is why the locus is a line.
     """
     if k1.center == k2.center:
         raise ConcentricCircles("concentric circles have no radical axis")
-    a = 2 * (k2.center.x - k1.center.x)
-    b = 2 * (k2.center.y - k1.center.y)
-    c = (
-        k1.center.x * k1.center.x
-        + k1.center.y * k1.center.y
-        - k1.radius * k1.radius
-    ) - (
-        k2.center.x * k2.center.x
-        + k2.center.y * k2.center.y
-        - k2.radius * k2.radius
-    )
-    return Line(a, b, c)
+    (s1, u1, v1, t1), (s2, u2, v2, t2) = _conic(k1), _conic(k2)
+    return Line(s2 * u1 - s1 * u2, s2 * v1 - s1 * v2, s2 * t1 - s1 * t2)
 
 
 def point_on_line(line: Line, t) -> Point2:

@@ -149,14 +149,18 @@ def layout(spec: RenderSpec) -> Viewport:
 def _line_in_rect(line: Line, rect) -> tuple[Point2, Point2] | None:
     """Extreme intersection points of a line with a rectangle, or None if outside."""
     xmin, xmax, ymin, ymax = rect
-    a, b, c = line.a, line.b, line.c
+    a, b, c = line.coefficients
+
+    def solve(t: Fraction, u: int, v: int) -> Fraction:  # s with u*t + v*s + c = 0
+        return Fraction(-u * t.numerator - c * t.denominator, v * t.denominator)
+
     # Substitute each edge into a*x + b*y + c = 0. A line lying on an edge
     # meets the two perpendicular edges at that edge's corners.
     candidates = set()
-    if b != 0:
-        candidates.update(Point2(x, -(a * x + c) / b) for x in (xmin, xmax))
-    if a != 0:
-        candidates.update(Point2(-(b * y + c) / a, y) for y in (ymin, ymax))
+    if b:
+        candidates.update(Point2(x, solve(x, a, b)) for x in (xmin, xmax))
+    if a:
+        candidates.update(Point2(solve(y, b, a), y) for y in (ymin, ymax))
     inside = sorted(
         (p for p in candidates if xmin <= p.x <= xmax and ymin <= p.y <= ymax),
         key=lambda p: (p.x, p.y),

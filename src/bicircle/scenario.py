@@ -35,7 +35,7 @@ class Ordering(Enum):
     EXTERNALLY_TANGENT = "ExternallyTangent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioConfig:
     """Half center distance and the two radii, all exact rationals."""
 
@@ -43,10 +43,10 @@ class ScenarioConfig:
     r1: Fraction
     r2: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "r1", as_rational(self.r1))
-        object.__setattr__(self, "r2", as_rational(self.r2))
+    def __init__(self, a, r1, r2):
+        object.__setattr__(self, "a", as_rational(a))
+        object.__setattr__(self, "r1", as_rational(r1))
+        object.__setattr__(self, "r2", as_rational(r2))
 
 
 @dataclass(frozen=True)

@@ -385,17 +385,20 @@ class TestWorkCount:
 
     The kernel and the scenario layer build each Fraction of a result once,
     and an ExtendedPoint holds integers, so meet and image_closed_form build
-    none. Measured on the worked case: construct_image builds 8 (87 with the
-    Fraction kernel, 10 with Fraction ExtendedPoint fields), derive 6 (30
-    with Fraction formulas), image_closed_form 0 (29, then 2) and locus_x 2
-    (19); run_oracle_fuzz(20, 360) builds 398 (4860 before integer
+    none; construct_image chains integer triples and its Fraction views are
+    built only when read, so it builds none either. Measured on the worked
+    case: construct_image builds 0 (87 with the Fraction kernel, 10 with
+    Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 6
+    (30 with Fraction formulas), image_closed_form 0 (29, then 2) and
+    locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
-    integer scenario layer, 478 before the integer ExtendedPoint).
+    integer scenario layer, 478 before the integer ExtendedPoint, 398 before
+    the triple chain).
     """
 
     def test_construct_image_worked_case(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
-        assert fractions_built(construct_image, scene, probe) <= 8
+        assert fractions_built(construct_image, scene, probe) <= 0
 
     def test_derive_worked_case(self):
         assert fractions_built(derive, WORKED) <= 6
@@ -407,7 +410,7 @@ class TestWorkCount:
         assert fractions_built(locus_x, WORKED, 2) <= 2
 
     def test_oracle_fuzz(self):
-        assert fractions_built(run_oracle_fuzz, 20, 360) <= 398
+        assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
 
 
 # Reference versions of image_closed_form and locus_x: the Fraction formulas
@@ -498,3 +501,139 @@ class TestClosedFormMatchesReference:
                 assert value is INFINITY or type(value) is F
 
         check()
+
+
+# Reference version of construct_image: the Fraction construction that the
+# chain of integer triples replaced, with the Fraction kernel formulas.
+
+def ref_second_intersection(k, base, through):
+    dx, dy = through.x - base.x, through.y - base.y
+    ex, ey = base.x - k.center.x, base.y - k.center.y
+    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
+    return Point2(base.x + s * dx, base.y + s * dy)
+
+
+def ref_line_through(p1, p2):
+    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
+
+
+def ref_tangent_at(k, point):
+    a, b = point.x - k.center.x, point.y - k.center.y
+    return Line(a, b, -(a * point.x + b * point.y))
+
+
+def ref_classify(scene, probe):
+    flags = set()
+    if probe.q == 0:
+        flags.add(CaseFlag.PROBE_ON_AXIS)
+    if probe.p == scene.B.x:
+        flags.add(CaseFlag.COLLAPSES_TO_A)
+    if probe.p == scene.C.x:
+        flags.add(CaseFlag.COLLAPSES_TO_D)
+    if scene.ordering is Ordering.EXTERNALLY_TANGENT:
+        flags.add(CaseFlag.TOUCHING_CIRCLES)
+    if probe.p == scene.radical_axis_x:
+        flags.add(CaseFlag.ON_RADICAL_AXIS)
+    return frozenset(flags or {CaseFlag.GENERIC})
+
+
+def ref_construct_image(scene, probe):
+    """The fields (M, N, line_am, line_dn, p_prime, flags), by Fraction formulas."""
+    point = probe.point
+    if point == scene.C:
+        raise DegenerateProbe("probe coincides with C; chord CP is undefined")
+    m = ref_second_intersection(scene.k1, scene.C, point)
+    if point == scene.B:
+        raise DegenerateProbe("probe coincides with B; chord BP is undefined")
+    n = ref_second_intersection(scene.k2, scene.B, point)
+    line_am = ref_tangent_at(scene.k1, scene.A) if m == scene.A else ref_line_through(scene.A, m)
+    line_dn = ref_tangent_at(scene.k2, scene.D) if n == scene.D else ref_line_through(scene.D, n)
+    # Parallel or coincident lines: the image escapes along their direction.
+    det = line_am.a * line_dn.b - line_dn.a * line_am.b
+    if det == 0:
+        p_prime = ExtendedPoint.at_infinity(line_am.b, -line_am.a)
+    else:
+        x = (line_am.b * line_dn.c - line_dn.b * line_am.c) / det
+        y = (line_am.c * line_dn.a - line_dn.c * line_am.a) / det
+        p_prime = ExtendedPoint.finite(Point2(x, y))
+    return m, n, line_am, line_dn, p_prime, ref_classify(scene, probe)
+
+
+def image_fields(scene, probe):
+    result = construct_image(scene, probe)
+    return result.M, result.N, result.line_am, result.line_dn, result.p_prime, result.flags
+
+
+# Each degenerate stratum is built directly: the probe is put on it, never
+# drawn in the hope of landing there.
+STRATA = ("generic", "q = 0", "p = B.x", "p = C.x", "radical axis", "tangent", "tangent, p = B.x = C.x")
+
+
+def stratum_case(stratum, r1, r2, gap, p, q):
+    """A scene and probe in the stratum, from two radii, a positive gap and a free probe."""
+    if stratum.startswith("tangent"):
+        cfg = ScenarioConfig((r1 + r2) / 2, r1, r2)  # r1 + r2 = 2a
+    else:
+        cfg = ScenarioConfig((abs(r1 - r2) + gap) / 2, r1, r2)  # 2a > |r1 - r2|
+    scene = derive(cfg)
+    p = {
+        "p = B.x": scene.B.x,
+        "p = C.x": scene.C.x,
+        "radical axis": scene.radical_axis_x,
+        "tangent, p = B.x = C.x": scene.B.x,
+    }.get(stratum, p)
+    return scene, ProbePoint(p, F(0) if stratum == "q = 0" else q)
+
+
+def assert_matches_reference(scene, probe):
+    fields = outcome(image_fields, scene, probe)
+    assert fields == outcome(ref_construct_image, scene, probe)
+    if fields[0] is DegenerateProbe:
+        return
+    m, n, line_am, line_dn, _, _ = fields
+    assert all(type(v) is F for v in (m.x, m.y, n.x, n.y))
+    assert all(type(v) is F for line in (line_am, line_dn) for v in (line.a, line.b, line.c))
+
+
+class TestConstructImageMatchesReference:
+    @pytest.mark.parametrize("height", sorted(CLOSED_FORM_INPUTS))
+    def test_every_field(self, height):
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(st.sampled_from(STRATA), radius, radius, radius, values, values)
+        @settings(max_examples=300, deadline=None)
+        def check(stratum, r1, r2, gap, p, q):
+            assert_matches_reference(*stratum_case(stratum, r1, r2, gap, p, q))
+
+        check()
+
+    @pytest.mark.parametrize("stratum", STRATA)
+    def test_stratum_reached(self, stratum):
+        scene, probe = stratum_case(stratum, F(3), F(2), F(3), F(2), F(1))
+        assert_matches_reference(scene, probe)
+        result = construct_image(scene, probe)
+        expected = {
+            "generic": CaseFlag.GENERIC,
+            "q = 0": CaseFlag.PROBE_ON_AXIS,
+            "p = B.x": CaseFlag.COLLAPSES_TO_A,
+            "p = C.x": CaseFlag.COLLAPSES_TO_D,
+            "radical axis": CaseFlag.ON_RADICAL_AXIS,
+            "tangent": CaseFlag.TOUCHING_CIRCLES,
+            "tangent, p = B.x = C.x": CaseFlag.COLLAPSES_TO_A,
+        }[stratum]
+        assert expected in result.flags
+        # Only the probe over B = C makes AM and DN coincide.
+        assert (result.line_am == result.line_dn) == (stratum == "tangent, p = B.x = C.x")
+
+    @pytest.mark.parametrize("cfg, p", [(WORKED, 0), (WORKED, 1), (TANGENT, 0)])
+    def test_probe_on_a_base_point(self, cfg, p):
+        # B = (0, 0) and C = (1, 0) in WORKED; B = C = (0, 0) in TANGENT.
+        scene, probe = derive(cfg), ProbePoint(p, 0)
+        with pytest.raises(DegenerateProbe):
+            construct_image(scene, probe)
+        assert_matches_reference(scene, probe)
+
+    def test_views_are_lazy_and_cached(self):
+        result = construct_image(derive(WORKED), ProbePoint(2, 1))
+        assert "point" not in vars(result.m) and "_fractions" not in vars(result.line_am)
+        assert result.M is result.M and result.line_am.b is result.line_am.b

@@ -46,6 +46,7 @@ params = st.one_of(st.just(INFINITY), rationals)
 integers = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
 nonzero_integers = integers.filter(bool)
 triples = st.tuples(integers, integers, integers).filter(any)
+line_triples = st.tuples(integers, integers, integers).filter(lambda t: t[0] or t[1])
 
 
 class TestRationalText:
@@ -131,6 +132,12 @@ class TestCollinearDet:
 
     def test_worked_case_chord(self):
         assert collinear_det(Point2(2, 1), Point2(1, 0), Point2(-2, -3)) == 0
+
+    @given(points, points, points)
+    def test_matches_the_fraction_determinant(self, p1, p2, p3):
+        det = collinear_det(p1, p2, p3)
+        assert type(det) is F
+        assert det == p1.x * (p2.y - p3.y) - p1.y * (p2.x - p3.x) + (p2.x * p3.y - p3.x * p2.y)
 
 
 class TestCircleContains:
@@ -295,6 +302,15 @@ class TestExtendedPoint:
         assert scaled == value
         assert hash(scaled) == hash(value)
 
+    @given(triples)
+    def test_views_are_cached(self, triple):
+        value, fresh = ExtendedPoint(*triple), ExtendedPoint(*triple)
+        before = hash(value)
+        assert value.point is value.point
+        assert value.direction is value.direction
+        assert value == fresh and hash(value) == before == hash(fresh)
+        assert fresh == value and repr(fresh) == repr(value)
+
     @given(points)
     def test_finite_round_trip(self, p):
         value = ExtendedPoint.finite(p)
@@ -317,6 +333,44 @@ class TestExtendedPoint:
         l1 = line_through(p1, p2)
         l2 = Line(l1.a, l1.b, l1.c + shift)
         assert meet(l1, l2) == ExtendedPoint.at_infinity(p2.x - p1.x, p2.y - p1.y)
+
+
+class TestLineTriple:
+    def test_worked_case(self):
+        line = Line(2, 1, -8)
+        assert line.coefficients == (2, 1, -8)
+        assert (line.a, line.b, line.c) == (1, F(1, 2), -4)
+
+    def test_rational_input(self):
+        assert Line(F(1, 2), F(-1, 3), 0).coefficients == (3, -2, 0)
+
+    @given(line_triples, nonzero_integers)
+    def test_scaled_triple_is_the_same_line(self, triple, k):
+        line = Line(*triple)
+        scaled = Line(*(k * c for c in triple))
+        assert scaled == line
+        assert hash(scaled) == hash(line)
+
+    @given(line_triples)
+    def test_views_are_fractions_with_a_leading_one(self, triple):
+        line = Line(*triple)
+        assert all(type(v) is F for v in (line.a, line.b, line.c))
+        assert (line.a or line.b) == 1
+        a, b, c = triple
+        assert (line.a, line.b, line.c) == (F(a, a or b), F(b, a or b), F(c, a or b))
+        assert gcd(*line.coefficients) == 1
+
+    @given(line_triples)
+    def test_views_are_cached_and_leave_equality_alone(self, triple):
+        line, fresh = Line(*triple), Line(*triple)
+        before = hash(line)
+        assert line.a is line.a and line.b is line.b and line.c is line.c
+        assert line == fresh and hash(line) == before == hash(fresh)
+
+    @given(line_triples, nonzero_integers)
+    def test_meet_of_coincident_lines_raises(self, triple, k):
+        with pytest.raises(CoincidentLines):
+            meet(Line(*triple), Line(*(k * c for c in triple)))
 
 
 def ref_normalize_direction(dx, dy):
