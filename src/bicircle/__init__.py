@@ -19,8 +19,6 @@ from .construction import (
     ProbePoint,
     classify_case,
     construct_image,
-    construct_m,
-    construct_n,
     image_closed_form,
     locus_x,
     random_probe,
@@ -48,16 +46,13 @@ from .exact import (
     INFINITY,
     Circle,
     ExtendedPoint,
-    ExtendedScalar,
     Line,
     Point2,
     as_rational,
     circle_contains,
     collinear_det,
-    format_rational,
     line_through,
     meet,
-    normalize_direction,
     param_point,
     parse_rational,
     point_on_line,
@@ -66,14 +61,13 @@ from .exact import (
     second_intersection,
     tangent_at,
 )
-from .figures import RenderSpec, Viewport, decimal6, layout, render_svg
+from .figures import RenderSpec, decimal6, layout, render_svg
 from .scenario import (
     DerivedScene,
     Ordering,
     ScenarioConfig,
     derive,
     parse_scenario,
-    probe_line,
     validate,
 )
 

@@ -48,7 +48,7 @@ from .exact import (
     _triple,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _numerators, derive, validate
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, derive, validate
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -128,16 +128,6 @@ def _chord(k: Circle, base: Point2, probe: tuple[int, int, int], name: str) -> E
     return ExtendedPoint(*point)
 
 
-def construct_m(scene: DerivedScene, probe: ProbePoint) -> Point2:
-    """Second intersection of chord CP with k1 (M = C itself if CP is tangent)."""
-    return _chord(scene.k1, scene.C, _triple(probe.point), "CP").point
-
-
-def construct_n(scene: DerivedScene, probe: ProbePoint) -> Point2:
-    """Second intersection of chord BP with k2 (N = B itself if BP is tangent)."""
-    return _chord(scene.k2, scene.B, _triple(probe.point), "BP").point
-
-
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route: M, N, lines AM and DN, and their intersection P'.
 
@@ -172,9 +162,8 @@ def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
     w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
     """
-    validate(cfg)
     # a, r1, r2 and p over one common denominator d > 0.
-    d, a, r1, r2, p = _numerators(cfg, probe.p)
+    _, d, a, r1, r2, p = _frame(cfg, probe.p)
     q_n, q_d = probe.q.numerator, probe.q.denominator
     if q_n == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
@@ -193,11 +182,9 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     Depends on (a, r1, r2, p) only, never on q: that is the fixed-line
     theorem this package verifies.
     """
-    ordering = validate(cfg)
-    p = as_rational(p)
+    ordering, d, a, r1, r2, p = _frame(cfg, p)
     if ordering is Ordering.EXTERNALLY_TANGENT:
         return INFINITY
-    d, a, r1, r2, p = _numerators(cfg, p)
     return Fraction(r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a), d * (r1 + r2 - 2 * a))
 
 
@@ -242,10 +229,9 @@ def verify_concurrency(cfg: ScenarioConfig, q_samples) -> bool:
 
 # --- seeded pseudorandom trials -------------------------------------------
 
-def random_rational(rng: random.Random, low: int = -50, high: int = 50,
-                    max_denominator: int = 20) -> Fraction:
-    """Fraction with numerator in [low, high] and denominator in [1, max_denominator]."""
-    return Fraction(rng.randint(low, high), rng.randint(1, max_denominator))
+def random_rational(rng: random.Random) -> Fraction:
+    """Fraction with numerator in [-50, 50] and denominator in [1, 20]."""
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
 
 
 def _randint(getrandbits, low: int, high: int) -> int:

@@ -83,11 +83,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"literal too long: a part has more than {limit} digits") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: lowest terms, "/" only for non-integers."""
-    return str(value)
-
-
 @dataclass(frozen=True, init=False)
 class Point2:
     x: Fraction
@@ -153,11 +148,6 @@ class ExtendedPoint:
         if self.is_finite:
             return str(self.point)
         return f"at infinity, direction ({self.x}, {self.y})"
-
-
-def normalize_direction(dx, dy) -> tuple[Fraction, Fraction]:
-    """Canonical direction: coprime integer pair, first nonzero component positive."""
-    return ExtendedPoint.at_infinity(dx, dy).direction
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

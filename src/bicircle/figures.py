@@ -21,8 +21,7 @@ from .construction import ImageResult, ProbePoint, locus_x
 from .exact import INFINITY, Line, Point2, as_rational
 from .scenario import DerivedScene
 
-__all__ = ["RenderSpec", "Viewport", "decimal6", "layout", "render_svg"]
-
+_AXIS = Line(0, 1, 0)  # the common center line y = 0
 _MARGIN = Fraction(1, 10)  # of the width and the height, blank on each side
 # Fixed pixel-unit style constants (converted to model units via the scale).
 _CIRCLE_WIDTH = Fraction(3, 2)
@@ -134,7 +133,9 @@ def layout(spec: RenderSpec) -> Viewport:
     ]
     ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
     if not spec.clip:
-        for _, point in [("Z", scene.Z), *_probe_points(spec)]:
+        # The radical axis point (radical_axis_x, 0); ys already spans y = 0.
+        xs.append(scene.radical_axis_x)
+        for _, point in _probe_points(spec):
             xs.append(point.x)
             ys.append(point.y)
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
@@ -282,7 +283,7 @@ def render_svg(spec: RenderSpec) -> str:
 
     em.circle("circle-k1", scene.k1.center, scene.k1.radius, _COLORS["circle"], _CIRCLE_WIDTH)
     em.circle("circle-k2", scene.k2.center, scene.k2.radius, _COLORS["circle"], _CIRCLE_WIDTH)
-    em.full_line("axis", scene.axis, _COLORS["axis"], _LINE_WIDTH)
+    em.full_line("axis", _AXIS, _COLORS["axis"], _LINE_WIDTH)
     if spec.show_radical_axis:
         em.full_line(
             "radical-axis",

@@ -16,17 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidScenario, ParseError
-from .exact import _ZERO, Circle, Line, Point2, as_rational, parse_rational
-
-__all__ = [
-    "Ordering",
-    "ScenarioConfig",
-    "DerivedScene",
-    "validate",
-    "derive",
-    "probe_line",
-    "parse_scenario",
-]
+from .exact import _ZERO, Circle, Point2, as_rational, parse_rational
 
 
 class Ordering(Enum):
@@ -61,57 +51,54 @@ class DerivedScene:
     B: Point2
     C: Point2
     D: Point2
-    axis: Line
     radical_axis_x: Fraction
-    Z: Point2
 
 
-def _numerators(cfg: ScenarioConfig, p: Fraction | None = None) -> tuple[int, ...]:
-    """Integers (d, a, r1, r2) with cfg.a = a/d, cfg.r1 = r1/d, cfg.r2 = r2/d.
+def _frame(cfg: ScenarioConfig, p=None) -> tuple:
+    """Validate cfg and write it over one denominator: (ordering, d, a, r1, r2).
 
-    d is the product of the denominators, so it is positive and comparisons
-    and signs carry over from the rationals to the integers. Given p, the
-    tuple is (d, a, r1, r2, p) with p over the same d.
+    The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is the
+    product of the denominators, so it is positive and comparisons and signs
+    carry over from the rationals to the integers. Given p, the tuple is
+    (ordering, d, a, r1, r2, p) with p over the same d. Raises
+    InvalidScenario outside the two orderings.
     """
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+    if a.numerator <= 0:
+        raise InvalidScenario(f"a must be positive, got {a}")
+    if r1.numerator <= 0:
+        raise InvalidScenario(f"r1 must be positive, got {r1}")
+    if r2.numerator <= 0:
+        raise InvalidScenario(f"r2 must be positive, got {r2}")
     ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
     d = ad * r1d * r2d
-    a_n, r1_n, r2_n = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-    if p is None:
-        return d, a_n, r1_n, r2_n
-    pd = p.denominator
-    return d * pd, a_n * pd, r1_n * pd, r2_n * pd, p.numerator * d
-
-
-def validate(cfg: ScenarioConfig) -> Ordering:
-    """Classify the configuration, rejecting everything outside the two orderings."""
-    if cfg.a.numerator <= 0:
-        raise InvalidScenario(f"a must be positive, got {cfg.a}")
-    if cfg.r1.numerator <= 0:
-        raise InvalidScenario(f"r1 must be positive, got {cfg.r1}")
-    if cfg.r2.numerator <= 0:
-        raise InvalidScenario(f"r2 must be positive, got {cfg.r2}")
-    _, a, r1, r2 = _numerators(cfg)
+    a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
     if 2 * a <= abs(r1 - r2):
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
     gap = r1 + r2 - 2 * a
     if gap > 0:
-        return Ordering.INTERSECTING_ABCD
-    if gap == 0:
-        return Ordering.EXTERNALLY_TANGENT
-    return Ordering.DISJOINT_ACBD
+        ordering = Ordering.INTERSECTING_ABCD
+    elif gap == 0:
+        ordering = Ordering.EXTERNALLY_TANGENT
+    else:
+        ordering = Ordering.DISJOINT_ACBD
+    if p is None:
+        return ordering, d, a, r1, r2
+    p = as_rational(p)
+    pd = p.denominator
+    return ordering, d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
 
 
-_AXIS = Line(0, 1, 0)
+def validate(cfg: ScenarioConfig) -> Ordering:
+    """Classify the configuration, rejecting everything outside the two orderings."""
+    return _frame(cfg)[0]
 
 
 def derive(cfg: ScenarioConfig) -> DerivedScene:
-    """Build circles, axis points, the axis, and the radical axis abscissa."""
-    ordering = validate(cfg)
-    d, a, r1, r2 = _numerators(cfg)
-    radical_x = Fraction(r1 * r1 - r2 * r2, 4 * a * d)
+    """Build circles, axis points, and the radical axis abscissa."""
+    ordering, d, a, r1, r2 = _frame(cfg)
     return DerivedScene(
         cfg=cfg,
         ordering=ordering,
@@ -121,28 +108,21 @@ def derive(cfg: ScenarioConfig) -> DerivedScene:
         B=Point2(Fraction(a - r2, d), _ZERO),
         C=Point2(Fraction(r1 - a, d), _ZERO),
         D=Point2(Fraction(a + r2, d), _ZERO),
-        axis=_AXIS,
-        radical_axis_x=radical_x,
-        Z=Point2(radical_x, _ZERO),
+        radical_axis_x=Fraction(r1 * r1 - r2 * r2, 4 * a * d),
     )
-
-
-def probe_line(cfg: ScenarioConfig, p) -> Line:
-    """The vertical probe line x = p."""
-    validate(cfg)
-    return Line(1, 0, -as_rational(p))
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse 'a r1 r2' (whitespace-separated rationals) or a JSON object form.
 
     The JSON form is an object with exactly the keys a, r1, r2, each a
-    rational string: {"a": "2", "r1": "3", "r2": "2"}.
+    rational string or a JSON number: {"a": "2", "r1": 3, "r2": 2.5}. A
+    number is read from its literal text, so it is exact like a string.
     """
     body = text.strip()
     if body.startswith("{"):
         try:
-            data = json.loads(body)
+            data = json.loads(body, parse_float=str)
         # Malformed JSON, a number over the digit cap, or nesting too deep.
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad scenario JSON: {exc}") from None

@@ -236,6 +236,20 @@ class TestScenarioForms:
         assert code == 0
         assert json.loads(out)["Pprime"] == {"finite": ["13", "-18"]}
 
+    def test_json_numbers_are_exact(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["locus", "--scenario", '{"a": 2.00000000000000001, "r1": 3, "r2": 2}', "--p", "2"],
+        )
+        assert code == 0
+        assert json.loads(out)["scenario"]["a"] == "200000000000000001/100000000000000000"
+
+    def test_json_exponent_is_a_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["locus", "--scenario", '{"a": 1e400, "r1": 3, "r2": 2}', "--p", "1"])
+        assert excinfo.value.code == 2
+        assert "ParseError" in capsys.readouterr().err
+
     def test_scenario_and_flags_conflict(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["locus", "--scenario", "2 3 2", "--a", "2", "--p", "1"])

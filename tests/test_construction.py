@@ -26,8 +26,6 @@ from bicircle import (
     classify_case,
     collinear_det,
     construct_image,
-    construct_m,
-    construct_n,
     derive,
     image_closed_form,
     locus_x,
@@ -41,6 +39,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
+from bicircle import scenario
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -61,27 +60,27 @@ def probe_for(scene, p, q):
 
 class TestChordPoints:
     def test_worked_m(self):
-        assert construct_m(derive(WORKED), ProbePoint(2, 1)) == Point2(-2, -3)
+        assert construct_image(derive(WORKED), ProbePoint(2, 1)).M == Point2(-2, -3)
 
     def test_worked_n(self):
-        assert construct_n(derive(WORKED), ProbePoint(2, 1)) == Point2(F(16, 5), F(8, 5))
+        assert construct_image(derive(WORKED), ProbePoint(2, 1)).N == Point2(F(16, 5), F(8, 5))
 
     def test_axis_probe_sends_m_to_a_and_n_to_d(self):
         scene = derive(WORKED)
-        assert construct_m(scene, ProbePoint(3, 0)) == scene.A
-        assert construct_n(scene, ProbePoint(3, 0)) == scene.D
+        assert construct_image(scene, ProbePoint(3, 0)).M == scene.A
+        assert construct_image(scene, ProbePoint(3, 0)).N == scene.D
 
     def test_tangent_chords_return_base(self):
         scene = derive(WORKED)
-        assert construct_m(scene, ProbePoint(1, 5)) == scene.C
-        assert construct_n(scene, ProbePoint(0, 7)) == scene.B
+        assert construct_image(scene, ProbePoint(1, 5)).M == scene.C
+        assert construct_image(scene, ProbePoint(0, 7)).N == scene.B
 
     def test_degenerate_probes(self):
         scene = derive(WORKED)
         with pytest.raises(DegenerateProbe):
-            construct_m(scene, ProbePoint(1, 0))
+            construct_image(scene, ProbePoint(1, 0)).M
         with pytest.raises(DegenerateProbe):
-            construct_n(scene, ProbePoint(0, 0))
+            construct_image(scene, ProbePoint(0, 0)).N
 
 
 class TestConstructImage:
@@ -269,8 +268,8 @@ class TestTangentHalfParams:
         scene = derive(cfg)
         probe = probe_for(scene, p, q)
         u, v = tangent_half_params(cfg, probe)
-        assert param_point(scene.k1, u) == construct_m(scene, probe)
-        assert param_point(scene.k2, v) == construct_n(scene, probe)
+        assert param_point(scene.k1, u) == construct_image(scene, probe).M
+        assert param_point(scene.k2, v) == construct_image(scene, probe).N
 
 
 class TestVerifyConcurrency:
@@ -362,22 +361,27 @@ class TestSeededTrials:
         }
 
 
-def fractions_built(fn, *args):
-    """Count Fraction.__new__ calls made while fn runs, with a profile hook."""
-    code = F.__new__.__code__
-    built = 0
+def calls_made(target, fn, *args):
+    """Count calls of the Python function target made while fn runs, with a profile hook."""
+    code = target.__code__
+    calls = 0
 
     def hook(frame, event, arg):
-        nonlocal built
+        nonlocal calls
         if event == "call" and frame.f_code is code:
-            built += 1
+            calls += 1
 
     sys.setprofile(hook)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
-    return built
+    return calls
+
+
+def fractions_built(fn, *args):
+    """Count Fraction.__new__ calls made while fn runs."""
+    return calls_made(F.__new__, fn, *args)
 
 
 class TestWorkCount:
@@ -411,6 +415,20 @@ class TestWorkCount:
 
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
+
+
+@pytest.mark.parametrize("cfg", [WORKED, TANGENT])
+class TestOneCheckPerCall:
+    """Each entry point checks and converts the scenario in one private pass."""
+
+    def test_derive(self, cfg):
+        assert calls_made(scenario._frame, derive, cfg) == 1
+
+    def test_image_closed_form(self, cfg):
+        assert calls_made(scenario._frame, image_closed_form, cfg, ProbePoint(2, 1)) == 1
+
+    def test_locus_x(self, cfg):
+        assert calls_made(scenario._frame, locus_x, cfg, 2) == 1
 
 
 # Reference versions of image_closed_form and locus_x: the Fraction formulas
