@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, locus_x
-from .exact import INFINITY, Line, Point2, as_rational
+from .exact import INFINITY, Point2, _cross, _triple, as_rational
 from .scenario import DerivedScene
 
-_AXIS = Line(0, 1, 0)  # the common center line y = 0
+_AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
 _MARGIN = Fraction(1, 10)  # of the width and the height, blank on each side
 # Fixed pixel-unit style constants (converted to model units via the scale).
 _CIRCLE_WIDTH = Fraction(3, 2)
@@ -147,10 +147,15 @@ def layout(spec: RenderSpec) -> Viewport:
     return Viewport(spec.width, spec.height, scale, tx, ty)
 
 
-def _line_in_rect(line: Line, rect) -> tuple[Point2, Point2] | None:
-    """Extreme intersection points of a line with a rectangle, or None if outside."""
+def _clip(line, rect, ends=None) -> tuple[Point2, Point2] | None:
+    """Extreme points, in (x, y) order, of the line a*x + b*y + c = 0 in a rectangle.
+
+    With ends, two points of the line in (x, y) order, the span is cut to the
+    segment between them. None if nothing is left; a line that only touches
+    a corner gives that corner twice.
+    """
     xmin, xmax, ymin, ymax = rect
-    a, b, c = line.coefficients
+    a, b, c = line
 
     def solve(t: Fraction, u: int, v: int) -> Fraction:  # s with u*t + v*s + c = 0
         return Fraction(-u * t.numerator - c * t.denominator, v * t.denominator)
@@ -159,46 +164,27 @@ def _line_in_rect(line: Line, rect) -> tuple[Point2, Point2] | None:
     # meets the two perpendicular edges at that edge's corners.
     candidates = set()
     if b:
-        candidates.update(Point2(x, solve(x, a, b)) for x in (xmin, xmax))
+        candidates.update((x, solve(x, a, b)) for x in (xmin, xmax))
     if a:
-        candidates.update(Point2(solve(y, b, a), y) for y in (ymin, ymax))
-    inside = sorted(
-        (p for p in candidates if xmin <= p.x <= xmax and ymin <= p.y <= ymax),
-        key=lambda p: (p.x, p.y),
-    )
-    if len(inside) < 2:
+        candidates.update((solve(y, b, a), y) for y in (ymin, ymax))
+    inside = sorted((x, y) for x, y in candidates if xmin <= x <= xmax and ymin <= y <= ymax)
+    if not inside:
         return None
-    return inside[0], inside[-1]
+    first, last = inside[0], inside[-1]
+    if ends is not None:
+        first, last = max(first, _xy(ends[0])), min(last, _xy(ends[1]))
+        if first > last:
+            return None
+    return Point2(*first), Point2(*last)
 
 
-def _clip_segment(p1: Point2, p2: Point2, rect) -> tuple[Point2, Point2] | None:
-    """Exact Liang-Barsky clip of segment p1..p2 against a rectangle."""
-    xmin, xmax, ymin, ymax = rect
-    s_lo, s_hi = Fraction(0), Fraction(1)
-    for start, delta, lo, hi in (
-        (p1.x, p2.x - p1.x, xmin, xmax),
-        (p1.y, p2.y - p1.y, ymin, ymax),
-    ):
-        if delta == 0:
-            if not lo <= start <= hi:
-                return None
-            continue
-        s_a = (lo - start) / delta
-        s_b = (hi - start) / delta
-        if s_a > s_b:
-            s_a, s_b = s_b, s_a
-        s_lo = max(s_lo, s_a)
-        s_hi = min(s_hi, s_b)
-    if s_lo > s_hi:
-        return None
-    at = lambda s: Point2(p1.x + s * (p2.x - p1.x), p1.y + s * (p2.y - p1.y))
-    return at(s_lo), at(s_hi)
+def _xy(p: Point2) -> tuple[Fraction, Fraction]:
+    return p.x, p.y
 
 
-def _chord_span(points: list[Point2]) -> tuple[Point2, Point2]:
-    """Endpoints of the minimal segment covering collinear points."""
-    ordered = sorted(points, key=lambda p: (p.x, p.y))
-    return ordered[0], ordered[-1]
+def _vertical(t: Fraction) -> tuple[int, int, int]:
+    """The line x = t as a triple (a, b, c)."""
+    return t.denominator, 0, -t.numerator
 
 
 def _octant(dx: Fraction, dy: Fraction) -> tuple[int, int]:
@@ -228,10 +214,10 @@ class _Emitter:
             f' stroke="{color}" stroke-width="{self.px(width)}"{dash_attr}/>'
         )
 
-    def full_line(self, cls: str, line: Line, color: str, width: Fraction,
+    def full_line(self, cls: str, line: tuple[int, int, int], color: str, width: Fraction,
                   dash: bool = False) -> None:
-        span = _line_in_rect(line, self.rect)
-        if span is not None:
+        span = _clip(line, self.rect)
+        if span is not None and span[0] != span[1]:
             self.segment(cls, span[0], span[1], color, width, dash)
 
     def circle(self, cls: str, center: Point2, radius: Fraction,
@@ -287,18 +273,18 @@ def render_svg(spec: RenderSpec) -> str:
     if spec.show_radical_axis:
         em.full_line(
             "radical-axis",
-            Line(1, 0, -scene.radical_axis_x),
+            _vertical(scene.radical_axis_x),
             _COLORS["radical"],
             _LINE_WIDTH,
             dash=True,
         )
     if spec.probe is not None:
-        em.full_line("probe-line", Line(1, 0, -spec.probe.p), _COLORS["probe"], _ACCENT_WIDTH)
+        em.full_line("probe-line", _vertical(spec.probe.p), _COLORS["probe"], _ACCENT_WIDTH)
         # The image line exists whenever the circles are not tangent, even if
         # this particular probe sends its image point to infinity along it.
         image_x = locus_x(scene.cfg, spec.probe.p)
         if image_x is not INFINITY:
-            em.full_line("image-line", Line(1, 0, -image_x), _COLORS["image"], _ACCENT_WIDTH)
+            em.full_line("image-line", _vertical(image_x), _COLORS["image"], _ACCENT_WIDTH)
 
     result = spec.result
     if result is not None:
@@ -308,14 +294,15 @@ def render_svg(spec: RenderSpec) -> str:
                 ("chord chord-cm", [scene.C, probe_pt, result.M]),
                 ("chord chord-bn", [scene.B, probe_pt, result.N]),
             ):
-                first, last = _chord_span(pts)
+                first, last = min(pts, key=_xy), max(pts, key=_xy)
                 if first != last:
-                    span = _clip_segment(first, last, rect) if spec.clip else (first, last)
+                    line = _cross(_triple(first), _triple(last))
+                    span = _clip(line, rect, (first, last)) if spec.clip else (first, last)
                     if span is not None:
                         em.segment(cls, span[0], span[1], _COLORS["chord"], _LINE_WIDTH)
-        em.full_line("construction construction-am", result.line_am,
+        em.full_line("construction construction-am", result.line_am.coefficients,
                      _COLORS["construction"], _ACCENT_WIDTH)
-        em.full_line("construction construction-dn", result.line_dn,
+        em.full_line("construction construction-dn", result.line_dn.coefficients,
                      _COLORS["construction"], _ACCENT_WIDTH)
 
     label_dx = _LABEL_DX / viewport.scale
@@ -328,11 +315,11 @@ def render_svg(spec: RenderSpec) -> str:
             anchor = Point2(point.x + label_dx, point.y + label_dy)
         else:
             # Outside the canvas (possible only with clipping): mark the spot
-            # where the point left the viewport with an outward arrow.
-            clipped = _clip_segment(center, point, rect)
-            if clipped is None:
-                continue
-            tip = clipped[1]
+            # where the point left the viewport with an outward arrow. The
+            # center is strictly inside, so the line from it to the point
+            # leaves the canvas at the end on the point's side.
+            span = _clip(_cross(_triple(center), _triple(point)), rect)
+            tip = span[1] if _xy(point) > _xy(center) else span[0]
             em.arrow(name, tip, _octant(point.x - center.x, point.y - center.y))
             anchor = Point2(
                 tip.x - (point.x - center.x > 0) * 4 * label_dx + label_dx,

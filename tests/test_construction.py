@@ -21,6 +21,7 @@ from bicircle import (
     Ordering,
     Point2,
     ProbePoint,
+    RenderSpec,
     ScenarioConfig,
     WrongOrdering,
     classify_case,
@@ -33,6 +34,7 @@ from bicircle import (
     random_probe,
     random_rational,
     random_scenario,
+    render_svg,
     run_oracle_fuzz,
     tangent_half_params,
     trial_rng,
@@ -397,7 +399,9 @@ class TestWorkCount:
     locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain).
+    the triple chain). render_svg on the worked case builds 140 without
+    clipping and 172 with it (149 and 241 with one clipper for lines and a
+    Liang-Barsky clipper on Fractions for segments and arrows).
     """
 
     def test_construct_image_worked_case(self):
@@ -415,6 +419,12 @@ class TestWorkCount:
 
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
+
+    @pytest.mark.parametrize("clip, budget", [(False, 140), (True, 172)])
+    def test_render_svg_worked_case(self, clip, budget):
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
+        assert fractions_built(render_svg, spec) <= budget
 
 
 @pytest.mark.parametrize("cfg", [WORKED, TANGENT])

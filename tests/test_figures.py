@@ -1,5 +1,6 @@
 """SVG rendering: determinism, element presence, exact coordinate round-trips."""
 
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -15,6 +16,8 @@ from bicircle import (
     layout,
     render_svg,
 )
+from bicircle.exact import Line, Point2, _cross, _triple
+from bicircle.figures import _clip
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -218,3 +221,113 @@ class TestClippedMarkers:
             x, y = (F(part) for part in pair.split(","))
             assert rect[0] - TOLERANCE <= x <= rect[1] + TOLERANCE
             assert rect[2] - TOLERANCE <= -y <= rect[3] + TOLERANCE
+
+
+# Reference versions of the clipper: the two that figures used before, edge
+# substitution for full lines and Liang-Barsky for segments.
+
+def ref_line_in_rect(line, rect):
+    xmin, xmax, ymin, ymax = rect
+    a, b, c = line.coefficients
+
+    def solve(t, u, v):
+        return F(-u * t.numerator - c * t.denominator, v * t.denominator)
+
+    candidates = set()
+    if b:
+        candidates.update(Point2(x, solve(x, a, b)) for x in (xmin, xmax))
+    if a:
+        candidates.update(Point2(solve(y, b, a), y) for y in (ymin, ymax))
+    inside = sorted(
+        (p for p in candidates if xmin <= p.x <= xmax and ymin <= p.y <= ymax),
+        key=lambda p: (p.x, p.y),
+    )
+    if len(inside) < 2:
+        return None
+    return inside[0], inside[-1]
+
+
+def ref_clip_segment(p1, p2, rect):
+    xmin, xmax, ymin, ymax = rect
+    s_lo, s_hi = F(0), F(1)
+    for start, delta, lo, hi in (
+        (p1.x, p2.x - p1.x, xmin, xmax),
+        (p1.y, p2.y - p1.y, ymin, ymax),
+    ):
+        if delta == 0:
+            if not lo <= start <= hi:
+                return None
+            continue
+        s_a = (lo - start) / delta
+        s_b = (hi - start) / delta
+        if s_a > s_b:
+            s_a, s_b = s_b, s_a
+        s_lo = max(s_lo, s_a)
+        s_hi = min(s_hi, s_b)
+    if s_lo > s_hi:
+        return None
+    at = lambda s: Point2(p1.x + s * (p2.x - p1.x), p1.y + s * (p2.y - p1.y))
+    return at(s_lo), at(s_hi)
+
+
+def small(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_case(rng):
+    """A rectangle and two distinct points in (x, y) order; about 30% are corners."""
+    xs = ys = ()
+    while len(set(xs)) < 2:
+        xs = sorted((small(rng), small(rng)))
+    while len(set(ys)) < 2:
+        ys = sorted((small(rng), small(rng)))
+    rect = (*xs, *ys)
+
+    def point():
+        if rng.random() < 0.3:
+            return Point2(rng.choice(xs), rng.choice(ys))
+        return Point2(small(rng), small(rng))
+
+    p1 = point()
+    p2 = p1
+    while p2 == p1:
+        shape = rng.random()
+        p2 = point()
+        if shape < 0.1:  # vertical
+            p2 = Point2(p1.x, p2.y)
+        elif shape < 0.2:  # horizontal
+            p2 = Point2(p2.x, p1.y)
+    first, last = sorted((p1, p2), key=lambda p: (p.x, p.y))
+    return rect, first, last
+
+
+class TestClipAgainstReference:
+    CASES = 3000
+
+    def test_full_lines(self):
+        rng = random.Random("clip-lines")
+        corners = 0
+        for _ in range(self.CASES):
+            rect, p1, p2 = random_case(rng)
+            line = Line(*_cross(_triple(p1), _triple(p2)))
+            span = _clip(line.coefficients, rect)
+            expected = ref_line_in_rect(line, rect)
+            if span is not None and span[0] == span[1]:
+                # A line that only touches a corner: full_line draws nothing.
+                corner = span[0]
+                assert corner.x in rect[:2] and corner.y in rect[2:]
+                assert expected is None
+                corners += 1
+            else:
+                assert span == expected
+        assert corners > 0
+
+    def test_segments(self):
+        rng = random.Random("clip-segments")
+        outcomes = set()
+        for _ in range(self.CASES):
+            rect, p1, p2 = random_case(rng)
+            span = _clip(_cross(_triple(p1), _triple(p2)), rect, (p1, p2))
+            assert span == ref_clip_segment(p1, p2, rect)
+            outcomes.add("none" if span is None else "point" if span[0] == span[1] else "span")
+        assert outcomes == {"none", "point", "span"}

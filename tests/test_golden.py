@@ -76,6 +76,10 @@ CASES = {
         "--no-labels", "--no-radical-axis", "--width", "640", "--height", "480",
     ],
     "render-axis-clip": ["render", *WORKED, "--p", "3", "--q", "0", "--out", SVG_NAME, "--clip"],
+    "render-far-clip": [
+        "render", *WORKED, "--p", "9", "--q", "7", "--out", SVG_NAME, "--clip",
+        "--width", "64", "--height", "400",
+    ],
     "render-tangent": ["render", *TANGENT, "--p", "0", "--q", "1", "--out", SVG_NAME],
     "render-disjoint": ["render", *DISJOINT, "--p", "1", "--q", "2", "--out", SVG_NAME],
 }
