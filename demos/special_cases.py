@@ -46,4 +46,4 @@ except InvalidScenario as exc:
 
 # 5. Properly intersecting circles: probes on the radical axis map back onto
 #    it, so AM, DN and the radical axis pass through one point.
-print("\nconcurrency on the radical axis:", verify_concurrency(worked, DEFAULT_Q_SAMPLES))
+print("\nconcurrency on the radical axis:", verify_concurrency(scene, DEFAULT_Q_SAMPLES))

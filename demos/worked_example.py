@@ -37,7 +37,7 @@ print("image   P' =", result.p_prime.point)
 print("closed form:", image_closed_form(cfg, probe).point)
 
 # The circle parameters behind M and N.
-u, v = tangent_half_params(cfg, probe)
+u, v = tangent_half_params(scene, probe)
 print("tangent-half parameters: u =", u, " v =", v)
 
 # Move P up and down its vertical line: the image slides along x = 13.

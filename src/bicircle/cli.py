@@ -19,6 +19,7 @@ from .construction import (
     DEFAULT_TRIALS,
     CaseFlag,
     ProbePoint,
+    _classify,
     classify_case,
     construct_image,
     locus_x,
@@ -170,7 +171,7 @@ def _run_compute(args) -> tuple[str, int]:
         "lineAM": result.line_am,
         "lineDN": result.line_dn,
         "Pprime": result.p_prime,
-        "classification": result.flags,
+        "classification": _classify(scene, probe),
     })
 
 
@@ -196,12 +197,12 @@ def _run_classify(args) -> tuple[str, int]:
 
 
 def _run_verify(args) -> tuple[str, int]:
-    cfg = args.cfg
-    passed = verify_concurrency(cfg, args.q_samples)
+    scene = derive(args.cfg)
+    passed = verify_concurrency(scene, args.q_samples)
     return _report({
         "command": "verify",
-        "scenario": cfg,
-        "p": derive(cfg).radical_axis_x,
+        "scenario": scene.cfg,
+        "p": scene.radical_axis_x,
         "qSamples": args.q_samples,
         "passed": passed,
     }, 0 if passed else 1)

@@ -92,12 +92,11 @@ class ImageResult:
     line_am: Line
     line_dn: Line
     p_prime: ExtendedPoint
-    flags: frozenset
     M = property(lambda self: self.m.point)
     N = property(lambda self: self.n.point)
 
-    def __init__(self, m, n, line_am, line_dn, p_prime, flags):  # past the frozen __setattr__
-        self.__dict__.update(m=m, n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime, flags=flags)
+    def __init__(self, m, n, line_am, line_dn, p_prime):  # past the frozen __setattr__
+        self.__dict__.update(m=m, n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
 
 
 _GENERIC = frozenset({CaseFlag.GENERIC})
@@ -153,7 +152,7 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
         # through B = C: both chords are tangent there and AM, DN collapse
         # onto the axis. The image escapes along that common direction.
         x, y = line_am.coefficients[1], -line_am.coefficients[0]
-    return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w), _classify(scene, probe))
+    return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w))
 
 
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
@@ -188,16 +187,14 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     return Fraction(r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a), d * (r1 + r2 - 2 * a))
 
 
-def tangent_half_params(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[ExtendedScalar, ExtendedScalar]:
+def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[ExtendedScalar, ExtendedScalar]:
     """Circle parameters (u, v) with param_point(k1, u) = M and param_point(k2, v) = N.
 
-    u = (r1 - a - p)/q and v = q/(r2 - a + p), with the conventions that a
-    nonzero numerator over zero is INFINITY and 0/0 (probe on C or B) is an
-    error.
+    u = (C.x - p)/q and v = q/(p - B.x), with the conventions that a nonzero
+    numerator over zero is INFINITY and 0/0 (probe on C or B) is an error.
     """
-    validate(cfg)
     p, q = probe.p, probe.q
-    u_num, v_den = cfg.r1 - cfg.a - p, cfg.r2 - cfg.a + p
+    u_num, v_den = scene.C.x - p, p - scene.B.x
     if q == 0 and u_num == 0:
         raise IndeterminateParam("probe coincides with C: u = 0/0")
     if q == 0 and v_den == 0:
@@ -205,7 +202,7 @@ def tangent_half_params(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[Extende
     return (u_num / q if q else INFINITY), (q / v_den if v_den else INFINITY)
 
 
-def verify_concurrency(cfg: ScenarioConfig, q_samples) -> bool:
+def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
     """Check that AM, DN and the radical axis concur, for probes on the radical axis.
 
     Requires properly intersecting circles (the configuration in which the
@@ -213,7 +210,6 @@ def verify_concurrency(cfg: ScenarioConfig, q_samples) -> bool:
     probe (radical_axis_x, q) is pushed through the synthetic construction
     and the image must land exactly back on the radical axis.
     """
-    scene = derive(cfg)
     if scene.ordering is not Ordering.INTERSECTING_ABCD:
         raise WrongOrdering("concurrency check needs properly intersecting circles")
     p = scene.radical_axis_x

@@ -65,11 +65,11 @@ def decimal6(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw. width/height are pixels."""
+    """What to draw: a scene, a probe and its construction result. width/height are pixels."""
 
     scene: DerivedScene
-    probe: ProbePoint | None = None
-    result: ImageResult | None = None
+    probe: ProbePoint
+    result: ImageResult
     width: int = 800
     height: int = 600
     show_radical_axis: bool = True
@@ -100,20 +100,13 @@ class Viewport:
             self.ty / self.scale,
         )
 
-    def contains(self, point: Point2) -> bool:
-        xmin, xmax, ymin, ymax = self.visible_rect()
-        return xmin <= point.x <= xmax and ymin <= point.y <= ymax
-
 
 def _probe_points(spec: RenderSpec) -> list[tuple[str, Point2]]:
-    """Whichever of P, M, N and a finite P′ the spec holds, with their names."""
-    named = []
-    if spec.probe is not None:
-        named.append(("P", spec.probe.point))
-    if spec.result is not None:
-        named.extend([("M", spec.result.M), ("N", spec.result.N)])
-        if spec.result.p_prime.is_finite:
-            named.append(("P′", spec.result.p_prime.point))
+    """P, M, N and, if finite, P′, with their names."""
+    result = spec.result
+    named = [("P", spec.probe.point), ("M", result.M), ("N", result.N)]
+    if result.p_prime.is_finite:
+        named.append(("P′", result.p_prime.point))
     return named
 
 
@@ -125,12 +118,7 @@ def layout(spec: RenderSpec) -> Viewport:
     are drawn clipped at the border.
     """
     scene = spec.scene
-    xs = [
-        scene.k1.center.x - scene.k1.radius,
-        scene.k1.center.x + scene.k1.radius,
-        scene.k2.center.x - scene.k2.radius,
-        scene.k2.center.x + scene.k2.radius,
-    ]
+    xs = [scene.A.x, scene.C.x, scene.B.x, scene.D.x]
     ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
     if not spec.clip:
         # The radical axis point (radical_axis_x, 0); ys already spans y = 0.
@@ -278,32 +266,28 @@ def render_svg(spec: RenderSpec) -> str:
             _LINE_WIDTH,
             dash=True,
         )
-    if spec.probe is not None:
-        em.full_line("probe-line", _vertical(spec.probe.p), _COLORS["probe"], _ACCENT_WIDTH)
-        # The image line exists whenever the circles are not tangent, even if
-        # this particular probe sends its image point to infinity along it.
-        image_x = locus_x(scene.cfg, spec.probe.p)
-        if image_x is not INFINITY:
-            em.full_line("image-line", _vertical(image_x), _COLORS["image"], _ACCENT_WIDTH)
+    probe, result = spec.probe, spec.result
+    em.full_line("probe-line", _vertical(probe.p), _COLORS["probe"], _ACCENT_WIDTH)
+    # The image line exists whenever the circles are not tangent, even if
+    # this particular probe sends its image point to infinity along it.
+    image_x = locus_x(scene.cfg, probe.p)
+    if image_x is not INFINITY:
+        em.full_line("image-line", _vertical(image_x), _COLORS["image"], _ACCENT_WIDTH)
 
-    result = spec.result
-    if result is not None:
-        if spec.probe is not None:
-            probe_pt = spec.probe.point
-            for cls, pts in (
-                ("chord chord-cm", [scene.C, probe_pt, result.M]),
-                ("chord chord-bn", [scene.B, probe_pt, result.N]),
-            ):
-                first, last = min(pts, key=_xy), max(pts, key=_xy)
-                if first != last:
-                    line = _cross(_triple(first), _triple(last))
-                    span = _clip(line, rect, (first, last)) if spec.clip else (first, last)
-                    if span is not None:
-                        em.segment(cls, span[0], span[1], _COLORS["chord"], _LINE_WIDTH)
-        em.full_line("construction construction-am", result.line_am.coefficients,
-                     _COLORS["construction"], _ACCENT_WIDTH)
-        em.full_line("construction construction-dn", result.line_dn.coefficients,
-                     _COLORS["construction"], _ACCENT_WIDTH)
+    for cls, pts in (
+        ("chord chord-cm", [scene.C, probe.point, result.M]),
+        ("chord chord-bn", [scene.B, probe.point, result.N]),
+    ):
+        first, last = min(pts, key=_xy), max(pts, key=_xy)
+        if first != last:
+            line = _cross(_triple(first), _triple(last))
+            span = _clip(line, rect, (first, last)) if spec.clip else (first, last)
+            if span is not None:
+                em.segment(cls, span[0], span[1], _COLORS["chord"], _LINE_WIDTH)
+    em.full_line("construction construction-am", result.line_am.coefficients,
+                 _COLORS["construction"], _ACCENT_WIDTH)
+    em.full_line("construction construction-dn", result.line_dn.coefficients,
+                 _COLORS["construction"], _ACCENT_WIDTH)
 
     label_dx = _LABEL_DX / viewport.scale
     label_dy = _LABEL_DY / viewport.scale
@@ -328,7 +312,7 @@ def render_svg(spec: RenderSpec) -> str:
         if spec.labels:
             em.text("point-label", name, anchor, name, _COLORS["label"])
 
-    if result is not None and not result.p_prime.is_finite:
+    if not result.p_prime.is_finite:
         caption_at = Point2(xmin + 2 * label_dx, ymax - 3 * label_dy)
         em.text("caption", "", caption_at, "P′ at infinity", _COLORS["caption"])
 

@@ -139,7 +139,7 @@ def test_criterion_4_original_concurrency():
     rng = random.Random(362)
     for _ in range(100):
         cfg = intersecting_scenario(rng)
-        assert verify_concurrency(cfg, DEFAULT_Q_SAMPLES)
+        assert verify_concurrency(derive(cfg), DEFAULT_Q_SAMPLES)
 
 
 @criterion(5, "radical-axis abscissa is a fixed point, 100 scenarios")

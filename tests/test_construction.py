@@ -41,7 +41,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
-from bicircle import scenario
+from bicircle import cli, construction, scenario
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -93,7 +93,6 @@ class TestConstructImage:
         assert result.line_am == Line(1, 1, 5)
         assert result.line_dn == Line(2, 1, -8)
         assert result.p_prime == ExtendedPoint.finite(Point2(13, -18))
-        assert result.flags == frozenset({CaseFlag.GENERIC})
 
     def test_probe_on_axis_goes_to_infinity(self):
         scene = derive(WORKED)
@@ -246,55 +245,55 @@ class TestClassify:
 
 class TestTangentHalfParams:
     def test_worked_case(self):
-        assert tangent_half_params(WORKED, ProbePoint(2, 1)) == (-1, F(1, 2))
+        assert tangent_half_params(derive(WORKED), ProbePoint(2, 1)) == (-1, F(1, 2))
 
     def test_axis_probe(self):
-        u, v = tangent_half_params(WORKED, ProbePoint(3, 0))
+        u, v = tangent_half_params(derive(WORKED), ProbePoint(3, 0))
         assert u is INFINITY and v == 0
 
     def test_tangent_at_c(self):
-        u, v = tangent_half_params(WORKED, ProbePoint(1, 2))
+        u, v = tangent_half_params(derive(WORKED), ProbePoint(1, 2))
         assert u == 0
 
     def test_indeterminate_on_c(self):
         with pytest.raises(IndeterminateParam):
-            tangent_half_params(WORKED, ProbePoint(1, 0))
+            tangent_half_params(derive(WORKED), ProbePoint(1, 0))
 
     def test_indeterminate_on_b(self):
         with pytest.raises(IndeterminateParam):
-            tangent_half_params(WORKED, ProbePoint(0, 0))
+            tangent_half_params(derive(WORKED), ProbePoint(0, 0))
 
     @given(configs, rationals, rationals)
     @settings(max_examples=200, deadline=None)
     def test_consistent_with_chord_points(self, cfg, p, q):
         scene = derive(cfg)
         probe = probe_for(scene, p, q)
-        u, v = tangent_half_params(cfg, probe)
+        u, v = tangent_half_params(scene, probe)
         assert param_point(scene.k1, u) == construct_image(scene, probe).M
         assert param_point(scene.k2, v) == construct_image(scene, probe).N
 
 
 class TestVerifyConcurrency:
     def test_worked_scenario(self):
-        assert verify_concurrency(WORKED, [F(1), F(2), F(-3), F(1, 7)])
+        assert verify_concurrency(derive(WORKED), [F(1), F(2), F(-3), F(1, 7)])
 
     def test_default_samples(self):
-        assert verify_concurrency(WORKED, DEFAULT_Q_SAMPLES)
+        assert verify_concurrency(derive(WORKED), DEFAULT_Q_SAMPLES)
 
     def test_disjoint_rejected(self):
         with pytest.raises(WrongOrdering):
-            verify_concurrency(ScenarioConfig(5, 2, 2), [1])
+            verify_concurrency(derive(ScenarioConfig(5, 2, 2)), [1])
 
     def test_tangent_rejected(self):
         with pytest.raises(WrongOrdering):
-            verify_concurrency(TANGENT, [1])
+            verify_concurrency(derive(TANGENT), [1])
 
     def test_vacuous(self):
-        assert verify_concurrency(WORKED, [])
+        assert verify_concurrency(derive(WORKED), [])
 
     def test_zero_sample_rejected(self):
         with pytest.raises(ValueError):
-            verify_concurrency(WORKED, [0])
+            verify_concurrency(derive(WORKED), [0])
 
 
 class TestSeededTrials:
@@ -399,9 +398,11 @@ class TestWorkCount:
     locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain). render_svg on the worked case builds 140 without
-    clipping and 172 with it (149 and 241 with one clipper for lines and a
-    Liang-Barsky clipper on Fractions for segments and arrows).
+    the triple chain). render_svg on the worked case builds 136 without
+    clipping and 168 with it (140 and 172 when layout recomputed the circle
+    extents as center -/+ radius instead of reading A, C, B and D; 149 and
+    241 with one clipper for lines and a Liang-Barsky clipper on Fractions
+    for segments and arrows).
     """
 
     def test_construct_image_worked_case(self):
@@ -420,7 +421,7 @@ class TestWorkCount:
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
 
-    @pytest.mark.parametrize("clip, budget", [(False, 140), (True, 172)])
+    @pytest.mark.parametrize("clip, budget", [(False, 136), (True, 168)])
     def test_render_svg_worked_case(self, clip, budget):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
         spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
@@ -439,6 +440,22 @@ class TestOneCheckPerCall:
 
     def test_locus_x(self, cfg):
         assert calls_made(scenario._frame, locus_x, cfg, 2) == 1
+
+    @pytest.mark.parametrize("command", ["compute", "locus", "classify", "verify"])
+    def test_cli(self, cfg, command):
+        probe = {"locus": ["--p", "2"], "verify": []}.get(command, ["--p", "2", "--q", "1"])
+        argv = [command, *scenario_argv(cfg), *probe]
+        assert calls_made(scenario._frame, cli.main, argv) == 1
+
+    def test_cli_render(self, cfg, tmp_path):
+        out = str(tmp_path / "figure.svg")
+        argv = ["render", *scenario_argv(cfg), "--p", "2", "--q", "1", "--out", out]
+        # The second pass is render_svg's locus_x(scene.cfg, ...).
+        assert calls_made(scenario._frame, cli.main, argv) == 2
+
+
+def scenario_argv(cfg):
+    return ["--a", str(cfg.a), "--r1", str(cfg.r1), "--r2", str(cfg.r2)]
 
 
 # Reference versions of image_closed_form and locus_x: the Fraction formulas
@@ -589,7 +606,8 @@ def ref_construct_image(scene, probe):
 
 def image_fields(scene, probe):
     result = construct_image(scene, probe)
-    return result.M, result.N, result.line_am, result.line_dn, result.p_prime, result.flags
+    flags = classify_case(scene.cfg, probe)
+    return result.M, result.N, result.line_am, result.line_dn, result.p_prime, flags
 
 
 # Each degenerate stratum is built directly: the probe is put on it, never
@@ -649,9 +667,14 @@ class TestConstructImageMatchesReference:
             "tangent": CaseFlag.TOUCHING_CIRCLES,
             "tangent, p = B.x = C.x": CaseFlag.COLLAPSES_TO_A,
         }[stratum]
-        assert expected in result.flags
+        assert expected in classify_case(scene.cfg, probe)
         # Only the probe over B = C makes AM and DN coincide.
         assert (result.line_am == result.line_dn) == (stratum == "tangent, p = B.x = C.x")
+
+    @pytest.mark.parametrize("stratum", STRATA)
+    def test_no_classification(self, stratum):
+        scene, probe = stratum_case(stratum, F(3), F(2), F(3), F(2), F(1))
+        assert calls_made(construction._classify, construct_image, scene, probe) == 0
 
     @pytest.mark.parametrize("cfg, p", [(WORKED, 0), (WORKED, 1), (TANGENT, 0)])
     def test_probe_on_a_base_point(self, cfg, p):

@@ -71,20 +71,17 @@ class TestDecimal6:
 
 class TestLayout:
     def test_circle_bbox_fills_constrained_dimension(self):
-        vp = layout(RenderSpec(scene=derive(WORKED)))
+        # With clipping the layout covers the circles only.
+        vp = layout(spec_with_probe(WORKED, 2, 1, clip=True))
         # model x-range [-5, 4] is the constrained dimension at 800x600
         assert vp.tx + vp.scale * -5 == 80
         assert vp.tx + vp.scale * 4 == 720
         assert vp.scale == F(640, 9)
 
-    def test_without_probe_bbox_is_circles_only(self):
-        assert layout(RenderSpec(scene=derive(WORKED))) == layout(
-            RenderSpec(scene=derive(WORKED), probe=None, result=None)
-        )
-
     def test_far_image_point_included_by_default(self):
-        vp = layout(FIG_GENERIC)
-        assert vp.contains(FIG_GENERIC.result.p_prime.point)
+        xmin, xmax, ymin, ymax = layout(FIG_GENERIC).visible_rect()
+        point = FIG_GENERIC.result.p_prime.point
+        assert xmin <= point.x <= xmax and ymin <= point.y <= ymax
 
     def test_clip_keeps_viewport_on_circles(self):
         clipped = RenderSpec(
@@ -92,14 +89,20 @@ class TestLayout:
             result=FIG_GENERIC.result, clip=True,
         )
         vp = layout(clipped)
-        assert not vp.contains(FIG_GENERIC.result.p_prime.point)
-        assert vp == layout(RenderSpec(scene=derive(WORKED), clip=True))
+        xmin, xmax, ymin, ymax = vp.visible_rect()
+        point = FIG_GENERIC.result.p_prime.point
+        assert not (xmin <= point.x <= xmax and ymin <= point.y <= ymax)
+        assert vp == layout(spec_with_probe(WORKED, 3, 0, clip=True))
 
     def test_minimum_canvas_size(self):
         with pytest.raises(ValueError):
-            RenderSpec(scene=derive(WORKED), width=63)
+            spec_with_probe(WORKED, 2, 1, width=63)
         with pytest.raises(ValueError):
-            RenderSpec(scene=derive(WORKED), height=32)
+            spec_with_probe(WORKED, 2, 1, height=32)
+
+    def test_probe_and_result_required(self):
+        with pytest.raises(TypeError):
+            RenderSpec(scene=derive(WORKED))
 
 
 class TestRenderedElements:
@@ -115,7 +118,7 @@ class TestRenderedElements:
         assert axis.get("x1") == axis.get("x2") == "0.625000"
 
     def test_radical_axis_toggle(self):
-        spec = RenderSpec(scene=derive(WORKED), show_radical_axis=False)
+        spec = spec_with_probe(WORKED, 2, 1, show_radical_axis=False)
         assert find(render_svg(spec), cls="radical-axis") == []
 
     def test_labels_present(self):
