@@ -43,3 +43,21 @@ def test_tracer_installs_and_uninstalls():
         spans.uninstall()
     assert bicircle.scenario.derive is original
     assert "scenario.derive" in {span[tracer.NAME] for span in spans.spans}
+
+
+# SHA-256 of all RenderSvg(seed) documents joined in op order, recorded at
+# 018eb28. The workload's own check compares each seeded variant only with
+# its first rendering, so a change that alters every rendering alike would
+# still read "correct" there; this digest pins the bytes themselves.
+RENDER_CORPUS = {
+    360: "e88502a6a41d0e87da5eef92280dd2b60f75b5fc8f68f1d13f004609f8ec89ec",
+    2408: "a0f4a768bbfe6cdfef27ae729d72ee3e9d9730d42d33da61775e44fcf7ce82dc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RENDER_CORPUS))
+def test_render_svg_corpus_frozen(seed):
+    workload = workloads.RenderSvg(seed)
+    assert workload.cycle == 100
+    corpus = "".join(workload.op(i) for i in range(workload.cycle))
+    assert workloads.sha(corpus.encode()) == RENDER_CORPUS[seed]
