@@ -1,4 +1,4 @@
-"""Render the four standard figure styles into demos/output/."""
+"""Render the six standard figures into demos/output/."""
 
 from pathlib import Path
 

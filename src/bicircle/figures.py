@@ -1,11 +1,13 @@
 """Deterministic SVG rendering of scenes, probes, and construction results.
 
-The geometry model stays exact all the way to serialization: every emitted
-coordinate is a rational rounded to exactly six decimal places (half to
-even) at the last moment. Geometry is written in model units inside a
-single translate+scale group; the y axis is flipped by negating y values at
-emission time, which keeps text upright without nested transforms. Styling
-is fixed, so identical specs yield byte-identical documents.
+The geometry model stays exact all the way to serialization: everything
+drawn is an integer triple (x, y, w) with w > 0, and each emitted coordinate
+x/w is rounded to exactly six decimal places (half to even) at the last
+moment. Fractions appear only in layout and its Viewport. Geometry is
+written in model units inside a single translate+scale group; the y axis is
+flipped by negating y values at emission time, which keeps text upright
+without nested transforms. Styling is fixed, so identical specs yield
+byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -18,23 +20,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, locus_x
-from .exact import INFINITY, Point2, _cross, _triple, as_rational
+from .exact import INFINITY, Circle, _cross, _triple, as_rational
 from .scenario import DerivedScene
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
 _MARGIN = Fraction(1, 10)  # of the width and the height, blank on each side
-# Fixed pixel-unit style constants (converted to model units via the scale).
-_CIRCLE_WIDTH = Fraction(3, 2)
-_LINE_WIDTH = Fraction(1)
-_ACCENT_WIDTH = Fraction(5, 4)
-_MARKER_RADIUS = Fraction(5, 2)
-_DASH_ON = Fraction(4)
-_DASH_OFF = Fraction(2)
-_FONT_SIZE = Fraction(12)
-_LABEL_DX = Fraction(5)
-_LABEL_DY = Fraction(7)
-_ARROW_LEN = Fraction(9)
-_ARROW_HALF = Fraction(3)
+# Fixed pixel-unit style lengths as (numerator, denominator) pairs, each
+# written in model units (divided by the scale) once per document.
+_PIXELS = {
+    "circle": (3, 2),
+    "line": (1, 1),
+    "accent": (5, 4),
+    "marker": (5, 2),
+    "dash-on": (4, 1),
+    "dash-off": (2, 1),
+    "font": (12, 1),
+}
+_LABEL_DX, _LABEL_DY = 5, 7  # label offset from its point, in pixels
+_ARROW_LEN, _ARROW_HALF = 9, 3  # clipped-marker arrow length and half width, in pixels
 
 _FONT = "Helvetica, Arial, sans-serif"
 
@@ -52,15 +55,20 @@ _COLORS = {
 }
 
 
+def _dec6(n: int, d: int) -> str:
+    """n/d, d > 0, as a decimal string with exactly six fractional digits, rounded half to even."""
+    q, r = divmod(n * 1_000_000, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    if q < 0:
+        return "-%d.%06d" % divmod(-q, 1_000_000)
+    return "%d.%06d" % divmod(q, 1_000_000)
+
+
 def decimal6(value: Fraction) -> str:
     """Decimal string with exactly six fractional digits, rounded half to even."""
     value = as_rational(value)
-    q, r = divmod(value.numerator * 10**6, value.denominator)
-    if 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
-        q += 1
-    sign = "-" if q < 0 else ""
-    magnitude = abs(q)
-    return f"{sign}{magnitude // 10**6}.{magnitude % 10**6:06d}"
+    return _dec6(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,10 @@ class RenderSpec:
     clip: bool = False
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if self.width < 64 or self.height < 64:
             raise ValueError("width and height must be at least 64 pixels")
 
@@ -101,12 +113,12 @@ class Viewport:
         )
 
 
-def _probe_points(spec: RenderSpec) -> list[tuple[str, Point2]]:
-    """P, M, N and, if finite, P′, with their names."""
-    result = spec.result
-    named = [("P", spec.probe.point), ("M", result.M), ("N", result.N)]
-    if result.p_prime.is_finite:
-        named.append(("P′", result.p_prime.point))
+def _probe_points(spec: RenderSpec) -> list[tuple[str, tuple[int, int, int]]]:
+    """P, M, N and, if finite, P′, with their names, as triples (x, y, w) with w > 0."""
+    m, n, image = spec.result.m, spec.result.n, spec.result.p_prime
+    named = [("P", _triple(spec.probe.point)), ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
+    if image.w:
+        named.append(("P′", (image.x, image.y, image.w)))
     return named
 
 
@@ -123,9 +135,9 @@ def layout(spec: RenderSpec) -> Viewport:
     if not spec.clip:
         # The radical axis point (radical_axis_x, 0); ys already spans y = 0.
         xs.append(scene.radical_axis_x)
-        for _, point in _probe_points(spec):
-            xs.append(point.x)
-            ys.append(point.y)
+        for _, (x, y, w) in _probe_points(spec):
+            xs.append(Fraction(x, w))
+            ys.append(Fraction(y, w))
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     effective_w = spec.width * (1 - 2 * _MARGIN)
     effective_h = spec.height * (1 - 2 * _MARGIN)
@@ -135,39 +147,47 @@ def layout(spec: RenderSpec) -> Viewport:
     return Viewport(spec.width, spec.height, scale, tx, ty)
 
 
-def _clip(line, rect, ends=None) -> tuple[Point2, Point2] | None:
+def _clip(line, rect, ends=None) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
     """Extreme points, in (x, y) order, of the line a*x + b*y + c = 0 in a rectangle.
 
-    With ends, two points of the line in (x, y) order, the span is cut to the
-    segment between them. None if nothing is left; a line that only touches
-    a corner gives that corner twice.
+    rect is (xmin, xmax, ymin, ymax), each a (numerator, denominator) pair
+    with a positive denominator; the points are triples (x, y, w) with w > 0.
+    With ends, two triples of points of the line in (x, y) order, the span is
+    cut to the segment between them. None if nothing is left; a line that
+    only touches a corner gives that corner twice.
     """
-    xmin, xmax, ymin, ymax = rect
     a, b, c = line
-
-    def solve(t: Fraction, u: int, v: int) -> Fraction:  # s with u*t + v*s + c = 0
-        return Fraction(-u * t.numerator - c * t.denominator, v * t.denominator)
-
-    # Substitute each edge into a*x + b*y + c = 0. A line lying on an edge
-    # meets the two perpendicular edges at that edge's corners.
-    candidates = set()
-    if b:
-        candidates.update((x, solve(x, a, b)) for x in (xmin, xmax))
-    if a:
-        candidates.update((solve(y, b, a), y) for y in (ymin, ymax))
-    inside = sorted((x, y) for x, y in candidates if xmin <= x <= xmax and ymin <= y <= ymax)
-    if not inside:
+    vertical = not b
+    xs, ys = rect[:2], rect[2:]
+    if vertical:  # walked by y: swap the roles of x and y
+        a, b, xs, ys = b, a, ys, xs
+        ends = ends and [(y, x, w) for x, y, w in ends]
+    if b < 0:
+        a, b, c = -a, -b, -c
+    # On the line y = -(a*x + c)/b. Bound x below and above by (n, d) pairs.
+    lows, highs = [xs[0]], [xs[1]]
+    if a:  # x at y = n/d; y falls as x grows when a > 0
+        cuts = [(b * n + c * d, -a * d) if a < 0 else (-b * n - c * d, a * d) for n, d in ys]
+        if a > 0:
+            cuts.reverse()
+        lows.append(cuts[0])
+        highs.append(cuts[1])
+    elif not (ys[0][0] * b <= -c * ys[0][1] and -c * ys[1][1] <= ys[1][0] * b):
         return None
-    first, last = inside[0], inside[-1]
-    if ends is not None:
-        first, last = max(first, _xy(ends[0])), min(last, _xy(ends[1]))
-        if first > last:
-            return None
-    return Point2(*first), Point2(*last)
-
-
-def _xy(p: Point2) -> tuple[Fraction, Fraction]:
-    return p.x, p.y
+    if ends:
+        lows.append(ends[0][::2])  # (x, w)
+        highs.append(ends[1][::2])
+    lo, hi = lows[0], highs[0]
+    for n, d in lows:
+        if n * lo[1] > lo[0] * d:
+            lo = n, d
+    for n, d in highs:
+        if n * hi[1] < hi[0] * d:
+            hi = n, d
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    span = [(n * b, -(a * n + c * d), d * b) for n, d in (lo, hi)]
+    return tuple((y, x, w) for x, y, w in span) if vertical else tuple(span)
 
 
 def _vertical(t: Fraction) -> tuple[int, int, int]:
@@ -175,73 +195,84 @@ def _vertical(t: Fraction) -> tuple[int, int, int]:
     return t.denominator, 0, -t.numerator
 
 
-def _octant(dx: Fraction, dy: Fraction) -> tuple[int, int]:
-    return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
+def _at(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
+    """The triple of the point with coordinates given as (numerator, denominator) pairs."""
+    return x[0] * y[1], y[0] * x[1], x[1] * y[1]
+
+
+def _shift(t, dx: int, dy: int, d: int = 1) -> tuple[int, int, int]:
+    """The triple of t + (dx/d, dy/d), for a triple t = (x, y, w) with w > 0 and d > 0."""
+    x, y, w = t
+    return x * d + dx * w, y * d + dy * w, w * d
+
+
+def _octant(p, q) -> tuple[int, int]:
+    """Signs of the x and y components of p - q, for triples p and q."""
+    dx, dy, _ = _shift(p, -q[0], -q[1], q[2])
+    return (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
+
+
+def _place(t, x: str = "x", y: str = "y") -> str:
+    """SVG attributes x="..." y="..." for the point of a triple (x, y, w), y negated."""
+    return f'{x}="{_dec6(t[0], t[2])}" {y}="{_dec6(-t[1], t[2])}"'
 
 
 class _Emitter:
     """Accumulates SVG elements in model coordinates (y negated on output)."""
 
     def __init__(self, viewport: Viewport):
-        self.rect = viewport.visible_rect()
-        self.scale = viewport.scale
+        self.rect = [(v.numerator, v.denominator) for v in viewport.visible_rect()]
+        self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
+        self.px = {key: _dec6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
         self.parts: list[str] = []
 
-    def px(self, pixels: Fraction) -> str:
-        """A fixed pixel-unit length expressed in model units."""
-        return decimal6(pixels / self.scale)
+    def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
+        """t moved by (dx, dy) pixels, in model units."""
+        return _shift(t, dx * self.sd, dy * self.sd, self.sn)
 
-    def segment(self, cls: str, p1: Point2, p2: Point2, color: str,
-                width: Fraction, dash: bool = False) -> None:
+    def segment(self, cls: str, p1, p2, color: str, width: str, dash: bool = False) -> None:
         dash_attr = (
-            f' stroke-dasharray="{self.px(_DASH_ON)} {self.px(_DASH_OFF)}"' if dash else ""
+            f' stroke-dasharray="{self.px["dash-on"]} {self.px["dash-off"]}"' if dash else ""
         )
         self.parts.append(
-            f'<line class="{cls}" x1="{decimal6(p1.x)}" y1="{decimal6(-p1.y)}"'
-            f' x2="{decimal6(p2.x)}" y2="{decimal6(-p2.y)}"'
-            f' stroke="{color}" stroke-width="{self.px(width)}"{dash_attr}/>'
+            f'<line class="{cls}" {_place(p1, "x1", "y1")} {_place(p2, "x2", "y2")}'
+            f' stroke="{color}" stroke-width="{self.px[width]}"{dash_attr}/>'
         )
 
-    def full_line(self, cls: str, line: tuple[int, int, int], color: str, width: Fraction,
+    def full_line(self, cls: str, line: tuple[int, int, int], color: str, width: str,
                   dash: bool = False) -> None:
         span = _clip(line, self.rect)
-        if span is not None and span[0] != span[1]:
+        if span is not None and any(_octant(*span)):
             self.segment(cls, span[0], span[1], color, width, dash)
 
-    def circle(self, cls: str, center: Point2, radius: Fraction,
-               color: str, width: Fraction) -> None:
+    def circle(self, cls: str, k: Circle, color: str, width: str) -> None:
+        r = _dec6(k.radius.numerator, k.radius.denominator)
         self.parts.append(
-            f'<circle class="{cls}" cx="{decimal6(center.x)}" cy="{decimal6(-center.y)}"'
-            f' r="{decimal6(radius)}" fill="none" stroke="{color}"'
-            f' stroke-width="{self.px(width)}"/>'
+            f'<circle class="{cls}" {_place(_triple(k.center), "cx", "cy")}'
+            f' r="{r}" fill="none" stroke="{color}" stroke-width="{self.px[width]}"/>'
         )
 
-    def marker(self, name: str, point: Point2) -> None:
+    def marker(self, name: str, point) -> None:
         self.parts.append(
-            f'<circle class="point-marker" data-name="{name}" cx="{decimal6(point.x)}"'
-            f' cy="{decimal6(-point.y)}" r="{self.px(_MARKER_RADIUS)}"'
-            f' fill="{_COLORS["marker"]}"/>'
+            f'<circle class="point-marker" data-name="{name}" {_place(point, "cx", "cy")}'
+            f' r="{self.px["marker"]}" fill="{_COLORS["marker"]}"/>'
         )
 
-    def text(self, cls: str, name: str, anchor: Point2, content: str, color: str) -> None:
+    def text(self, cls: str, name: str, anchor, content: str, color: str) -> None:
         data = f' data-name="{name}"' if name else ""
         self.parts.append(
-            f'<text class="{cls}"{data} x="{decimal6(anchor.x)}" y="{decimal6(-anchor.y)}"'
-            f' font-family="{_FONT}" font-size="{self.px(_FONT_SIZE)}"'
+            f'<text class="{cls}"{data} {_place(anchor)}'
+            f' font-family="{_FONT}" font-size="{self.px["font"]}"'
             f' fill="{color}">{content}</text>'
         )
 
-    def arrow(self, name: str, tip: Point2, direction: tuple[int, int]) -> None:
+    def arrow(self, name: str, tip, direction: tuple[int, int]) -> None:
         """Clipped-marker arrow: a small triangle pointing out of the canvas."""
         ux, uy = direction
-        shaft = _ARROW_LEN / self.scale
-        half = _ARROW_HALF / self.scale
-        base = Point2(tip.x - ux * shaft, tip.y - uy * shaft)
-        left = Point2(base.x - uy * half, base.y + ux * half)
-        right = Point2(base.x + uy * half, base.y - ux * half)
-        points = " ".join(
-            f"{decimal6(p.x)},{decimal6(-p.y)}" for p in (tip, left, right)
-        )
+        base = self.offset(tip, -ux * _ARROW_LEN, -uy * _ARROW_LEN)
+        left = self.offset(base, -uy * _ARROW_HALF, ux * _ARROW_HALF)
+        right = self.offset(base, uy * _ARROW_HALF, -ux * _ARROW_HALF)
+        points = " ".join(f"{_dec6(x, w)},{_dec6(-y, w)}" for x, y, w in (tip, left, right))
         self.parts.append(
             f'<polygon class="point-marker clipped" data-name="{name}"'
             f' points="{points}" fill="{_COLORS["marker"]}"/>'
@@ -255,65 +286,66 @@ def render_svg(spec: RenderSpec) -> str:
     em = _Emitter(viewport)
     rect = xmin, xmax, ymin, ymax = em.rect
 
-    em.circle("circle-k1", scene.k1.center, scene.k1.radius, _COLORS["circle"], _CIRCLE_WIDTH)
-    em.circle("circle-k2", scene.k2.center, scene.k2.radius, _COLORS["circle"], _CIRCLE_WIDTH)
-    em.full_line("axis", _AXIS, _COLORS["axis"], _LINE_WIDTH)
+    for cls, k in (("circle-k1", scene.k1), ("circle-k2", scene.k2)):
+        em.circle(cls, k, _COLORS["circle"], "circle")
+    em.full_line("axis", _AXIS, _COLORS["axis"], "line")
     if spec.show_radical_axis:
         em.full_line(
             "radical-axis",
             _vertical(scene.radical_axis_x),
             _COLORS["radical"],
-            _LINE_WIDTH,
+            "line",
             dash=True,
         )
     probe, result = spec.probe, spec.result
-    em.full_line("probe-line", _vertical(probe.p), _COLORS["probe"], _ACCENT_WIDTH)
+    em.full_line("probe-line", _vertical(probe.p), _COLORS["probe"], "accent")
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
     image_x = locus_x(scene.cfg, probe.p)
     if image_x is not INFINITY:
-        em.full_line("image-line", _vertical(image_x), _COLORS["image"], _ACCENT_WIDTH)
+        em.full_line("image-line", _vertical(image_x), _COLORS["image"], "accent")
 
-    for cls, pts in (
-        ("chord chord-cm", [scene.C, probe.point, result.M]),
-        ("chord chord-bn", [scene.B, probe.point, result.N]),
-    ):
-        first, last = min(pts, key=_xy), max(pts, key=_xy)
-        if first != last:
-            line = _cross(_triple(first), _triple(last))
-            span = _clip(line, rect, (first, last)) if spec.clip else (first, last)
+    named = [(name, _triple(getattr(scene, name))) for name in "ABCD"] + _probe_points(spec)
+    points = dict(named)
+    for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
+        first = last = points[chord[0]]
+        for t in (points[chord[1]], points[chord[2]]):
+            if _octant(t, first) < (0, 0):
+                first = t
+            elif _octant(t, last) > (0, 0):
+                last = t
+        if any(_octant(first, last)):
+            span = _clip(_cross(first, last), rect, (first, last)) if spec.clip else (first, last)
             if span is not None:
-                em.segment(cls, span[0], span[1], _COLORS["chord"], _LINE_WIDTH)
+                em.segment(cls, span[0], span[1], _COLORS["chord"], "line")
     em.full_line("construction construction-am", result.line_am.coefficients,
-                 _COLORS["construction"], _ACCENT_WIDTH)
+                 _COLORS["construction"], "accent")
     em.full_line("construction construction-dn", result.line_dn.coefficients,
-                 _COLORS["construction"], _ACCENT_WIDTH)
+                 _COLORS["construction"], "accent")
 
-    label_dx = _LABEL_DX / viewport.scale
-    label_dy = _LABEL_DY / viewport.scale
-    center = Point2((xmin + xmax) / 2, (ymin + ymax) / 2)
-    named = [("A", scene.A), ("B", scene.B), ("C", scene.C), ("D", scene.D), *_probe_points(spec)]
+    low, high = _at(xmin, ymin), _at(xmax, ymax)
+    x, y, w = _shift(low, *high)
+    center = x, y, 2 * w
     for name, point in named:
-        if xmin <= point.x <= xmax and ymin <= point.y <= ymax:
+        if min(_octant(point, low)) >= 0 and max(_octant(point, high)) <= 0:
             em.marker(name, point)
-            anchor = Point2(point.x + label_dx, point.y + label_dy)
+            anchor = em.offset(point, _LABEL_DX, _LABEL_DY)
         else:
             # Outside the canvas (possible only with clipping): mark the spot
             # where the point left the viewport with an outward arrow. The
             # center is strictly inside, so the line from it to the point
             # leaves the canvas at the end on the point's side.
-            span = _clip(_cross(_triple(center), _triple(point)), rect)
-            tip = span[1] if _xy(point) > _xy(center) else span[0]
-            em.arrow(name, tip, _octant(point.x - center.x, point.y - center.y))
-            anchor = Point2(
-                tip.x - (point.x - center.x > 0) * 4 * label_dx + label_dx,
-                tip.y - (point.y - center.y > 0) * 3 * label_dy + label_dy,
-            )
+            span = _clip(_cross(center, point), rect)
+            direction = _octant(point, center)
+            tip = span[1] if direction > (0, 0) else span[0]
+            em.arrow(name, tip, direction)
+            ox, oy = direction
+            anchor = em.offset(tip, (1 - 4 * (ox > 0)) * _LABEL_DX, (1 - 3 * (oy > 0)) * _LABEL_DY)
         if spec.labels:
             em.text("point-label", name, anchor, name, _COLORS["label"])
 
     if not result.p_prime.is_finite:
-        caption_at = Point2(xmin + 2 * label_dx, ymax - 3 * label_dy)
+        caption_at = em.offset(_at(xmin, ymax), 2 * _LABEL_DX, -3 * _LABEL_DY)
         em.text("caption", "", caption_at, "P′ at infinity", _COLORS["caption"])
 
     body = "\n".join(em.parts)

@@ -398,11 +398,13 @@ class TestWorkCount:
     locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain). render_svg on the worked case builds 136 without
-    clipping and 168 with it (140 and 172 when layout recomputed the circle
-    extents as center -/+ radius instead of reading A, C, B and D; 149 and
-    241 with one clipper for lines and a Liang-Barsky clipper on Fractions
-    for segments and arrows).
+    the triple chain). render_svg on the worked case builds 38 without
+    clipping and 30 with it, all in layout and Viewport.visible_rect, since
+    it clips, places markers and writes coordinates on integer triples (136
+    and 168 with a Fraction clipper and emitter; 140 and 172 when layout
+    recomputed the circle extents as center -/+ radius instead of reading A,
+    C, B and D; 149 and 241 with one clipper for lines and a Liang-Barsky
+    clipper on Fractions for segments and arrows).
     """
 
     def test_construct_image_worked_case(self):
@@ -421,7 +423,7 @@ class TestWorkCount:
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
 
-    @pytest.mark.parametrize("clip, budget", [(False, 136), (True, 168)])
+    @pytest.mark.parametrize("clip, budget", [(False, 38), (True, 30)], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip, budget):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
         spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)

@@ -100,6 +100,13 @@ class TestLayout:
         with pytest.raises(ValueError):
             spec_with_probe(WORKED, 2, 1, height=32)
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [800.0, 600.0, "800", True, F(800)])
+    def test_canvas_size_must_be_int(self, field, value):
+        # Checked when the spec is built, naming the field, not later in layout.
+        with pytest.raises(TypeError, match=field):
+            spec_with_probe(WORKED, 2, 1, **{field: value})
+
     def test_probe_and_result_required(self):
         with pytest.raises(TypeError):
             RenderSpec(scene=derive(WORKED))
@@ -304,6 +311,16 @@ def random_case(rng):
     return rect, first, last
 
 
+def pairs(rect):
+    """A Fraction rectangle as the (numerator, denominator) pairs _clip takes."""
+    return [(v.numerator, v.denominator) for v in rect]
+
+
+def points(span):
+    """_clip's triples (x, y, w) as Point2s."""
+    return span and tuple(Point2(F(x, w), F(y, w)) for x, y, w in span)
+
+
 class TestClipAgainstReference:
     CASES = 3000
 
@@ -313,7 +330,7 @@ class TestClipAgainstReference:
         for _ in range(self.CASES):
             rect, p1, p2 = random_case(rng)
             line = Line(*_cross(_triple(p1), _triple(p2)))
-            span = _clip(line.coefficients, rect)
+            span = points(_clip(line.coefficients, pairs(rect)))
             expected = ref_line_in_rect(line, rect)
             if span is not None and span[0] == span[1]:
                 # A line that only touches a corner: full_line draws nothing.
@@ -330,7 +347,59 @@ class TestClipAgainstReference:
         outcomes = set()
         for _ in range(self.CASES):
             rect, p1, p2 = random_case(rng)
-            span = _clip(_cross(_triple(p1), _triple(p2)), rect, (p1, p2))
+            ends = (_triple(p1), _triple(p2))
+            span = points(_clip(_cross(*ends), pairs(rect), ends))
             assert span == ref_clip_segment(p1, p2, rect)
             outcomes.add("none" if span is None else "point" if span[0] == span[1] else "span")
         assert outcomes == {"none", "point", "span"}
+
+
+class TestClipCases:
+    """Targeted clipper cases on the rectangle [0, 4] x [0, 3]."""
+
+    RECT = pairs((F(0), F(4), F(0), F(3)))
+
+    def clip(self, line, ends=None):
+        return points(_clip(line, self.RECT, ends and tuple(_triple(Point2(*p)) for p in ends)))
+
+    @pytest.mark.parametrize("line, first, last", [
+        ((0, 1, 0), (0, 0), (4, 0)),  # y = 0
+        ((0, -1, 3), (0, 3), (4, 3)),  # y = 3
+        ((-1, 0, 0), (0, 0), (0, 3)),  # x = 0
+        ((2, 0, -8), (4, 0), (4, 3)),  # x = 4
+    ])
+    def test_line_along_each_edge(self, line, first, last):
+        assert self.clip(line) == (Point2(*first), Point2(*last))
+
+    @pytest.mark.parametrize("line", [
+        (0, 1, -4), (0, 1, 1), (1, 0, -5), (1, 0, 1),  # y = 4, y = -1, x = 5, x = -1
+        (1, 1, 1),  # x + y = -1, below the corner (0, 0)
+    ])
+    def test_line_missing_the_rectangle(self, line):
+        assert self.clip(line) is None
+
+    def test_vertical_chord_cut_by_ends(self):
+        # x = 1 from (1, -5) to (1, 2): the rectangle cuts the low end, the end the high one.
+        assert self.clip((1, 0, -1), ((1, -5), (1, 2))) == (Point2(1, 0), Point2(1, 2))
+        assert self.clip((1, 0, -1), ((1, F(1, 2)), (1, 9))) == (Point2(1, F(1, 2)), Point2(1, 3))
+
+    @pytest.mark.parametrize("line, ends", [
+        ((1, -1, 0), ((5, 5), (6, 6))),  # y = x, beyond the top right corner
+        ((1, -1, 0), ((-2, -2), (-1, -1))),  # y = x, before the bottom left corner
+        ((1, 0, -2), ((2, 4), (2, 7))),  # x = 2, above the top edge
+        ((0, 1, -1), ((-3, 1), (-1, 1))),  # y = 1, left of the left edge
+    ])
+    def test_ends_wholly_outside(self, line, ends):
+        assert self.clip(line) is not None
+        assert self.clip(line, ends) is None
+
+    def test_corner_only_touch_with_ends(self):
+        # x + y = 0 meets the rectangle only at its corner (0, 0).
+        corner = (Point2(0, 0), Point2(0, 0))
+        assert self.clip((1, 1, 0)) == corner
+        assert self.clip((1, 1, 0), ((-1, 1), (1, -1))) == corner
+        assert self.clip((1, 1, 0), ((0, 0), (2, -2))) == corner
+        assert self.clip((1, 1, 0), ((1, -1), (2, -2))) is None
+        # x - y = 4 touches (4, 0) only: an end there keeps it, an end short of it drops it.
+        assert self.clip((1, -1, -4), ((3, -1), (4, 0))) == (Point2(4, 0), Point2(4, 0))
+        assert self.clip((1, -1, -4), ((2, -2), (3, -1))) is None
