@@ -18,6 +18,7 @@ from .construction import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     CaseFlag,
+    FuzzFailure,
     ProbePoint,
     _classify,
     classify_case,
@@ -71,6 +72,13 @@ _JSON_FORMS = {
     ),
     ScenarioConfig: vars,
     ProbePoint: vars,
+    FuzzFailure: lambda failure: {
+        "trial": failure.trial,
+        "scenario": failure.config,
+        "probe": failure.probe,
+        "geometric": failure.geometric,
+        "closedForm": failure.closed_form,
+    },
 }
 
 
@@ -210,23 +218,13 @@ def _run_verify(args) -> tuple[str, int]:
 
 def _run_fuzz(args) -> tuple[str, int]:
     report = run_oracle_fuzz(trials=args.trials, seed=args.seed)
-    failures = [
-        {
-            "trial": failure.trial,
-            "scenario": failure.config,
-            "probe": failure.probe,
-            "geometric": failure.geometric,
-            "closedForm": failure.closed_form,
-        }
-        for failure in report.failures
-    ]
     return _report({
         "command": "fuzz",
         "trials": report.trials,
         "seed": report.seed,
-        "failures": len(failures),
-        "failureDetails": failures,
-    }, 0 if not failures else 1)
+        "failures": len(report.failures),
+        "failureDetails": report.failures,
+    }, 0 if not report.failures else 1)
 
 
 def _run_render(args) -> tuple[str, int]:

@@ -36,16 +36,13 @@ from fractions import Fraction
 from .errors import DegenerateProbe, IndeterminateParam, InvalidScenario, WrongOrdering
 from .exact import (
     INFINITY,
-    Circle,
     ExtendedPoint,
     ExtendedScalar,
     Line,
     Point2,
-    _conic,
     _cross,
     _polar,
     _second,
-    _triple,
     as_rational,
 )
 from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, derive, validate
@@ -119,14 +116,6 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     return _classify(derive(cfg), probe)
 
 
-def _chord(k: Circle, base: Point2, probe: tuple[int, int, int], name: str) -> ExtendedPoint:
-    """Second intersection with k of the chord ``name`` from base through the probe triple."""
-    point = _second(_conic(k), _triple(base), probe)
-    if not any(point):  # zero exactly when the probe is the base
-        raise DegenerateProbe(f"probe coincides with {name[0]}; chord {name} is undefined")
-    return ExtendedPoint(*point)
-
-
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route: M, N, lines AM and DN, and their intersection P'.
 
@@ -140,12 +129,17 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """
     p, q = probe.p, probe.q
     xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
-    m = _chord(scene.k1, scene.C, xyw, "CP")
-    n = _chord(scene.k2, scene.B, xyw, "BP")
-    a, d = _triple(scene.A), _triple(scene.D)
+    (k1, k2), (a, b, c, d) = scene._conics, scene._triples
+    m = _second(k1, c, xyw)
+    if not any(m):  # zero exactly when the probe is the base
+        raise DegenerateProbe("probe coincides with C; chord CP is undefined")
+    n = _second(k2, b, xyw)
+    if not any(n):
+        raise DegenerateProbe("probe coincides with B; chord BP is undefined")
+    m, n = ExtendedPoint(*m), ExtendedPoint(*n)
     am, dn = _cross(a, (m.x, m.y, m.w)), _cross(d, (n.x, n.y, n.w))
-    line_am = Line(*(am if any(am) else _polar(_conic(scene.k1), a)))
-    line_dn = Line(*(dn if any(dn) else _polar(_conic(scene.k2), d)))
+    line_am = Line(*(am if any(am) else _polar(k1, a)))
+    line_dn = Line(*(dn if any(dn) else _polar(k2, d)))
     x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
     if not (x or y or w):
         # Only reachable for tangent circles with the probe on the vertical

@@ -113,31 +113,23 @@ class Viewport:
         )
 
 
-def _probe_points(spec: RenderSpec) -> list[tuple[str, tuple[int, int, int]]]:
-    """P, M, N and, if finite, P′, with their names, as triples (x, y, w) with w > 0."""
-    m, n, image = spec.result.m, spec.result.n, spec.result.p_prime
-    named = [("P", _triple(spec.probe.point)), ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
-    if image.w:
-        named.append(("P′", (image.x, image.y, image.w)))
-    return named
-
-
 def layout(spec: RenderSpec) -> Viewport:
     """Aspect-preserving viewport for the scene.
 
-    Without clipping the viewport covers both circles and every finite named
-    point; with clipping it covers the circles only and off-canvas markers
-    are drawn clipped at the border.
+    The circles' box is [A.x, D.x] × [-R, R], R the larger radius. Without
+    clipping the viewport covers it and every finite named point; with
+    clipping it covers the box only and off-canvas markers are drawn clipped
+    at the border. B, C and the radical axis lie between A and D, and M and
+    N on the circles, so only P and a finite P′ can widen the box.
     """
     scene = spec.scene
-    xs = [scene.A.x, scene.C.x, scene.B.x, scene.D.x]
-    ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
+    r = max(scene.k1.radius, scene.k2.radius)
+    xs, ys = [scene.A.x, scene.D.x], [-r, r]
     if not spec.clip:
-        # The radical axis point (radical_axis_x, 0); ys already spans y = 0.
-        xs.append(scene.radical_axis_x)
-        for _, (x, y, w) in _probe_points(spec):
-            xs.append(Fraction(x, w))
-            ys.append(Fraction(y, w))
+        for point in (spec.probe.point, spec.result.p_prime.point):
+            if point is not None:  # None for P′ at infinity
+                xs.append(point.x)
+                ys.append(point.y)
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     effective_w = spec.width * (1 - 2 * _MARGIN)
     effective_h = spec.height * (1 - 2 * _MARGIN)
@@ -305,7 +297,11 @@ def render_svg(spec: RenderSpec) -> str:
     if image_x is not INFINITY:
         em.full_line("image-line", _vertical(image_x), _COLORS["image"], "accent")
 
-    named = [(name, _triple(getattr(scene, name))) for name in "ABCD"] + _probe_points(spec)
+    m, n, image = result.m, result.n, result.p_prime
+    named = [*zip("ABCD", scene._triples), ("P", _triple(probe.point)),
+             ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
+    if image.w:
+        named.append(("P′", (image.x, image.y, image.w)))
     points = dict(named)
     for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
         first = last = points[chord[0]]

@@ -11,12 +11,12 @@ circle contains or internally touches the other are rejected outright.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidScenario, ParseError
-from .exact import _ZERO, Circle, Point2, as_rational, parse_rational
+from .exact import _ZERO, Circle, Point2, _conic, _triple, as_rational, parse_rational
 
 
 class Ordering(Enum):
@@ -52,6 +52,13 @@ class DerivedScene:
     C: Point2
     D: Point2
     radical_axis_x: Fraction
+    # The kernel form of k1, k2 and of A, B, C, D, built once for construct_image and render_svg.
+    _conics: tuple = field(init=False, compare=False, repr=False)
+    _triples: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_conics", (_conic(self.k1), _conic(self.k2)))
+        object.__setattr__(self, "_triples", tuple(map(_triple, (self.A, self.B, self.C, self.D))))
 
 
 def _frame(cfg: ScenarioConfig, p=None) -> tuple:
@@ -128,13 +135,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(f"bad scenario JSON: {exc}") from None
         if not isinstance(data, dict) or set(data) != {"a", "r1", "r2"}:
             raise ParseError("scenario JSON needs exactly the keys a, r1, r2")
-        return ScenarioConfig(
-            parse_rational(str(data["a"])),
-            parse_rational(str(data["r1"])),
-            parse_rational(str(data["r2"])),
-        )
-    parts = body.split()
-    if len(parts) != 3:
-        raise ParseError(f"expected three rationals 'a r1 r2', got {text!r}")
-    a, r1, r2 = (parse_rational(part) for part in parts)
-    return ScenarioConfig(a, r1, r2)
+        values = data["a"], data["r1"], data["r2"]
+    else:
+        values = body.split()
+        if len(values) != 3:
+            raise ParseError(f"expected three rationals 'a r1 r2', got {text!r}")
+    return ScenarioConfig(*(parse_rational(str(v)) for v in values))

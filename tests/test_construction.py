@@ -41,7 +41,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
-from bicircle import cli, construction, scenario
+from bicircle import cli, construction, exact, scenario
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -398,13 +398,20 @@ class TestWorkCount:
     locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain). render_svg on the worked case builds 38 without
-    clipping and 30 with it, all in layout and Viewport.visible_rect, since
-    it clips, places markers and writes coordinates on integer triples (136
-    and 168 with a Fraction clipper and emitter; 140 and 172 when layout
-    recomputed the circle extents as center -/+ radius instead of reading A,
-    C, B and D; 149 and 241 with one clipper for lines and a Liang-Barsky
-    clipper on Fractions for segments and arrows).
+    the triple chain). render_svg on the worked case builds 31 without
+    clipping and 29 with it, all in layout and Viewport.visible_rect, since
+    it clips, places markers and writes coordinates on integer triples (38
+    and 30 when layout took its bounds over A, B, C, D, the radical axis, P,
+    M, N and P′ instead of the circles' box, P and P′; 136 and 168 with a
+    Fraction clipper and emitter; 140 and 172 when layout recomputed the
+    circle extents as center -/+ radius instead of reading A, C, B and D;
+    149 and 241 with one clipper for lines and a Liang-Barsky clipper on
+    Fractions for segments and arrows).
+
+    The scene's conics and axis-point triples are built once, by derive:
+    construct_image calls _conic and _triple 0 times (2 and 6 before), and
+    render_svg calls _triple 3 times, for P and the two circle centers (8
+    unclipped before).
     """
 
     def test_construct_image_worked_case(self):
@@ -423,11 +430,23 @@ class TestWorkCount:
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
 
-    @pytest.mark.parametrize("clip, budget", [(False, 38), (True, 30)], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("clip, budget", [(False, 31), (True, 29)], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip, budget):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
         spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
         assert fractions_built(render_svg, spec) <= budget
+
+    @pytest.mark.parametrize("target", [exact._conic, exact._triple], ids=["conic", "triple"])
+    def test_construct_image_reads_the_kernel_form(self, target):
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        assert calls_made(target, construct_image, scene, probe) == 0
+
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    def test_render_svg_reads_the_kernel_form(self, clip):
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
+        assert calls_made(exact._conic, render_svg, spec) == 0
+        assert calls_made(exact._triple, render_svg, spec) == 3  # P and the two circle centers
 
 
 @pytest.mark.parametrize("cfg", [WORKED, TANGENT])

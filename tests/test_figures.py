@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from bicircle import (
+    DegenerateProbe,
+    Ordering,
     ProbePoint,
     RenderSpec,
     ScenarioConfig,
@@ -17,7 +19,7 @@ from bicircle import (
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
-from bicircle.figures import _clip
+from bicircle.figures import Viewport, _clip
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -110,6 +112,72 @@ class TestLayout:
     def test_probe_and_result_required(self):
         with pytest.raises(TypeError):
             RenderSpec(scene=derive(WORKED))
+
+
+# Reference version of layout: the bounds over nine points it replaced.
+
+def ref_layout(spec):
+    scene, result = spec.scene, spec.result
+    xs = [scene.A.x, scene.C.x, scene.B.x, scene.D.x]
+    ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
+    if not spec.clip:
+        xs.append(scene.radical_axis_x)
+        named = [spec.probe.point, result.M, result.N]
+        if result.p_prime.is_finite:
+            named.append(result.p_prime.point)
+        xs += [point.x for point in named]
+        ys += [point.y for point in named]
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    scale = min(spec.width * F(4, 5) / (xmax - xmin), spec.height * F(4, 5) / (ymax - ymin))
+    tx = F(spec.width, 2) - scale * (xmin + xmax) / 2
+    ty = F(spec.height, 2) + scale * (ymin + ymax) / 2
+    return Viewport(spec.width, spec.height, scale, tx, ty)
+
+
+def seeded_specs(seed, count):
+    """Specs of every ordering; probes on the B, C or radical axis lines or off them, q = 0 or not."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        a, r1 = F(rng.randint(1, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6))
+        tangent = rng.random() < 0.2 and 2 * a > r1
+        r2 = 2 * a - r1 if tangent else F(rng.randint(1, 40), rng.randint(1, 6))
+        if 2 * a <= abs(r1 - r2):
+            continue
+        scene = derive(ScenarioConfig(a, r1, r2))
+        lines = (scene.B.x, scene.C.x, scene.radical_axis_x, F(rng.randint(-90, 90), 7))
+        p = rng.choice(lines)
+        q = 0 if rng.random() < 0.2 else F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 9))
+        try:
+            specs.append(spec_with_probe(scene.cfg, p, q, clip=rng.random() < 0.5,
+                                         width=rng.randint(64, 1001), height=rng.randint(64, 1001)))
+        except DegenerateProbe:
+            continue
+    return specs
+
+
+class TestLayoutAgainstReference:
+    SPECS = seeded_specs("layout", 1500)
+
+    def test_cases_cover_every_ordering_and_probe_line(self):
+        assert {spec.scene.ordering for spec in self.SPECS} == set(Ordering)
+        on = lambda line: sum(spec.probe.p == getattr(spec.scene, line).x for spec in self.SPECS)
+        assert on("B") and on("C")
+        assert sum(spec.probe.p == spec.scene.radical_axis_x for spec in self.SPECS)
+        assert sum(spec.probe.q == 0 for spec in self.SPECS)
+        assert {spec.clip for spec in self.SPECS} == {False, True}
+
+    def test_layout_matches_reference(self):
+        for spec in self.SPECS:
+            assert layout(spec) == ref_layout(spec)
+
+    def test_named_points_lie_in_the_circles_box(self):
+        for spec in self.SPECS:
+            scene, result = spec.scene, spec.result
+            r = max(scene.k1.radius, scene.k2.radius)
+            assert scene.A.x < scene.radical_axis_x < scene.D.x
+            for point in (result.M, result.N, scene.B, scene.C):
+                assert scene.A.x <= point.x <= scene.D.x and -r <= point.y <= r
 
 
 class TestRenderedElements:

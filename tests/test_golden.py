@@ -60,7 +60,9 @@ CASES = {
     "locus-generic": ["locus", *WORKED, "--p", "2"],
     "locus-fixed-point": ["locus", *WORKED, "--p", "5/8"],
     "locus-tangent": ["locus", *TANGENT, "--p", "1"],
+    # argparse reads "--p -2/3" as an option, so this case pins the usage error.
     "locus-disjoint": ["locus", *DISJOINT, "--p", "-2/3"],
+    "locus-disjoint-negative-p": ["locus", *DISJOINT, "--p=-2/3"],
     "locus-invalid-scenario": ["locus", *NESTED, "--p", "2"],
     "classify-generic": ["classify", *WORKED, "--p", "2", "--q", "1"],
     "classify-all-flags": ["classify", *TANGENT, "--p", "0", "--q", "0"],

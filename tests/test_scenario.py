@@ -1,5 +1,6 @@
 """Scenario validation, derivation, and the probe line."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from bicircle import (
     radical_axis,
     validate,
 )
+from bicircle.exact import _conic, _triple
 
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
@@ -232,5 +234,25 @@ class TestScenarioMatchesReference:
             assert scene == outcome(ref_derive, cfg)
             if isinstance(scene, DerivedScene):
                 assert all(type(value) is F for value in scene_fields(scene))
+
+        check()
+
+    def test_kernel_form(self, height):
+        @given(scenario_configs(height))
+        def check(cfg):
+            scene = outcome(derive, cfg)
+            if not isinstance(scene, DerivedScene):
+                return
+            conics = (_conic(scene.k1), _conic(scene.k2))
+            triples = tuple(_triple(point) for point in (scene.A, scene.B, scene.C, scene.D))
+            hand_built = ref_derive(cfg)
+            for built in (scene, hand_built):
+                assert built._conics == conics and built._triples == triples
+            # The kernel form takes no part in repr, equality or hash.
+            names = [f.name for f in fields(DerivedScene) if f.init]
+            values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in names)
+            assert repr(scene) == f"DerivedScene({values})"
+            object.__setattr__(hand_built, "_triples", ())
+            assert hand_built == scene and hash(hand_built) == hash(scene)
 
         check()
