@@ -3,11 +3,12 @@
 The geometry model stays exact all the way to serialization: everything
 drawn is an integer triple (x, y, w) with w > 0, and each emitted coordinate
 x/w is rounded to exactly six decimal places (half to even) at the last
-moment. Fractions appear only in layout and its Viewport. Geometry is
-written in model units inside a single translate+scale group; the y axis is
-flipped by negating y values at emission time, which keeps text upright
-without nested transforms. Styling is fixed, so identical specs yield
-byte-identical documents.
+moment. layout finds the bounds and the scale on integer (numerator,
+denominator) pairs too; Fractions remain only in the scale, tx and ty of its
+Viewport. Geometry is written in model units inside a single translate+scale
+group; the y axis is flipped by negating y values at emission time, which
+keeps text upright without nested transforms. Styling is fixed, so identical
+specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -24,7 +25,6 @@ from .exact import INFINITY, Circle, _cross, _triple, as_rational
 from .scenario import DerivedScene
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
-_MARGIN = Fraction(1, 10)  # of the width and the height, blank on each side
 # Fixed pixel-unit style lengths as (numerator, denominator) pairs, each
 # written in model units (divided by the scale) once per document.
 _PIXELS = {
@@ -103,14 +103,26 @@ class Viewport:
     tx: Fraction
     ty: Fraction
 
+    def _rect(self) -> tuple[tuple[int, int], ...]:
+        """visible_rect as (numerator, denominator) pairs with positive denominators, unreduced."""
+        sn, sd = self.scale.numerator, self.scale.denominator
+        tn, td = self.tx.numerator, self.tx.denominator
+        un, ud = self.ty.numerator, self.ty.denominator
+        return (
+            (-tn * sd, td * sn),
+            ((self.width * td - tn) * sd, td * sn),
+            ((un - self.height * ud) * sd, ud * sn),
+            (un * sd, ud * sn),
+        )
+
     def visible_rect(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Model-space rectangle mapped onto the full canvas: (xmin, xmax, ymin, ymax)."""
-        return (
-            -self.tx / self.scale,
-            (self.width - self.tx) / self.scale,
-            (self.ty - self.height) / self.scale,
-            self.ty / self.scale,
-        )
+        return tuple(Fraction(n, d) for n, d in self._rect())
+
+
+def _less(u, v) -> bool:
+    """u < v for (numerator, denominator) pairs with positive denominators."""
+    return u[0] * v[1] < v[0] * u[1]
 
 
 def layout(spec: RenderSpec) -> Viewport:
@@ -120,23 +132,44 @@ def layout(spec: RenderSpec) -> Viewport:
     clipping the viewport covers it and every finite named point; with
     clipping it covers the box only and off-canvas markers are drawn clipped
     at the border. B, C and the radical axis lie between A and D, and M and
-    N on the circles, so only P and a finite P′ can widen the box.
+    N on the circles, so only P and a finite P′ can widen the box. The
+    bounds are compared as (numerator, denominator) pairs; only the scale
+    and the translation are built as Fractions.
     """
     scene = spec.scene
-    r = max(scene.k1.radius, scene.k2.radius)
-    xs, ys = [scene.A.x, scene.D.x], [-r, r]
+    r1, r2 = ((k.radius.numerator, k.radius.denominator) for k in (scene.k1, scene.k2))
+    rn, rd = r2 if _less(r1, r2) else r1
+    (ax, _, aw), (dx, _, dw) = scene._triples[0], scene._triples[3]
+    xmin, xmax, ymin, ymax = (ax, aw), (dx, dw), (-rn, rd), (rn, rd)
     if not spec.clip:
-        for point in (spec.probe.point, spec.result.p_prime.point):
-            if point is not None:  # None for P′ at infinity
-                xs.append(point.x)
-                ys.append(point.y)
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    effective_w = spec.width * (1 - 2 * _MARGIN)
-    effective_h = spec.height * (1 - 2 * _MARGIN)
-    scale = min(effective_w / (xmax - xmin), effective_h / (ymax - ymin))
-    tx = Fraction(spec.width, 2) - scale * (xmin + xmax) / 2
-    ty = Fraction(spec.height, 2) + scale * (ymin + ymax) / 2
-    return Viewport(spec.width, spec.height, scale, tx, ty)
+        p, q, image = spec.probe.p, spec.probe.q, spec.result.p_prime
+        points = [((p.numerator, p.denominator), (q.numerator, q.denominator))]
+        if image.w:  # 0 for P′ at infinity
+            points.append(((image.x, image.w), (image.y, image.w)))
+        for x, y in points:
+            if _less(x, xmin):
+                xmin = x
+            elif _less(xmax, x):
+                xmax = x
+            if _less(y, ymin):
+                ymin = y
+            elif _less(ymax, y):
+                ymax = y
+    (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = xmin, xmax, ymin, ymax
+    width, height = spec.width, spec.height
+    # The extents are (Xn*xd - xn*Xd)/(xd*Xd) and (Yn*yd - yn*Yd)/(yd*Yd),
+    # both positive; the scale maps the tighter one onto 4/5 of the canvas,
+    # which leaves a tenth of the width and the height blank on each side.
+    ex, ey = Xn * xd - xn * Xd, Yn * yd - yn * Yd
+    if width * xd * Xd * ey <= height * yd * Yd * ex:
+        scale = Fraction(4 * width * xd * Xd, 5 * ex)
+    else:
+        scale = Fraction(4 * height * yd * Yd, 5 * ey)
+    sn, sd = scale.numerator, scale.denominator
+    # tx = width/2 - scale*(xmin + xmax)/2, ty = height/2 + scale*(ymin + ymax)/2.
+    tx = Fraction(width * sd * xd * Xd - sn * (xn * Xd + Xn * xd), 2 * sd * xd * Xd)
+    ty = Fraction(height * sd * yd * Yd + sn * (yn * Yd + Yn * yd), 2 * sd * yd * Yd)
+    return Viewport(width, height, scale, tx, ty)
 
 
 def _clip(line, rect, ends=None) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
@@ -213,7 +246,7 @@ class _Emitter:
     """Accumulates SVG elements in model coordinates (y negated on output)."""
 
     def __init__(self, viewport: Viewport):
-        self.rect = [(v.numerator, v.denominator) for v in viewport.visible_rect()]
+        self.rect = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
         self.px = {key: _dec6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
         self.parts: list[str] = []

@@ -119,17 +119,28 @@ def derive(cfg: ScenarioConfig) -> DerivedScene:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ParseError, not a silent overwrite."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"scenario JSON repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse 'a r1 r2' (whitespace-separated rationals) or a JSON object form.
 
-    The JSON form is an object with exactly the keys a, r1, r2, each a
-    rational string or a JSON number: {"a": "2", "r1": 3, "r2": 2.5}. A
-    number is read from its literal text, so it is exact like a string.
+    The JSON form is an object with exactly the keys a, r1, r2, each given
+    once, each a rational string or a JSON number: {"a": "2", "r1": 3,
+    "r2": 2.5}. A number is read from its literal text, so it is exact like
+    a string.
     """
     body = text.strip()
     if body.startswith("{"):
         try:
-            data = json.loads(body, parse_float=str)
+            data = json.loads(body, parse_float=str, object_pairs_hook=_unique_keys)
         # Malformed JSON, a number over the digit cap, or nesting too deep.
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad scenario JSON: {exc}") from None

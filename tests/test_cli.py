@@ -250,6 +250,15 @@ class TestScenarioForms:
         assert excinfo.value.code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    def test_json_repeated_key_is_a_parse_error(self, capsys):
+        argv = ["compute", "--scenario", '{"a": 2, "r1": 3, "r2": 2, "a": 5}', "--p", "2", "--q", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ParseError" in captured.err and "'a'" in captured.err
+
     def test_scenario_and_flags_conflict(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["locus", "--scenario", "2 3 2", "--a", "2", "--p", "1"])

@@ -29,6 +29,7 @@ from bicircle import (
     construct_image,
     derive,
     image_closed_form,
+    layout,
     locus_x,
     param_point,
     random_probe,
@@ -380,6 +381,12 @@ def calls_made(target, fn, *args):
     return calls
 
 
+def worked_spec(clip):
+    """The render spec of the worked case, probe (2, 1), at the default canvas."""
+    scene, probe = derive(WORKED), ProbePoint(2, 1)
+    return RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
+
+
 def fractions_built(fn, *args):
     """Count Fraction.__new__ calls made while fn runs."""
     return calls_made(F.__new__, fn, *args)
@@ -398,10 +405,13 @@ class TestWorkCount:
     locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain). render_svg on the worked case builds 31 without
-    clipping and 29 with it, all in layout and Viewport.visible_rect, since
-    it clips, places markers and writes coordinates on integer triples (38
-    and 30 when layout took its bounds over A, B, C, D, the radical axis, P,
+    the triple chain). render_svg on the worked case builds 4 with or
+    without clipping: the scale, tx and ty of layout and the one of locus_x,
+    since layout finds its bounds on integer pairs and render_svg clips,
+    places markers and writes coordinates on integer triples (31 and 29
+    when layout compared its bounds as Fractions and the emitter read the
+    four divisions of Viewport.visible_rect, of which 21 in layout; 38 and
+    30 when layout took its bounds over A, B, C, D, the radical axis, P,
     M, N and P′ instead of the circles' box, P and P′; 136 and 168 with a
     Fraction clipper and emitter; 140 and 172 when layout recomputed the
     circle extents as center -/+ radius instead of reading A, C, B and D;
@@ -411,7 +421,8 @@ class TestWorkCount:
     The scene's conics and axis-point triples are built once, by derive:
     construct_image calls _conic and _triple 0 times (2 and 6 before), and
     render_svg calls _triple 3 times, for P and the two circle centers (8
-    unclipped before).
+    unclipped before). layout reads P from probe.p and probe.q, not from
+    the triple of a Point2, which would make it 4.
     """
 
     def test_construct_image_worked_case(self):
@@ -430,11 +441,15 @@ class TestWorkCount:
     def test_oracle_fuzz(self):
         assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
 
-    @pytest.mark.parametrize("clip, budget", [(False, 31), (True, 29)], ids=["unclipped", "clipped"])
-    def test_render_svg_worked_case(self, clip, budget):
-        scene, probe = derive(WORKED), ProbePoint(2, 1)
-        spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
-        assert fractions_built(render_svg, spec) <= budget
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    def test_render_svg_worked_case(self, clip):
+        spec = worked_spec(clip)
+        assert fractions_built(render_svg, spec) <= 4
+
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    def test_layout_worked_case(self, clip):
+        spec = worked_spec(clip)
+        assert fractions_built(layout, spec) <= 3  # scale, tx and ty
 
     @pytest.mark.parametrize("target", [exact._conic, exact._triple], ids=["conic", "triple"])
     def test_construct_image_reads_the_kernel_form(self, target):
@@ -443,8 +458,7 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_reads_the_kernel_form(self, clip):
-        scene, probe = derive(WORKED), ProbePoint(2, 1)
-        spec = RenderSpec(scene=scene, probe=probe, result=construct_image(scene, probe), clip=clip)
+        spec = worked_spec(clip)
         assert calls_made(exact._conic, render_svg, spec) == 0
         assert calls_made(exact._triple, render_svg, spec) == 3  # P and the two circle centers
 

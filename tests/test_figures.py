@@ -134,42 +134,94 @@ def ref_layout(spec):
     return Viewport(spec.width, spec.height, scale, tx, ty)
 
 
-def seeded_specs(seed, count):
-    """Specs of every ordering; probes on the B, C or radical axis lines or off them, q = 0 or not."""
+def ref_visible_rect(vp):
+    """The rectangle as Viewport.visible_rect computed it before it read integer pairs."""
+    return (
+        -vp.tx / vp.scale,
+        (vp.width - vp.tx) / vp.scale,
+        (vp.ty - vp.height) / vp.scale,
+        vp.ty / vp.scale,
+    )
+
+
+def positive(rng, digits):
+    """A small positive rational, or one whose numerator and denominator have ``digits`` digits."""
+    if digits is None:
+        return F(rng.randint(1, 40), rng.randint(1, 6))
+    low, high = 10 ** (digits - 1), 10**digits
+    return F(rng.randrange(low, high), rng.randrange(low, high))
+
+
+CANVASES = ((64, 1001), (1001, 64))  # the most extreme aspect ratios drawn here
+
+
+def seeded_specs(seed, count, digits=None):
+    """Specs of every ordering; probes on the B, C or radical axis lines or off them, q = 0 or not.
+
+    With digits, a, r1, r2, a free p and a nonzero q are drawn with numerators
+    and denominators of that many digits. About one spec in five is drawn on
+    one of CANVASES, the others on a canvas of 64 to 1001 pixels a side.
+    """
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:
-        a, r1 = F(rng.randint(1, 40), rng.randint(1, 6)), F(rng.randint(1, 40), rng.randint(1, 6))
+        a, r1 = positive(rng, digits), positive(rng, digits)
         tangent = rng.random() < 0.2 and 2 * a > r1
-        r2 = 2 * a - r1 if tangent else F(rng.randint(1, 40), rng.randint(1, 6))
+        r2 = 2 * a - r1 if tangent else positive(rng, digits)
         if 2 * a <= abs(r1 - r2):
             continue
         scene = derive(ScenarioConfig(a, r1, r2))
-        lines = (scene.B.x, scene.C.x, scene.radical_axis_x, F(rng.randint(-90, 90), 7))
-        p = rng.choice(lines)
-        q = 0 if rng.random() < 0.2 else F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 9))
+        if digits is None:
+            free = F(rng.randint(-90, 90), 7)
+        else:
+            free = rng.choice((-1, 1)) * positive(rng, digits)
+        p = rng.choice((scene.B.x, scene.C.x, scene.radical_axis_x, free))
+        if rng.random() < 0.2:
+            q = 0
+        elif digits is None:
+            q = F(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 9))
+        else:
+            q = rng.choice((-1, 1)) * positive(rng, digits)
+        if rng.random() < 0.2:
+            width, height = rng.choice(CANVASES)
+        else:
+            width, height = rng.randint(64, 1001), rng.randint(64, 1001)
         try:
             specs.append(spec_with_probe(scene.cfg, p, q, clip=rng.random() < 0.5,
-                                         width=rng.randint(64, 1001), height=rng.randint(64, 1001)))
+                                         width=width, height=height))
         except DegenerateProbe:
             continue
     return specs
 
 
 class TestLayoutAgainstReference:
-    SPECS = seeded_specs("layout", 1500)
+    SMALL = seeded_specs("layout", 1500)
+    TALL = seeded_specs("layout-tall", 200, digits=100)
+    SPECS = SMALL + TALL
 
     def test_cases_cover_every_ordering_and_probe_line(self):
-        assert {spec.scene.ordering for spec in self.SPECS} == set(Ordering)
-        on = lambda line: sum(spec.probe.p == getattr(spec.scene, line).x for spec in self.SPECS)
-        assert on("B") and on("C")
-        assert sum(spec.probe.p == spec.scene.radical_axis_x for spec in self.SPECS)
-        assert sum(spec.probe.q == 0 for spec in self.SPECS)
-        assert {spec.clip for spec in self.SPECS} == {False, True}
+        for specs in (self.SMALL, self.TALL):
+            assert {spec.scene.ordering for spec in specs} == set(Ordering)
+            on = lambda line: sum(spec.probe.p == getattr(spec.scene, line).x for spec in specs)
+            assert on("B") and on("C")
+            assert sum(spec.probe.p == spec.scene.radical_axis_x for spec in specs)
+            assert sum(spec.probe.q == 0 for spec in specs)
+            assert {spec.clip for spec in specs} == {False, True}
+            assert set(CANVASES) <= {(spec.width, spec.height) for spec in specs}
+        for spec in self.TALL:
+            # Denominators of 100 digits, less the rare common factor.
+            assert min(spec.scene.cfg.a.denominator, spec.scene.cfg.r1.denominator) > 10**90
+            assert spec.probe.q == 0 or spec.probe.q.denominator > 10**90
 
     def test_layout_matches_reference(self):
         for spec in self.SPECS:
             assert layout(spec) == ref_layout(spec)
+
+    def test_visible_rect_matches_reference(self):
+        for spec in self.SPECS:
+            vp = layout(spec)
+            assert vp.visible_rect() == ref_visible_rect(vp)
+            assert all(d > 0 for _, d in vp._rect())  # _clip needs positive denominators
 
     def test_named_points_lie_in_the_circles_box(self):
         for spec in self.SPECS:

@@ -42,6 +42,25 @@ WORKED = ["--a", "2", "--r1", "3", "--r2", "2"]
 TANGENT = ["--a", "2", "--r1", "2", "--r2", "2"]
 DISJOINT = ["--a", "3", "--r1", "2", "--r2", "1"]
 NESTED = ["--a", "1", "--r1", "5", "--r2", "1"]
+# Intersecting circles and a probe written with ~100-digit numerators and
+# denominators; q is about 2.6e-11, so P′ lies about 9.3e9 below the axis.
+TALL = [
+    "--a",
+    "889355134819376259412988256157371281650895376919925683088831457423378962580978493471144239025268977/"
+    "848669819497218309768839000707972859611416717354932207532243940246481047913380857577508802570097392",
+    "--r1",
+    "553014102570080229535345878410747107911109457260821387379622720981435168304435220912082060937838747/"
+    "296001093803523760578267396119596152447906128700621345392431318722374156032818270155190482301233901",
+    "--r2",
+    "3380270710960065956524891638578994347281162907875024329272540442994943770626599061868267308405014723/"
+    "6900928287726411744852427123198326837523374424739213762390654267501347314770603633252323695133580505",
+    "--p",
+    "4422025183847185187875046171882666828354205020759363575003482548139462412635966947164222827662022078/"
+    "8629488376353152729642535632804225297777854859376651891998802539601707529533171665549233176110563839",
+    "--q",
+    "119197163512936547880453276239916073823817242311836626161581320665988992265105875062594074/"
+    "4637605704143117052783931651747346238351330847820670419948193334031198402962229214295860883525695939",
+]
 
 CASES = {
     "compute-worked": ["compute", *WORKED, "--p", "2", "--q", "1"],
@@ -82,6 +101,7 @@ CASES = {
         "render", *WORKED, "--p", "9", "--q", "7", "--out", SVG_NAME, "--clip",
         "--width", "64", "--height", "400",
     ],
+    "render-tall": ["render", *TALL, "--out", SVG_NAME, "--width", "64", "--height", "1001"],
     "render-tangent": ["render", *TANGENT, "--p", "0", "--q", "1", "--out", SVG_NAME],
     "render-disjoint": ["render", *DISJOINT, "--p", "1", "--q", "2", "--out", SVG_NAME],
 }

@@ -124,6 +124,16 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario('{"a": "2", "r1": "3", "r2": "2", "x": "1"}')
 
+    @pytest.mark.parametrize("text", [
+        '{"a": 2, "r1": 3, "r2": 2, "a": 5}',
+        '{"a": "2", "a": "2", "r1": "3", "r2": "2"}',
+        '{"a": {"x": 1, "x": 2}, "r1": 3, "r2": 2}',
+    ], ids=["last-wins", "same-value", "nested"])
+    def test_json_rejects_repeated_keys(self, text):
+        # json.loads alone keeps the last value of a repeated key.
+        with pytest.raises(ParseError, match="repeats the key"):
+            parse_scenario(text)
+
     def test_wrong_arity(self):
         with pytest.raises(ParseError):
             parse_scenario("2 3")
