@@ -200,17 +200,18 @@ def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
     """Check that AM, DN and the radical axis concur, for probes on the radical axis.
 
     Requires properly intersecting circles (the configuration in which the
-    radical axis is the common-chord line). For each nonzero q sample the
-    probe (radical_axis_x, q) is pushed through the synthetic construction
-    and the image must land exactly back on the radical axis.
+    radical axis is the common-chord line). For each q sample the probe
+    (radical_axis_x, q) is pushed through the synthetic construction and the
+    image must land exactly back on the radical axis. ValueError unless
+    there is at least one sample and every sample is nonzero.
     """
     if scene.ordering is not Ordering.INTERSECTING_ABCD:
         raise WrongOrdering("concurrency check needs properly intersecting circles")
+    samples = [as_rational(q) for q in q_samples]
+    if not samples or 0 in samples:
+        raise ValueError("needs at least one q sample, and q samples must be nonzero")
     p = scene.radical_axis_x
-    for q in q_samples:
-        q = as_rational(q)
-        if q == 0:
-            raise ValueError("q samples must be nonzero")
+    for q in samples:
         result = construct_image(scene, ProbePoint(p, q))
         if not (result.p_prime.is_finite and result.p_prime.point.x == p):
             return False
@@ -221,7 +222,7 @@ def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
 
 def random_rational(rng: random.Random) -> Fraction:
     """Fraction with numerator in [-50, 50] and denominator in [1, 20]."""
-    return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+    return Fraction(_randint(rng.getrandbits, -50, 50), _randint(rng.getrandbits, 1, 20))
 
 
 def _randint(getrandbits, low: int, high: int) -> int:
@@ -304,6 +305,8 @@ class FuzzReport:
 
 def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> FuzzReport:
     """Compare the synthetic and closed-form routes on random admissible inputs."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     failures = []
     for index in range(trials):
         rng = trial_rng(seed, index)

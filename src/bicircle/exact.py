@@ -50,11 +50,14 @@ _RATIONAL_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
 def as_rational(value) -> Fraction:
     """Coerce int/str/Fraction to Fraction; floats are rejected as inexact.
 
-    A Fraction is returned as it is: Fractions are immutable, so sharing one
-    is safe, and the kernel builds each Fraction it returns exactly once.
+    A str is read by parse_rational. A Fraction is returned as it is:
+    Fractions are immutable, so sharing one is safe, and the kernel builds
+    each Fraction it returns exactly once.
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise TypeError(
             f"refusing inexact float {value!r}; pass a Fraction, an int, or a rational string"
@@ -72,12 +75,9 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(body):
         raise ParseError(f"not a rational literal: {text!r}")
     try:
-        if "/" in body:
-            num, _, den = body.partition("/")
-            if int(den) == 0:
-                raise ZeroDenominator(f"zero denominator: {text!r}")
-            return Fraction(int(num), int(den))
         return Fraction(body)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"zero denominator: {text!r}") from None
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"literal too long: a part has more than {limit} digits") from None

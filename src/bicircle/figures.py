@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, locus_x
-from .exact import INFINITY, Circle, _cross, _triple, as_rational
+from .exact import INFINITY, Circle, _cross, _triple
 from .scenario import DerivedScene
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
@@ -55,7 +55,7 @@ _COLORS = {
 }
 
 
-def _dec6(n: int, d: int) -> str:
+def decimal6(n: int, d: int) -> str:
     """n/d, d > 0, as a decimal string with exactly six fractional digits, rounded half to even."""
     q, r = divmod(n * 1_000_000, d)
     if 2 * r > d or (2 * r == d and q & 1):
@@ -63,12 +63,6 @@ def _dec6(n: int, d: int) -> str:
     if q < 0:
         return "-%d.%06d" % divmod(-q, 1_000_000)
     return "%d.%06d" % divmod(q, 1_000_000)
-
-
-def decimal6(value: Fraction) -> str:
-    """Decimal string with exactly six fractional digits, rounded half to even."""
-    value = as_rational(value)
-    return _dec6(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ def _octant(p, q) -> tuple[int, int]:
 
 def _place(t, x: str = "x", y: str = "y") -> str:
     """SVG attributes x="..." y="..." for the point of a triple (x, y, w), y negated."""
-    return f'{x}="{_dec6(t[0], t[2])}" {y}="{_dec6(-t[1], t[2])}"'
+    return f'{x}="{decimal6(t[0], t[2])}" {y}="{decimal6(-t[1], t[2])}"'
 
 
 class _Emitter:
@@ -248,7 +242,7 @@ class _Emitter:
     def __init__(self, viewport: Viewport):
         self.rect = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
-        self.px = {key: _dec6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        self.px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
@@ -271,7 +265,7 @@ class _Emitter:
             self.segment(cls, span[0], span[1], color, width, dash)
 
     def circle(self, cls: str, k: Circle, color: str, width: str) -> None:
-        r = _dec6(k.radius.numerator, k.radius.denominator)
+        r = decimal6(k.radius.numerator, k.radius.denominator)
         self.parts.append(
             f'<circle class="{cls}" {_place(_triple(k.center), "cx", "cy")}'
             f' r="{r}" fill="none" stroke="{color}" stroke-width="{self.px[width]}"/>'
@@ -297,7 +291,7 @@ class _Emitter:
         base = self.offset(tip, -ux * _ARROW_LEN, -uy * _ARROW_LEN)
         left = self.offset(base, -uy * _ARROW_HALF, ux * _ARROW_HALF)
         right = self.offset(base, uy * _ARROW_HALF, -ux * _ARROW_HALF)
-        points = " ".join(f"{_dec6(x, w)},{_dec6(-y, w)}" for x, y, w in (tip, left, right))
+        points = " ".join(f"{decimal6(x, w)},{decimal6(-y, w)}" for x, y, w in (tip, left, right))
         self.parts.append(
             f'<polygon class="point-marker clipped" data-name="{name}"'
             f' points="{points}" fill="{_COLORS["marker"]}"/>'
@@ -377,6 +371,8 @@ def render_svg(spec: RenderSpec) -> str:
         caption_at = em.offset(_at(xmin, ymax), 2 * _LABEL_DX, -3 * _LABEL_DY)
         em.text("caption", "", caption_at, "P′ at infinity", _COLORS["caption"])
 
+    transform = viewport.tx, viewport.ty, viewport.scale
+    tx, ty, scale = (decimal6(v.numerator, v.denominator) for v in transform)
     body = "\n".join(em.parts)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -384,8 +380,7 @@ def render_svg(spec: RenderSpec) -> str:
         f' height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n'
         f'<rect class="background" x="0" y="0" width="{spec.width}"'
         f' height="{spec.height}" fill="#ffffff"/>\n'
-        f'<g transform="translate({decimal6(viewport.tx)} {decimal6(viewport.ty)})'
-        f' scale({decimal6(viewport.scale)})">\n'
+        f'<g transform="translate({tx} {ty}) scale({scale})">\n'
         f"{body}\n"
         "</g>\n"
         "</svg>\n"

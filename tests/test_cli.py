@@ -1,6 +1,8 @@
 """CLI contract: JSON shapes, exit codes, reproducibility."""
 
+import collections
 import json
+import random
 import sys
 import xml.etree.ElementTree as ET
 
@@ -382,3 +384,93 @@ class TestReportLimits:
         assert out == ""
         assert err.startswith("ValueError: ")
         assert not out_path.exists()
+
+
+class TestExitContract:
+    """Seeded argv vectors over all six commands: exit 0, 1 or 2, never a traceback."""
+
+    VECTORS = 600
+    COMMANDS = ("compute", "locus", "classify", "verify", "fuzz", "render")
+    VALID = ["2", "3", "5/8", "-1/2", "0.5", "+7/3", "13", "0", "1/7", ".25"]
+    # A zero denominator, an exponent, one over the digit cap, non-ASCII digits, empty.
+    BAD = ["1/0", "1e3", "1" * (sys.get_int_max_str_digits() + 1), "٣/٤", "３", ""]
+    SIZES = ["800", "64", "63", "-5", "x", "1e3", ""]
+    COUNTS = ["0", "1", "2", "-1", "x", "1.5", ""]
+    SEEDS = ["360", "-7", "2408", "x", "1e3", ""]
+    SAMPLES = ["1,2,-3,1/7", "1", "0", "1,0", "", ",", "1/0", "x"]
+
+    def literal(self, rng):
+        return rng.choice(self.VALID if rng.random() < 0.9 else self.BAD)
+
+    def option(self, rng, flag, value):
+        # The "--p=-1/2" form is the only way to pass a negative literal.
+        return [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+
+    def scenario(self, rng):
+        form = rng.choice([0, 0, 0, 0, 1, 1, 2, 2, 3])
+        if form == 0:
+            argv = []
+            for flag in rng.sample(["--a", "--r1", "--r2"], rng.choice([3] * 9 + [2])):
+                argv += self.option(rng, flag, self.literal(rng))
+            return argv
+        if form == 1:
+            text = " ".join(self.literal(rng) for _ in range(rng.choice([3] * 8 + [2, 4])))
+            return [f"--scenario={text}"]
+        keys = ["a", "r1", "r2"] + rng.choice([[]] * 6 + [["a"], ["r9"]])  # repeated or unknown
+        values = [
+            f'"{self.literal(rng)}"' if rng.random() < 0.6
+            else rng.choice(["3", "2.5", "-1", "NaN", "1e400", "[1]", "true"])
+            for _ in keys
+        ]
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in zip(keys, values)) + "}"
+        if form == 3:
+            text = text[: rng.randrange(len(text) + 1)]  # often malformed
+        argv = [f"--scenario={text}"]
+        if rng.random() < 0.1:
+            argv += ["--a", "2"]  # both forms at once
+        return argv
+
+    def argv(self, rng, command, tmp_path):
+        argv = [command]
+        if command == "fuzz":
+            if rng.random() < 0.8:
+                argv += self.option(rng, "--trials", rng.choice(self.COUNTS))
+            if rng.random() < 0.8:
+                argv += self.option(rng, "--seed", rng.choice(self.SEEDS))
+            return argv
+        argv += self.scenario(rng)
+        for flag in ("--p", "--q") if command != "locus" else ("--p",):
+            if command != "verify" and rng.random() < 0.95:
+                argv += self.option(rng, flag, self.literal(rng))
+        if command == "verify" and rng.random() < 0.7:
+            argv += self.option(rng, "--q-samples", rng.choice(self.SAMPLES))
+        if command == "render":
+            out = rng.choice([tmp_path / "f.svg", tmp_path / "missing" / "f.svg", tmp_path])
+            argv += self.option(rng, "--out", str(out))
+            for flag in ("--width", "--height"):
+                if rng.random() < 0.4:
+                    argv += self.option(rng, flag, rng.choice(self.SIZES))
+            argv += [f for f in ("--clip", "--no-labels", "--no-radical-axis") if rng.random() < 0.3]
+        return argv
+
+    def test_generated_argv(self, capsys, tmp_path):
+        rng = random.Random(1995)
+        seen = collections.Counter()
+        for i in range(self.VECTORS):
+            command = self.COMMANDS[i % len(self.COMMANDS)]
+            argv = self.argv(rng, command, tmp_path)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if code == 0:
+                report = json.loads(out)
+                assert isinstance(report, dict) and report["command"] == command, argv
+            elif code == 2:
+                assert err.startswith("usage: bicircle"), argv
+            seen[command, code] += 1
+        # Each command is reached with a clean run and with a usage error.
+        assert all(seen[command, 0] and seen[command, 2] for command in self.COMMANDS), seen

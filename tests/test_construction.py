@@ -289,8 +289,12 @@ class TestVerifyConcurrency:
         with pytest.raises(WrongOrdering):
             verify_concurrency(derive(TANGENT), [1])
 
-    def test_vacuous(self):
-        assert verify_concurrency(derive(WORKED), [])
+    def test_empty_samples_rejected(self):
+        # An empty sample list would check nothing and pass vacuously.
+        with pytest.raises(ValueError, match="at least one q sample"):
+            verify_concurrency(derive(WORKED), [])
+        with pytest.raises(ValueError, match="at least one q sample"):
+            verify_concurrency(derive(WORKED), iter(()))
 
     def test_zero_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -303,6 +307,11 @@ class TestSeededTrials:
         second = run_oracle_fuzz(trials=120, seed=360)
         assert first == second
         assert first.failures == ()
+
+    def test_negative_trials_rejected(self):
+        # range(-3) is empty: the run would check nothing and report clean.
+        with pytest.raises(ValueError, match="at least 0"):
+            run_oracle_fuzz(trials=-3)
 
     def test_trial_streams_are_independent(self):
         assert trial_rng(360, 0).random() != trial_rng(360, 1).random()
@@ -318,6 +327,16 @@ class TestSeededTrials:
             scene = derive(random_scenario(rng))
             probe = random_probe(rng, scene)
             assert probe.point != scene.B and probe.point != scene.C
+
+    def test_random_rational_keeps_the_rng_stream(self):
+        def reference(rng):
+            return F(rng.randint(-50, 50), rng.randint(1, 20))
+
+        for seed in range(3000):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_rational(rng) == reference(ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
     def test_random_scenario_keeps_the_rng_stream(self):
         def reference(rng):

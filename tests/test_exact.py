@@ -1,5 +1,8 @@
 """Kernel operations: frozen example values plus exact property tests."""
 
+import ast
+import inspect
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -18,7 +21,9 @@ from bicircle import (
     ParseError,
     Point2,
     PointNotOnCircle,
+    ScenarioConfig,
     ZeroDenominator,
+    as_rational,
     circle_contains,
     collinear_det,
     line_through,
@@ -66,6 +71,29 @@ class TestRationalText:
         for bad in ["", "x", "1/2/3", "1e3", "nan", "1 / 2"]:
             with pytest.raises(ParseError):
                 parse_rational(bad)
+
+    def test_over_cap_numerator_over_zero(self):
+        # Fraction reads the numerator first, so the digit cap fires before the zero test.
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="literal too long"):
+            parse_rational(f"{huge}/0")
+
+    @pytest.mark.parametrize("text", ["1e3", "1_000", "1 / 2", "nan", ""])
+    def test_library_strings_share_the_cli_grammar(self, text):
+        # Fraction(text) would accept the first two; as_rational reads every str with parse_rational.
+        for build in (as_rational, lambda t: Point2(t, 0), lambda t: ScenarioConfig(t, 3, 2),
+                      lambda t: Circle(Point2(0, 0), t), lambda t: Line(t, 1, 0)):
+            with pytest.raises(ParseError):
+                build(text)
+        assert as_rational(" -5/8 ") == F(-5, 8)
+        assert ScenarioConfig("0.5", "3", "2").a == F(1, 2)
+
+    def test_one_conversion(self):
+        # One Fraction(...) call after the regex; no second path that splits on "/".
+        tree = ast.parse(inspect.getsource(parse_rational))
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert sum(isinstance(f, ast.Name) and f.id == "Fraction" for f in calls) == 1
+        assert not any(isinstance(f, ast.Attribute) and f.attr == "partition" for f in calls)
 
     def test_canonical_output(self):
         assert str(F(10, 16)) == "5/8"

@@ -1,0 +1,76 @@
+"""The exactness contract, read from the package source: no floats, no square roots.
+
+Each check parses src/bicircle/*.py with ast and lists what breaks it as
+(module, enclosing function, line), so a failure names the spot.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bicircle"
+# The integer helpers of math. Everything else there (sqrt, isqrt, floor,
+# hypot, ...) works on floats or takes roots, and cmath is all complex.
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def walk(tree):
+    """Every node of tree with the name of its innermost enclosing function ("" at top level)."""
+    stack = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        yield node, where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
+def violations(check) -> list:
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "exact.py" in paths, "the package source was not found"
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, where, node.lineno) for node, where in walk(tree) if check(node)]
+    return sorted(found)
+
+
+def is_inexact_literal(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+
+
+def is_inexact_import(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name in ("math", "cmath") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+        return node.module == "cmath" or any(a.name not in MATH_ALLOWED for a in node.names)
+    return False
+
+
+def test_no_float_or_complex_literals():
+    assert violations(is_inexact_literal) == []
+
+
+def test_math_imports_only_gcd_and_lcm():
+    assert violations(is_inexact_import) == []
+
+
+def test_float_named_only_to_reject_it():
+    # as_rational's isinstance(value, float) is the one place the name may appear.
+    found = violations(lambda node: isinstance(node, ast.Name) and node.id == "float")
+    assert [(module, where) for module, where, _ in found] == [("exact.py", "as_rational")]
+
+
+def test_checks_catch_what_they_forbid():
+    tree = ast.parse("from math import gcd, sqrt\nimport cmath\nx = 0.5 + 2j\ny = float(x)\n")
+    nodes = list(ast.walk(tree))
+    assert sum(map(is_inexact_import, nodes)) == 2
+    assert sum(map(is_inexact_literal, nodes)) == 2
+    assert not any(map(is_inexact_import, ast.walk(ast.parse("from math import gcd, lcm"))))
+
+
+def test_one_draw_and_one_writer():
+    # Seeded draws go through construction._randint, and decimal6(n, d) writes every coordinate.
+    assert violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "randint") == []
+    assert violations(
+        lambda node: "_dec6" in (getattr(node, "id", None), getattr(node, "name", None))
+    ) == []

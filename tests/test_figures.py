@@ -56,19 +56,19 @@ def assert_close(attr_text, exact):
 
 class TestDecimal6:
     def test_simple(self):
-        assert decimal6(F(5, 8)) == "0.625000"
-        assert decimal6(F(13)) == "13.000000"
-        assert decimal6(F(-18)) == "-18.000000"
+        assert decimal6(5, 8) == "0.625000"
+        assert decimal6(13, 1) == "13.000000"
+        assert decimal6(-18, 1) == "-18.000000"
 
     def test_truncating_repeating(self):
-        assert decimal6(F(1, 3)) == "0.333333"
-        assert decimal6(F(-1, 3)) == "-0.333333"
-        assert decimal6(F(2, 3)) == "0.666667"
+        assert decimal6(1, 3) == "0.333333"
+        assert decimal6(-1, 3) == "-0.333333"
+        assert decimal6(2, 3) == "0.666667"
 
     def test_half_to_even_ties(self):
-        assert decimal6(F(1, 2_000_000)) == "0.000000"
-        assert decimal6(F(3, 2_000_000)) == "0.000002"
-        assert decimal6(F(-1, 2_000_000)) == "0.000000"
+        assert decimal6(1, 2_000_000) == "0.000000"
+        assert decimal6(3, 2_000_000) == "0.000002"
+        assert decimal6(-1, 2_000_000) == "0.000000"
 
 
 class TestLayout:
