@@ -100,6 +100,8 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
         "--scenario",
         help="alternative to --a/--r1/--r2: 'a r1 r2' or JSON {\"a\": ..., \"r1\": ..., \"r2\": ...}",
     )
+    # _resolve_scenario reports through this parser, as argparse does for a bad option.
+    parser.set_defaults(subparser=parser)
 
 
 def _resolve_scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig:
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "fuzz":
-        args.cfg = _resolve_scenario(parser, args)
+        args.cfg = _resolve_scenario(args.subparser, args)
     try:
         text, status = _RUNNERS[args.command](args)
     # ValueError: a report rational with more digits than

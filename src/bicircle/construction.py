@@ -23,7 +23,10 @@ exactly on every admissible input, including the degenerate ones:
 
 Everything is a pure function over immutable values. The fuzz harness draws
 each trial's randomness from its own deterministically derived stream, so
-trials could be evaluated concurrently without changing the report.
+trials could be evaluated concurrently without changing the report. Its
+sampler admits a scenario on integers and builds Fractions only for the
+one it returns, and the oracle reads only P' of construct_image, whose M
+and N are normalized only when read.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DegenerateProbe, IndeterminateParam, InvalidScenario, WrongOrdering
+from .errors import DegenerateProbe, IndeterminateParam, WrongOrdering
 from .exact import (
     INFINITY,
     ExtendedPoint,
@@ -45,7 +49,7 @@ from .exact import (
     _second,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, derive, validate
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _order, derive
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -81,11 +85,13 @@ class ProbePoint:
 class ImageResult:
     """Everything the synthetic construction produces for one probe.
 
-    M and N are the Point2 views of the ExtendedPoint triples m and n.
+    The constructor takes m and n as integer triples of any scale; they
+    become ExtendedPoints on first read, and M and N are their Point2
+    views. Equality, hash and repr read m and n like the other fields.
     """
 
-    m: ExtendedPoint
-    n: ExtendedPoint
+    m: ExtendedPoint = cached_property(lambda self: ExtendedPoint(*self._m))
+    n: ExtendedPoint = cached_property(lambda self: ExtendedPoint(*self._n))
     line_am: Line
     line_dn: Line
     p_prime: ExtendedPoint
@@ -93,7 +99,7 @@ class ImageResult:
     N = property(lambda self: self.n.point)
 
     def __init__(self, m, n, line_am, line_dn, p_prime):  # past the frozen __setattr__
-        self.__dict__.update(m=m, n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
+        self.__dict__.update(_m=m, _n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
 
 
 _GENERIC = frozenset({CaseFlag.GENERIC})
@@ -119,13 +125,13 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route: M, N, lines AM and DN, and their intersection P'.
 
-    The steps are chained on integer triples; M, N, the lines and P' are
-    divided by their gcd where they are stored. When a chord degenerates
-    (M = A or N = D, exactly for probes on the axis) the join is the zero
-    triple and the line is the tangent at A or D, the limiting position of
-    the moving chord line. This route uses only kernel constructions and
-    never the closed form, so it is the independent oracle for
-    image_closed_form.
+    The steps are chained on integer triples; the lines and P' are divided
+    by their gcd where they are stored, M and N only when read. When a
+    chord degenerates (M = A or N = D, exactly for probes on the axis) the
+    join is the zero triple and the line is the tangent at A or D, the
+    limiting position of the moving chord line. This route uses only kernel
+    constructions and never the closed form, so it is the independent
+    oracle for image_closed_form.
     """
     p, q = probe.p, probe.q
     xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
@@ -136,8 +142,7 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     n = _second(k2, b, xyw)
     if not any(n):
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    m, n = ExtendedPoint(*m), ExtendedPoint(*n)
-    am, dn = _cross(a, (m.x, m.y, m.w)), _cross(d, (n.x, n.y, n.w))
+    am, dn = _cross(a, m), _cross(d, n)
     line_am = Line(*(am if any(am) else _polar(k1, a)))
     line_dn = Line(*(dn if any(dn) else _polar(k2, d)))
     x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
@@ -245,24 +250,33 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     """Rejection-sample (a, r1, r2) until the configuration is admissible.
 
     Each attempt draws what three random_rational(rng) calls draw, in the same
-    order, but rejects a nonpositive numerator before building anything:
-    validate rejects those, since every denominator is positive.
+    order: a numerator is getrandbits(7) redrawn until below 101, minus 50,
+    and a denominator getrandbits(5) redrawn until below 20, plus 1, as
+    _randint draws but without a Python call per draw. An attempt with a
+    nonpositive numerator is rejected at once. The rest are ordered by
+    scenario._order on their integers over the denominator ad·r1d·r2d, as
+    validate orders them, and only the attempt returned builds its Fractions
+    and its ScenarioConfig.
     """
     getrandbits = rng.getrandbits
     while True:
-        a, ad, r1, r1d, r2, r2d = (
-            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
-            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
-            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
-        )
-        if a <= 0 or r1 <= 0 or r2 <= 0:
+        while (a := getrandbits(7)) > 100:
+            pass
+        while (ad := getrandbits(5)) > 19:
+            pass
+        while (r1 := getrandbits(7)) > 100:
+            pass
+        while (r1d := getrandbits(5)) > 19:
+            pass
+        while (r2 := getrandbits(7)) > 100:
+            pass
+        while (r2d := getrandbits(5)) > 19:
+            pass
+        if a <= 50 or r1 <= 50 or r2 <= 50:  # a nonpositive numerator
             continue
-        cfg = ScenarioConfig(Fraction(a, ad), Fraction(r1, r1d), Fraction(r2, r2d))
-        try:
-            validate(cfg)
-        except InvalidScenario:
-            continue
-        return cfg
+        a, ad, r1, r1d, r2, r2d = a - 50, ad + 1, r1 - 50, r1d + 1, r2 - 50, r2d + 1
+        if _order(a * r1d * r2d, r1 * ad * r2d, r2 * ad * r1d) is not None:
+            return ScenarioConfig(Fraction(a, ad), Fraction(r1, r1d), Fraction(r2, r2d))
 
 
 def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:

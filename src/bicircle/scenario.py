@@ -5,7 +5,8 @@ r2, so the common center line is the x-axis. A and C are the axis points of
 k1, B and D those of k2. Only two orderings along the axis are supported:
 A B C D (properly intersecting circles) and A C B D (disjoint circles), with
 external tangency as the boundary case where B = C. Configurations where one
-circle contains or internally touches the other are rejected outright.
+circle contains or internally touches the other are rejected outright. The
+ordering is decided on integers over one common denominator, by _order.
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ class DerivedScene:
         object.__setattr__(self, "_triples", tuple(map(_triple, (self.A, self.B, self.C, self.D))))
 
 
+def _order(a: int, r1: int, r2: int) -> Ordering | None:
+    """The ordering of positive a, r1 and r2, written over one denominator.
+
+    None when one circle contains or internally touches the other (2a <= |r1 - r2|).
+    """
+    if 2 * a <= abs(r1 - r2):
+        return None
+    gap = r1 + r2 - 2 * a
+    if gap > 0:
+        return Ordering.INTERSECTING_ABCD
+    return Ordering.EXTERNALLY_TANGENT if gap == 0 else Ordering.DISJOINT_ACBD
+
+
 def _frame(cfg: ScenarioConfig, p=None) -> tuple:
     """Validate cfg and write it over one denominator: (ordering, d, a, r1, r2).
 
@@ -80,17 +94,11 @@ def _frame(cfg: ScenarioConfig, p=None) -> tuple:
     ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
     d = ad * r1d * r2d
     a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-    if 2 * a <= abs(r1 - r2):
+    ordering = _order(a, r1, r2)
+    if ordering is None:
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
-    gap = r1 + r2 - 2 * a
-    if gap > 0:
-        ordering = Ordering.INTERSECTING_ABCD
-    elif gap == 0:
-        ordering = Ordering.EXTERNALLY_TANGENT
-    else:
-        ordering = Ordering.DISJOINT_ACBD
     if p is None:
         return ordering, d, a, r1, r2
     p = as_rational(p)

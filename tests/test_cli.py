@@ -277,6 +277,19 @@ class TestScenarioForms:
         assert excinfo.value.code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [
+        ["--scenario", "2 3"],  # a bad --scenario
+        ["--a", "2", "--r1", "3"],  # --r2 missing
+    ], ids=["bad-scenario", "missing-flag"])
+    def test_scenario_errors_show_the_subcommand_usage(self, capsys, scenario):
+        # The same usage line argparse prints for a bad --p.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["locus", *scenario, "--p", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bicircle locus ")
+        assert "bicircle locus: error: " in err
+
 
 class TestInputLimits:
     HUGE = "1" * (sys.get_int_max_str_digits() + 1)

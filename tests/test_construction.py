@@ -421,27 +421,35 @@ class TestWorkCount:
     case: construct_image builds 0 (87 with the Fraction kernel, 10 with
     Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 6
     (30 with Fraction formulas), image_closed_form 0 (29, then 2) and
-    locus_x 2 (19); run_oracle_fuzz(20, 360) builds 238 (4860 before integer
+    locus_x 2 (19); run_oracle_fuzz(20, 360) builds 220 (4860 before integer
     pre-rejection in random_scenario and the integer kernel, 1636 before the
     integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain). render_svg on the worked case builds 4 with or
-    without clipping: the scale, tx and ty of layout and the one of locus_x,
-    since layout finds its bounds on integer pairs and render_svg clips,
-    places markers and writes coordinates on integer triples (31 and 29
-    when layout compared its bounds as Fractions and the emitter read the
-    four divisions of Viewport.visible_rect, of which 21 in layout; 38 and
-    30 when layout took its bounds over A, B, C, D, the radical axis, P,
-    M, N and P′ instead of the circles' box, P and P′; 136 and 168 with a
-    Fraction clipper and emitter; 140 and 172 when layout recomputed the
-    circle extents as center -/+ radius instead of reading A, C, B and D;
-    149 and 241 with one clipper for lines and a Liang-Barsky clipper on
-    Fractions for segments and arrows).
+    the triple chain, 238 before random_scenario admitted draws on integers
+    and built a ScenarioConfig only for the one it returns). render_svg on
+    the worked case builds 4 with or without clipping: the scale, tx and ty
+    of layout and the one of locus_x, since layout finds its bounds on
+    integer pairs and render_svg clips, places markers and writes
+    coordinates on integer triples (31 and 29 when layout compared its
+    bounds as Fractions and the emitter read the four divisions of
+    Viewport.visible_rect, of which 21 in layout; 38 and 30 when layout
+    took its bounds over A, B, C, D, the radical axis, P, M, N and P′
+    instead of the circles' box, P and P′; 136 and 168 with a Fraction
+    clipper and emitter; 140 and 172 when layout recomputed the circle
+    extents as center -/+ radius instead of reading A, C, B and D; 149 and
+    241 with one clipper for lines and a Liang-Barsky clipper on Fractions
+    for segments and arrows).
 
     The scene's conics and axis-point triples are built once, by derive:
     construct_image calls _conic and _triple 0 times (2 and 6 before), and
     render_svg calls _triple 3 times, for P and the two circle centers (8
     unclipped before). layout reads P from probe.p and probe.q, not from
     the triple of a Point2, which would make it 4.
+
+    construct_image joins A and D to the raw triples of M and N and builds
+    one ExtendedPoint, P′; m and n are built when read (3 before).
+    random_scenario orders each attempt with scenario._order on its integers
+    and calls _frame 0 times (once per attempt that passed the sign test
+    before, through validate).
     """
 
     def test_construct_image_worked_case(self):
@@ -458,7 +466,20 @@ class TestWorkCount:
         assert fractions_built(locus_x, WORKED, 2) <= 2
 
     def test_oracle_fuzz(self):
-        assert fractions_built(run_oracle_fuzz, 20, 360) <= 238
+        assert fractions_built(run_oracle_fuzz, 20, 360) <= 220
+
+    def test_construct_image_builds_one_extended_point(self):
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        assert calls_made(ExtendedPoint.__init__, construct_image, scene, probe) == 1
+
+    def test_random_scenario_admits_on_integers(self):
+        attempts = 0
+        for seed in range(20):
+            assert calls_made(scenario._frame, random_scenario, random.Random(seed)) == 0
+            assert calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed)) == 1
+            attempts += calls_made(scenario._order, random_scenario, random.Random(seed))
+        # Some seeds reject a sign-passing attempt before the one returned.
+        assert attempts > 20
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip):
@@ -707,6 +728,29 @@ class TestConstructImageMatchesReference:
 
         check()
 
+    @pytest.mark.parametrize("height", sorted(CLOSED_FORM_INPUTS))
+    def test_lazy_chord_points(self, height):
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(st.sampled_from(STRATA), radius, radius, radius, values, values)
+        @settings(max_examples=200, deadline=None)
+        def check(stratum, r1, r2, gap, p, q):
+            scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
+            assume(probe.point != scene.B and probe.point != scene.C)
+            first, second = construct_image(scene, probe), construct_image(scene, probe)
+            assert "m" not in vars(first) and "n" not in vars(first)
+            # Equality and hash read m and n like the other fields.
+            assert first == second and hash(first) == hash(second)
+            (k1, k2), (_, b, c, _) = scene._conics, scene._triples
+            xyw = exact._triple(probe.point)
+            assert first.m == ExtendedPoint(*exact._second(k1, c, xyw))
+            assert first.n == ExtendedPoint(*exact._second(k2, b, xyw))
+            assert first.m is first.m and first.n is first.n
+            u, v = tangent_half_params(scene, probe)
+            assert first.M == param_point(scene.k1, u) and first.N == param_point(scene.k2, v)
+
+        check()
+
     @pytest.mark.parametrize("stratum", STRATA)
     def test_stratum_reached(self, stratum):
         scene, probe = stratum_case(stratum, F(3), F(2), F(3), F(2), F(1))
@@ -737,6 +781,15 @@ class TestConstructImageMatchesReference:
         with pytest.raises(DegenerateProbe):
             construct_image(scene, probe)
         assert_matches_reference(scene, probe)
+
+    def test_results_compare_by_their_points(self):
+        # Probes on the axis all send M to A and N to D, from raw triples of different scale.
+        scene = derive(WORKED)
+        first = construct_image(scene, ProbePoint(3, 0))
+        second = construct_image(scene, ProbePoint(5, 0))
+        assert first._m != second._m
+        assert first == second and hash(first) == hash(second)
+        assert first.M == scene.A and first.N == scene.D
 
     def test_views_are_lazy_and_cached(self):
         result = construct_image(derive(WORKED), ProbePoint(2, 1))

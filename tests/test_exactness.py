@@ -69,7 +69,9 @@ def test_checks_catch_what_they_forbid():
 
 
 def test_one_draw_and_one_writer():
-    # Seeded draws go through construction._randint, and decimal6(n, d) writes every coordinate.
+    # Seeded draws call rng.getrandbits and redraw until in range, as randint does for a
+    # random.Random: through construction._randint in random_rational and random_probe,
+    # and inline in random_scenario. decimal6(n, d) writes every coordinate.
     assert violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "randint") == []
     assert violations(
         lambda node: "_dec6" in (getattr(node, "id", None), getattr(node, "name", None))
