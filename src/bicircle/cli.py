@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="random trials comparing the two image routes")
     fuzz.add_argument("--trials", type=_at_least(0), default=DEFAULT_TRIALS)
-    fuzz.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    fuzz.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
 
     render = sub.add_parser("render", help="write an SVG figure for one probe")
     _scenario_args(render)
@@ -244,16 +244,16 @@ def _run_render(args) -> tuple[str, int]:
         labels=not args.no_labels,
         clip=args.clip,
     )
-    svg = render_svg(spec)
+    data = render_svg(spec).encode("utf-8")
     # Encoded first, so a report that cannot be written leaves no figure either.
     report = _report({
         "command": "render",
         "out": args.out,
-        "bytes": len(svg.encode("utf-8")),
+        "bytes": len(data),
         "Pprime": result.p_prime,
     })
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    with open(args.out, "wb") as handle:
+        handle.write(data)
     return report
 
 

@@ -226,24 +226,18 @@ def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
 # --- seeded pseudorandom trials -------------------------------------------
 
 def random_rational(rng: random.Random) -> Fraction:
-    """Fraction with numerator in [-50, 50] and denominator in [1, 20]."""
-    return Fraction(_randint(rng.getrandbits, -50, 50), _randint(rng.getrandbits, 1, 20))
+    """Fraction with numerator in [-50, 50] and denominator in [1, 20].
 
-
-def _randint(getrandbits, low: int, high: int) -> int:
-    """What randint(low, high) returns for a random.Random whose getrandbits is given.
-
-    randint draws getrandbits(k), k the bit length of the range size, until
-    a draw falls below that size. Drawing the same way here, without
-    randint's layers of calls, leaves every seeded stream and getstate()
-    as randint would.
+    randint redraws getrandbits(k), k the bit length of the range size, until
+    a draw is below that size, so these loops draw what rng.randint(-50, 50)
+    and rng.randint(1, 20) draw, and leave getstate() as they would.
     """
-    size = high - low + 1
-    k = size.bit_length()
-    r = getrandbits(k)
-    while r >= size:
-        r = getrandbits(k)
-    return low + r
+    getrandbits = rng.getrandbits
+    while (n := getrandbits(7)) > 100:
+        pass
+    while (d := getrandbits(5)) > 19:
+        pass
+    return Fraction(n - 50, d + 1)
 
 
 def random_scenario(rng: random.Random) -> ScenarioConfig:
@@ -252,8 +246,8 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     Each attempt draws what three random_rational(rng) calls draw, in the same
     order: a numerator is getrandbits(7) redrawn until below 101, minus 50,
     and a denominator getrandbits(5) redrawn until below 20, plus 1, as
-    _randint draws but without a Python call per draw. An attempt with a
-    nonpositive numerator is rejected at once. The rest are ordered by
+    random_rational draws but without a Python call per draw. An attempt
+    with a nonpositive numerator is rejected at once. The rest are ordered by
     scenario._order on their integers over the denominator ad·r1d·r2d, as
     validate orders them, and only the attempt returned builds its Fractions
     and its ScenarioConfig.
@@ -284,20 +278,20 @@ def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
 
     Draws what two random_rational(rng) calls draw, in the same order.
     """
-    getrandbits = rng.getrandbits
     while True:
-        pn, pd, qn, qd = (
-            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
-            _randint(getrandbits, -50, 50), _randint(getrandbits, 1, 20),
-        )
-        p = Fraction(pn, pd)
+        p, q = random_rational(rng), random_rational(rng)
         # B and C lie on the axis, so only a probe with q = 0 can hit them.
-        if qn or (p != scene.B.x and p != scene.C.x):
-            return ProbePoint(p, Fraction(qn, qd))
+        if q or (p != scene.B.x and p != scene.C.x):
+            return ProbePoint(p, q)
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
-    """Independent deterministic stream for one trial (seed plus trial index)."""
+    """Independent deterministic stream for one trial (seed plus trial index).
+
+    Seed and index must be non-negative, as random.Random seeds from abs(seed).
+    Two seeds' streams stay distinct only while the index is below 1,000,003:
+    trial_rng(3, 1_000_003) is trial_rng(4, 0).
+    """
     return random.Random(seed * 1_000_003 + index)
 
 
@@ -321,6 +315,8 @@ def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> F
     """Compare the synthetic and closed-form routes on random admissible inputs."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     failures = []
     for index in range(trials):
         rng = trial_rng(seed, index)

@@ -1,0 +1,32 @@
+"""The Fraction kernel formulas that the integer kernel replaced.
+
+Shared by the tests that check the shipped kernel and construct_image
+against them. Not a test module, so pytest does not collect it.
+"""
+
+from bicircle import ExtendedPoint, Line, Point2
+
+
+def ref_line_through(p1, p2):
+    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
+
+
+def ref_meet(l1, l2):
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        return ExtendedPoint.at_infinity(l1.b, -l1.a)
+    x = (l1.b * l2.c - l2.b * l1.c) / det
+    y = (l1.c * l2.a - l2.c * l1.a) / det
+    return ExtendedPoint.finite(Point2(x, y))
+
+
+def ref_second_intersection(k, base, through):
+    dx, dy = through.x - base.x, through.y - base.y
+    ex, ey = base.x - k.center.x, base.y - k.center.y
+    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
+    return Point2(base.x + s * dx, base.y + s * dy)
+
+
+def ref_tangent_at(k, point):
+    a, b = point.x - k.center.x, point.y - k.center.y
+    return Line(a, b, -(a * point.x + b * point.y))

@@ -5,10 +5,14 @@ import json
 import random
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from bicircle import cli
 from bicircle.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -175,6 +179,28 @@ class TestRender:
         assert report["bytes"] == len(text.encode("utf-8"))
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
+
+    def test_figure_bytes_do_not_depend_on_newline_mode(self, capsys, tmp_path, monkeypatch):
+        # Where text mode writes "\r\n", as on Windows, a text-mode write would
+        # change the byte-deterministic figure and its reported size.
+        def crlf_open(file, mode="r", *args, **kwargs):
+            if "b" not in mode:
+                kwargs["newline"] = "\r\n"
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+        out_path = tmp_path / "figure.svg"
+        code, out, _ = run(
+            capsys,
+            [
+                "render", "--a", "2", "--r1", "3", "--r2", "2",
+                "--p", "2", "--q", "1", "--out", str(out_path),
+            ],
+        )
+        assert code == 0
+        data = out_path.read_bytes()
+        assert data == (GOLDEN / "render-worked.svg").read_bytes()
+        assert json.loads(out)["bytes"] == len(data)
 
     def test_degenerate_probe_exits_1(self, capsys, tmp_path):
         code, _, err = run(
@@ -346,6 +372,10 @@ class TestInputLimits:
 
     def test_negative_trials(self, capsys):
         err = self.usage_error(capsys, ["fuzz", "--trials", "-5"])
+        assert "at least 0" in err
+
+    def test_negative_seed(self, capsys):
+        err = self.usage_error(capsys, ["fuzz", "--seed=-5"])
         assert "at least 0" in err
 
     def test_zero_trials_allowed(self, capsys):

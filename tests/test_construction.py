@@ -43,6 +43,7 @@ from bicircle import (
     verify_concurrency,
 )
 from bicircle import cli, construction, exact, scenario
+from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -312,6 +313,12 @@ class TestSeededTrials:
         # range(-3) is empty: the run would check nothing and report clean.
         with pytest.raises(ValueError, match="at least 0"):
             run_oracle_fuzz(trials=-3)
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from abs(seed): seed -5 would replay seed 5's trials.
+        assert random_scenario(trial_rng(-5, 0)) == random_scenario(trial_rng(5, 0))
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            run_oracle_fuzz(trials=1, seed=-5)
 
     def test_trial_streams_are_independent(self):
         assert trial_rng(360, 0).random() != trial_rng(360, 1).random()
@@ -624,23 +631,8 @@ class TestClosedFormMatchesReference:
 
 
 # Reference version of construct_image: the Fraction construction that the
-# chain of integer triples replaced, with the Fraction kernel formulas.
-
-def ref_second_intersection(k, base, through):
-    dx, dy = through.x - base.x, through.y - base.y
-    ex, ey = base.x - k.center.x, base.y - k.center.y
-    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
-    return Point2(base.x + s * dx, base.y + s * dy)
-
-
-def ref_line_through(p1, p2):
-    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
-
-
-def ref_tangent_at(k, point):
-    a, b = point.x - k.center.x, point.y - k.center.y
-    return Line(a, b, -(a * point.x + b * point.y))
-
+# chain of integer triples replaced, with the Fraction kernel formulas of
+# reference.py.
 
 def ref_classify(scene, probe):
     flags = set()
@@ -668,15 +660,8 @@ def ref_construct_image(scene, probe):
     n = ref_second_intersection(scene.k2, scene.B, point)
     line_am = ref_tangent_at(scene.k1, scene.A) if m == scene.A else ref_line_through(scene.A, m)
     line_dn = ref_tangent_at(scene.k2, scene.D) if n == scene.D else ref_line_through(scene.D, n)
-    # Parallel or coincident lines: the image escapes along their direction.
-    det = line_am.a * line_dn.b - line_dn.a * line_am.b
-    if det == 0:
-        p_prime = ExtendedPoint.at_infinity(line_am.b, -line_am.a)
-    else:
-        x = (line_am.b * line_dn.c - line_dn.b * line_am.c) / det
-        y = (line_am.c * line_dn.a - line_dn.c * line_am.a) / det
-        p_prime = ExtendedPoint.finite(Point2(x, y))
-    return m, n, line_am, line_dn, p_prime, ref_classify(scene, probe)
+    # Parallel or coincident lines: ref_meet sends the image along their direction.
+    return m, n, line_am, line_dn, ref_meet(line_am, line_dn), ref_classify(scene, probe)
 
 
 def image_fields(scene, probe):

@@ -36,6 +36,7 @@ from bicircle import (
     second_intersection,
     tangent_at,
 )
+from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 K1 = Circle(Point2(-2, 0), 3)
 K2 = Circle(Point2(2, 0), 2)
@@ -433,34 +434,6 @@ class TestValueDiscipline:
 
 
 # --- the integer kernel against the Fraction formulas it replaced ----------
-
-def ref_line_through(p1, p2):
-    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
-
-
-def ref_meet(l1, l2):
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return ExtendedPoint.at_infinity(l1.b, -l1.a)
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l1.c * l2.a - l2.c * l1.a) / det
-    return ExtendedPoint.finite(Point2(x, y))
-
-
-def ref_second_intersection(k, base, through):
-    dx = through.x - base.x
-    dy = through.y - base.y
-    ex = base.x - k.center.x
-    ey = base.y - k.center.y
-    s = -2 * (dx * ex + dy * ey) / (dx * dx + dy * dy)
-    return Point2(base.x + s * dx, base.y + s * dy)
-
-
-def ref_tangent_at(k, point):
-    a = point.x - k.center.x
-    b = point.y - k.center.y
-    return Line(a, b, -(a * point.x + b * point.y))
-
 
 TALL = 10**50
 tall_rationals = st.builds(F, st.integers(-TALL, TALL), st.integers(TALL // 10, TALL))

@@ -70,9 +70,15 @@ def test_checks_catch_what_they_forbid():
 
 def test_one_draw_and_one_writer():
     # Seeded draws call rng.getrandbits and redraw until in range, as randint does for a
-    # random.Random: through construction._randint in random_rational and random_probe,
-    # and inline in random_scenario. decimal6(n, d) writes every coordinate.
+    # random.Random: in random_rational, which random_probe calls, and inline in
+    # random_scenario; no generic helper sits beside them. decimal6(n, d) writes every
+    # coordinate.
     assert violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "randint") == []
     assert violations(
-        lambda node: "_dec6" in (getattr(node, "id", None), getattr(node, "name", None))
+        lambda node: {"_dec6", "_randint"} & {getattr(node, "id", None), getattr(node, "name", None)}
     ) == []
+    found = violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "getrandbits")
+    assert {(module, where) for module, where, _ in found} == {
+        ("construction.py", "random_rational"),
+        ("construction.py", "random_scenario"),
+    }

@@ -4,12 +4,14 @@ Each case stores the command's exit status and exact stdout in
 tests/golden/<name>.out; render cases also store the SVG they write in
 tests/golden/<name>.svg. The three printing demo scripts store theirs, from a
 child interpreter, in tests/golden/demo-<script>.out. The six demo figures are
-compared with the committed demos/output/*.svg. After an intended output
+compared with the committed demos/output/*.svg, and the README's library
+quickstart runs as a doctest. After an intended output
 change, rewrite the corpus with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import doctest
 import importlib.util
 import io
 import os
@@ -215,3 +217,8 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
+
+
+def test_readme_quickstart_runs():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False, encoding="utf-8")
+    assert result.attempted > 0 and result.failed == 0, result
