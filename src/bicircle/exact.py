@@ -230,9 +230,13 @@ def _triple(p: Point2) -> tuple[int, int, int]:
 
 
 def _conic(k: Circle) -> tuple[int, int, int, int]:
-    """(s, u, v, t) of k: (x - cx)² + (y - cy)² - r² times (cw·rd)², center (cx/cw, cy/cw)."""
-    cx, cy, cw = _triple(k.center)
-    rn, rd = k.radius.numerator, k.radius.denominator
+    """(s, u, v, t) of k."""
+    return _circle_conic(*_triple(k.center), k.radius)
+
+
+def _circle_conic(cx: int, cy: int, cw: int, r: Fraction) -> tuple[int, int, int, int]:
+    """(s, u, v, t) of (x - cx)² + (y - cy)² - r² times (cw·rd)², center (cx/cw, cy/cw)."""
+    rn, rd = r.numerator, r.denominator
     rr = rd * rd
     return cw * cw * rr, -2 * cx * cw * rr, -2 * cy * cw * rr, (cx * cx + cy * cy) * rr - (rn * cw) ** 2
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import ImageResult, ProbePoint, locus_x
-from .exact import INFINITY, Circle, _cross, _triple
+from .construction import ImageResult, ProbePoint, _image_x
+from .exact import _cross, _triple
 from .scenario import DerivedScene
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
@@ -131,7 +131,7 @@ def layout(spec: RenderSpec) -> Viewport:
     and the translation are built as Fractions.
     """
     scene = spec.scene
-    r1, r2 = ((k.radius.numerator, k.radius.denominator) for k in (scene.k1, scene.k2))
+    r1, r2 = ((r.numerator, r.denominator) for r in (scene.cfg.r1, scene.cfg.r2))
     rn, rd = r2 if _less(r1, r2) else r1
     (ax, _, aw), (dx, _, dw) = scene._triples[0], scene._triples[3]
     xmin, xmax, ymin, ymax = (ax, aw), (dx, dw), (-rn, rd), (rn, rd)
@@ -209,11 +209,6 @@ def _clip(line, rect, ends=None) -> tuple[tuple[int, int, int], tuple[int, int, 
     return tuple((y, x, w) for x, y, w in span) if vertical else tuple(span)
 
 
-def _vertical(t: Fraction) -> tuple[int, int, int]:
-    """The line x = t as a triple (a, b, c)."""
-    return t.denominator, 0, -t.numerator
-
-
 def _at(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
     """The triple of the point with coordinates given as (numerator, denominator) pairs."""
     return x[0] * y[1], y[0] * x[1], x[1] * y[1]
@@ -264,10 +259,10 @@ class _Emitter:
         if span is not None and any(_octant(*span)):
             self.segment(cls, span[0], span[1], color, width, dash)
 
-    def circle(self, cls: str, k: Circle, color: str, width: str) -> None:
-        r = decimal6(k.radius.numerator, k.radius.denominator)
+    def circle(self, cls: str, center, radius: Fraction, color: str, width: str) -> None:
+        r = decimal6(radius.numerator, radius.denominator)
         self.parts.append(
-            f'<circle class="{cls}" {_place(_triple(k.center), "cx", "cy")}'
+            f'<circle class="{cls}" {_place(center, "cx", "cy")}'
             f' r="{r}" fill="none" stroke="{color}" stroke-width="{self.px[width]}"/>'
         )
 
@@ -305,24 +300,22 @@ def render_svg(spec: RenderSpec) -> str:
     em = _Emitter(viewport)
     rect = xmin, xmax, ymin, ymax = em.rect
 
-    for cls, k in (("circle-k1", scene.k1), ("circle-k2", scene.k2)):
-        em.circle(cls, k, _COLORS["circle"], "circle")
+    d, a, r1, r2 = scene._ints
+    em.circle("circle-k1", (-a, 0, d), scene.cfg.r1, _COLORS["circle"], "circle")
+    em.circle("circle-k2", (a, 0, d), scene.cfg.r2, _COLORS["circle"], "circle")
     em.full_line("axis", _AXIS, _COLORS["axis"], "line")
+    # The radical axis, the probe line and the image line are verticals
+    # x = n/w, drawn as the triples (w, 0, -n).
     if spec.show_radical_axis:
-        em.full_line(
-            "radical-axis",
-            _vertical(scene.radical_axis_x),
-            _COLORS["radical"],
-            "line",
-            dash=True,
-        )
+        em.full_line("radical-axis", (4 * a * d, 0, r2 * r2 - r1 * r1), _COLORS["radical"], "line",
+                     dash=True)
     probe, result = spec.probe, spec.result
-    em.full_line("probe-line", _vertical(probe.p), _COLORS["probe"], "accent")
+    em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator), _COLORS["probe"], "accent")
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
-    image_x = locus_x(scene.cfg, probe.p)
-    if image_x is not INFINITY:
-        em.full_line("image-line", _vertical(image_x), _COLORS["image"], "accent")
+    image_x, image_w = _image_x(scene._ints, probe.p)
+    if image_w:
+        em.full_line("image-line", (image_w, 0, -image_x), _COLORS["image"], "accent")
 
     m, n, image = result.m, result.n, result.p_prime
     named = [*zip("ABCD", scene._triples), ("P", _triple(probe.point)),

@@ -7,17 +7,22 @@ A B C D (properly intersecting circles) and A C B D (disjoint circles), with
 external tangency as the boundary case where B = C. Configurations where one
 circle contains or internally touches the other are rejected outright. The
 ordering is decided on integers over one common denominator, by _order.
+
+derive validates once and keeps _frame's integers; the circles, the named
+points and the radical axis of its DerivedScene are views built when read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import InvalidScenario, ParseError
-from .exact import _ZERO, Circle, Point2, _conic, _triple, as_rational, parse_rational
+from .exact import _ZERO, Circle, Point2, _circle_conic, as_rational, parse_rational
 
 
 class Ordering(Enum):
@@ -40,26 +45,39 @@ class ScenarioConfig:
         object.__setattr__(self, "r2", as_rational(r2))
 
 
-@dataclass(frozen=True)
+def _axis_point(i: int) -> cached_property:
+    """The view of the axis point whose triple is _triples[i]."""
+    return cached_property(lambda self: Point2(Fraction(*self._triples[i][::2]), _ZERO))
+
+
+def _radical_axis_x(scene) -> Fraction:
+    d, a, r1, r2 = scene._ints
+    return Fraction(r1 * r1 - r2 * r2, 4 * a * d)
+
+
+@dataclass(frozen=True, init=False)
 class DerivedScene:
-    """A validated ScenarioConfig, its ordering, and everything named that follows."""
+    """A validated ScenarioConfig, its ordering, and everything named that follows.
+
+    Integer-first: _ints is (d, a, r1, r2) from _frame, _conics and _triples
+    the kernel form of k1, k2 and A, B, C, D. The other fields are views
+    built on first read, which equality, hash and repr read. The keyword
+    constructor builds the scene as derive does and keeps the views given.
+    """
 
     cfg: ScenarioConfig
     ordering: Ordering
-    k1: Circle
-    k2: Circle
-    A: Point2
-    B: Point2
-    C: Point2
-    D: Point2
-    radical_axis_x: Fraction
-    # The kernel form of k1, k2 and of A, B, C, D, built once for construct_image and render_svg.
-    _conics: tuple = field(init=False, compare=False, repr=False)
-    _triples: tuple = field(init=False, compare=False, repr=False)
+    k1: Circle = cached_property(lambda self: Circle(Point2(-self.cfg.a, _ZERO), self.cfg.r1))
+    k2: Circle = cached_property(lambda self: Circle(Point2(self.cfg.a, _ZERO), self.cfg.r2))
+    A: Point2 = _axis_point(0)
+    B: Point2 = _axis_point(1)
+    C: Point2 = _axis_point(2)
+    D: Point2 = _axis_point(3)
+    radical_axis_x: Fraction = cached_property(_radical_axis_x)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_conics", (_conic(self.k1), _conic(self.k2)))
-        object.__setattr__(self, "_triples", tuple(map(_triple, (self.A, self.B, self.C, self.D))))
+    def __init__(self, cfg, ordering, k1, k2, A, B, C, D, radical_axis_x):  # past the frozen __setattr__
+        self.__dict__.update(vars(derive(cfg)), ordering=ordering, k1=k1, k2=k2, A=A, B=B, C=C, D=D,
+                             radical_axis_x=radical_axis_x)
 
 
 def _order(a: int, r1: int, r2: int) -> Ordering | None:
@@ -75,14 +93,13 @@ def _order(a: int, r1: int, r2: int) -> Ordering | None:
     return Ordering.EXTERNALLY_TANGENT if gap == 0 else Ordering.DISJOINT_ACBD
 
 
-def _frame(cfg: ScenarioConfig, p=None) -> tuple:
+def _frame(cfg: ScenarioConfig) -> tuple:
     """Validate cfg and write it over one denominator: (ordering, d, a, r1, r2).
 
     The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is the
     product of the denominators, so it is positive and comparisons and signs
-    carry over from the rationals to the integers. Given p, the tuple is
-    (ordering, d, a, r1, r2, p) with p over the same d. Raises
-    InvalidScenario outside the two orderings.
+    carry over from the rationals to the integers. Raises InvalidScenario
+    outside the two orderings.
     """
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     if a.numerator <= 0:
@@ -99,11 +116,7 @@ def _frame(cfg: ScenarioConfig, p=None) -> tuple:
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
-    if p is None:
-        return ordering, d, a, r1, r2
-    p = as_rational(p)
-    pd = p.denominator
-    return ordering, d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
+    return ordering, d, a, r1, r2
 
 
 def validate(cfg: ScenarioConfig) -> Ordering:
@@ -111,20 +124,26 @@ def validate(cfg: ScenarioConfig) -> Ordering:
     return _frame(cfg)[0]
 
 
+def _axis_triple(x: int, d: int) -> tuple[int, int, int]:
+    """exact._triple of the point (x/d, 0), d > 0: (x, 0, d) divided by its gcd."""
+    g = gcd(x, d)
+    return x // g, 0, d // g
+
+
 def derive(cfg: ScenarioConfig) -> DerivedScene:
-    """Build circles, axis points, and the radical axis abscissa."""
+    """Validate cfg once and build the scene on integers; its views are built when read."""
     ordering, d, a, r1, r2 = _frame(cfg)
-    return DerivedScene(
+    an, ad = cfg.a.numerator, cfg.a.denominator
+    scene = object.__new__(DerivedScene)
+    scene.__dict__.update(
         cfg=cfg,
         ordering=ordering,
-        k1=Circle(Point2(-cfg.a, _ZERO), cfg.r1),
-        k2=Circle(Point2(cfg.a, _ZERO), cfg.r2),
-        A=Point2(Fraction(-a - r1, d), _ZERO),
-        B=Point2(Fraction(a - r2, d), _ZERO),
-        C=Point2(Fraction(r1 - a, d), _ZERO),
-        D=Point2(Fraction(a + r2, d), _ZERO),
-        radical_axis_x=Fraction(r1 * r1 - r2 * r2, 4 * a * d),
+        _ints=(d, a, r1, r2),
+        _conics=(_circle_conic(-an, 0, ad, cfg.r1), _circle_conic(an, 0, ad, cfg.r2)),
+        _triples=(_axis_triple(-a - r1, d), _axis_triple(a - r2, d),
+                  _axis_triple(r1 - a, d), _axis_triple(a + r2, d)),
     )
+    return scene
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -335,6 +336,15 @@ class TestSeededTrials:
             probe = random_probe(rng, scene)
             assert probe.point != scene.B and probe.point != scene.C
 
+    def test_random_probe_rejects_base_points_on_integers(self):
+        # Each draw pair (n, d) gives (n - 50)/(d + 1): the probes (0, 0) = B and
+        # (1, 0) = C of WORKED are redrawn, and (0, 1) is returned.
+        draws = iter([50, 0, 50, 0, 51, 0, 50, 0, 50, 0, 51, 0])
+        scene = derive(WORKED)
+        probe = random_probe(SimpleNamespace(getrandbits=lambda bits: next(draws)), scene)
+        assert probe == ProbePoint(0, 1)
+        assert not {"B", "C"} & set(vars(scene))
+
     def test_random_rational_keeps_the_rng_stream(self):
         def reference(rng):
             return F(rng.randint(-50, 50), rng.randint(1, 20))
@@ -426,17 +436,20 @@ class TestWorkCount:
     none; construct_image chains integer triples and its Fraction views are
     built only when read, so it builds none either. Measured on the worked
     case: construct_image builds 0 (87 with the Fraction kernel, 10 with
-    Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 6
-    (30 with Fraction formulas), image_closed_form 0 (29, then 2) and
-    locus_x 2 (19); run_oracle_fuzz(20, 360) builds 220 (4860 before integer
-    pre-rejection in random_scenario and the integer kernel, 1636 before the
-    integer scenario layer, 478 before the integer ExtendedPoint, 398 before
-    the triple chain, 238 before random_scenario admitted draws on integers
-    and built a ScenarioConfig only for the one it returns). render_svg on
-    the worked case builds 4 with or without clipping: the scale, tx and ty
-    of layout and the one of locus_x, since layout finds its bounds on
-    integer pairs and render_svg clips, places markers and writes
-    coordinates on integer triples (31 and 29 when layout compared its
+    Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 0
+    (30 with Fraction formulas, 6 while it built every view eagerly),
+    image_closed_form 0 (29, then 2) and locus_x 2 (19); run_oracle_fuzz(20,
+    360) builds 100 (4860 before integer pre-rejection in random_scenario and
+    the integer kernel, 1636 before the integer scenario layer, 478 before
+    the integer ExtendedPoint, 398 before the triple chain, 238 before
+    random_scenario admitted draws on integers and built a ScenarioConfig
+    only for the one it returns, 220 before derive kept its integers and
+    built the circles, points and radical axis only when read). render_svg
+    on the worked case builds 3 with or without clipping: the scale, tx and
+    ty of layout, since layout finds its bounds on integer pairs and
+    render_svg clips, places markers and writes coordinates on integer
+    triples and draws the radical axis and the image line from the scene's
+    integers (4 with the one of locus_x; 31 and 29 when layout compared its
     bounds as Fractions and the emitter read the four divisions of
     Viewport.visible_rect, of which 21 in layout; 38 and 30 when layout
     took its bounds over A, B, C, D, the radical axis, P, M, N and P′
@@ -446,11 +459,17 @@ class TestWorkCount:
     241 with one clipper for lines and a Liang-Barsky clipper on Fractions
     for segments and arrows).
 
-    The scene's conics and axis-point triples are built once, by derive:
-    construct_image calls _conic and _triple 0 times (2 and 6 before), and
-    render_svg calls _triple 3 times, for P and the two circle centers (8
-    unclipped before). layout reads P from probe.p and probe.q, not from
-    the triple of a Point2, which would make it 4.
+    The scene's conics and axis-point triples are built once, by derive,
+    straight from _frame's integers: derive calls Point2.__init__ and
+    Circle.__init__ 0 times (6 and 2 before). construct_image calls _conic
+    and _triple 0 times (2 and 6 before), and render_svg calls _triple once,
+    for P (8 unclipped before, then 3 with the two circle centers). layout
+    reads P from probe.p and probe.q, not from the triple of a Point2, which
+    would add one. A fuzz trial calls _frame once, in derive: the closed
+    form reads the scene's integers (twice before, once more in
+    image_closed_form). classify_case builds 0 on probes on B, C and the
+    radical axis, since _classify compares p with them on those integers
+    (6 before, the views derive built).
 
     construct_image joins A and D to the raw triples of M and N and builds
     one ExtendedPoint, P′; m and n are built when read (3 before).
@@ -464,7 +483,11 @@ class TestWorkCount:
         assert fractions_built(construct_image, scene, probe) <= 0
 
     def test_derive_worked_case(self):
-        assert fractions_built(derive, WORKED) <= 6
+        assert fractions_built(derive, WORKED) <= 0
+
+    @pytest.mark.parametrize("target", [Point2.__init__, exact.Circle.__init__], ids=["point", "circle"])
+    def test_derive_builds_no_views(self, target):
+        assert calls_made(target, derive, WORKED) == 0
 
     def test_image_closed_form_worked_case(self):
         assert fractions_built(image_closed_form, WORKED, ProbePoint(2, 1)) <= 0
@@ -473,7 +496,14 @@ class TestWorkCount:
         assert fractions_built(locus_x, WORKED, 2) <= 2
 
     def test_oracle_fuzz(self):
-        assert fractions_built(run_oracle_fuzz, 20, 360) <= 220
+        assert fractions_built(run_oracle_fuzz, 20, 360) <= 100
+
+    @pytest.mark.parametrize("p", [0, 1, F(5, 8)], ids=["B", "C", "radical-axis"])
+    def test_classify_case_on_special_lines(self, p):
+        assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
+
+    def test_oracle_fuzz_checks_each_scenario_once(self):
+        assert calls_made(scenario._frame, run_oracle_fuzz, 20, 360) == 20
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -491,7 +521,7 @@ class TestWorkCount:
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip):
         spec = worked_spec(clip)
-        assert fractions_built(render_svg, spec) <= 4
+        assert fractions_built(render_svg, spec) <= 3  # layout's scale, tx and ty
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_layout_worked_case(self, clip):
@@ -507,7 +537,7 @@ class TestWorkCount:
     def test_render_svg_reads_the_kernel_form(self, clip):
         spec = worked_spec(clip)
         assert calls_made(exact._conic, render_svg, spec) == 0
-        assert calls_made(exact._triple, render_svg, spec) == 3  # P and the two circle centers
+        assert calls_made(exact._triple, render_svg, spec) == 1  # P
 
 
 @pytest.mark.parametrize("cfg", [WORKED, TANGENT])
@@ -532,8 +562,8 @@ class TestOneCheckPerCall:
     def test_cli_render(self, cfg, tmp_path):
         out = str(tmp_path / "figure.svg")
         argv = ["render", *scenario_argv(cfg), "--p", "2", "--q", "1", "--out", out]
-        # The second pass is render_svg's locus_x(scene.cfg, ...).
-        assert calls_made(scenario._frame, cli.main, argv) == 2
+        # render_svg draws the image line from the scene's integers.
+        assert calls_made(scenario._frame, cli.main, argv) == 1
 
 
 def scenario_argv(cfg):

@@ -10,20 +10,25 @@ from hypothesis import strategies as st
 from bicircle import (
     Circle,
     DerivedScene,
+    GeometryError,
     InvalidScenario,
     Line,
     Ordering,
     ParseError,
     Point2,
+    ProbePoint,
     ScenarioConfig,
     circle_contains,
     derive,
+    image_closed_form,
     parse_scenario,
     power_of_point,
     radical_axis,
     validate,
 )
+from bicircle.construction import _closed_form
 from bicircle.exact import _conic, _triple
+from bicircle.scenario import _frame
 
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
@@ -188,11 +193,11 @@ def ref_derive(cfg):
 
 
 def outcome(fn, *args):
-    """The result of fn, or the type and message of the InvalidScenario it raised."""
+    """The result of fn, or the type and message of the GeometryError it raised."""
     try:
         return fn(*args)
-    except InvalidScenario as exc:
-        return InvalidScenario, str(exc)
+    except GeometryError as exc:
+        return type(exc), str(exc)
 
 
 def scene_fields(scene):
@@ -264,5 +269,22 @@ class TestScenarioMatchesReference:
             assert repr(scene) == f"DerivedScene({values})"
             object.__setattr__(hand_built, "_triples", ())
             assert hand_built == scene and hash(hand_built) == hash(scene)
+
+        check()
+
+    def test_stored_integers(self, height):
+        values, _ = SCENARIO_INPUTS[height]
+
+        # line picks the probe line: free, through B, through C or the radical axis.
+        @given(scenario_configs(height), st.sampled_from(range(4)), values, st.one_of(values, st.just(F(0))))
+        def check(cfg, line, p, q):
+            scene = outcome(derive, cfg)
+            if not isinstance(scene, DerivedScene):
+                return
+            assert scene._ints == _frame(cfg)[1:]
+            # The oracle's closed form reads the scene's integers, not cfg.
+            p = (p, scene.B.x, scene.C.x, scene.radical_axis_x)[line]
+            probe = ProbePoint(p, q)
+            assert outcome(_closed_form, scene._ints, probe) == outcome(image_closed_form, cfg, probe)
 
         check()
