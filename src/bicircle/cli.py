@@ -20,7 +20,6 @@ from .construction import (
     CaseFlag,
     FuzzFailure,
     ProbePoint,
-    _classify,
     classify_case,
     construct_image,
     locus_x,
@@ -70,7 +69,7 @@ _JSON_FORMS = {
     ExtendedPoint: lambda value: (
         {"finite": value.point} if value.is_finite else {"atInfinity": value.direction}
     ),
-    ScenarioConfig: vars,
+    ScenarioConfig: lambda cfg: {"a": cfg.a, "r1": cfg.r1, "r2": cfg.r2},
     ProbePoint: vars,
     FuzzFailure: lambda failure: {
         "trial": failure.trial,
@@ -181,7 +180,7 @@ def _run_compute(args) -> tuple[str, int]:
         "lineAM": result.line_am,
         "lineDN": result.line_dn,
         "Pprime": result.p_prime,
-        "classification": _classify(scene, probe),
+        "classification": classify_case(scene.cfg, probe),
     })
 
 

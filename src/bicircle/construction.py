@@ -25,9 +25,9 @@ Everything is a pure function over immutable values. The fuzz harness draws
 each trial's randomness from its own deterministically derived stream, so
 trials could be evaluated concurrently without changing the report. Its
 sampler admits a scenario on integers and builds Fractions only for the
-one it returns. Each trial validates once, in derive, and both routes read
-the scene's integers. The oracle reads only P' of construct_image, whose M
-and N are normalized only when read.
+one it returns. Each trial validates once, in derive; both routes read the
+integers its config then keeps (scenario._frame). The oracle reads only P'
+of construct_image, whose M and N are normalized only when read.
 """
 
 from __future__ import annotations
@@ -104,30 +104,27 @@ class ImageResult:
 
 
 _GENERIC = frozenset({CaseFlag.GENERIC})
+_ON_BASE = frozenset({CaseFlag.COLLAPSES_TO_A, CaseFlag.COLLAPSES_TO_D})
 
 
-def _with_p(ints: tuple, p: Fraction) -> tuple:
-    """_frame's (d, a, r1, r2) and p over one denominator: B.x, C.x are then a - r2, r1 - a."""
-    d, a, r1, r2 = ints
+def _with_p(cfg: ScenarioConfig, p: Fraction) -> tuple:
+    """cfg's frame and p over one denominator, (ordering, d, a, r1, r2, p): B.x = a - r2, C.x = r1 - a."""
+    ordering, d, a, r1, r2 = _frame(cfg)
     pd = p.denominator
-    return d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
-
-
-def _classify(scene: DerivedScene, probe: ProbePoint) -> frozenset:
-    _, a, r1, r2, p = _with_p(scene._ints, probe.p)
-    flags = frozenset(flag for flag, holds in (
-        (CaseFlag.PROBE_ON_AXIS, probe.q == 0),
-        (CaseFlag.COLLAPSES_TO_A, p == a - r2),
-        (CaseFlag.COLLAPSES_TO_D, p == r1 - a),
-        (CaseFlag.TOUCHING_CIRCLES, scene.ordering is Ordering.EXTERNALLY_TANGENT),
-        (CaseFlag.ON_RADICAL_AXIS, 4 * a * p == r1 * r1 - r2 * r2),
-    ) if holds)
-    return flags or _GENERIC
+    return ordering, d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
 
 
 def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     """Degeneracy flags for the probe; several can hold at once."""
-    return _classify(derive(cfg), probe)
+    ordering, _, a, r1, r2, p = _with_p(cfg, probe.p)
+    flags = frozenset(flag for flag, holds in (
+        (CaseFlag.PROBE_ON_AXIS, probe.q == 0),
+        (CaseFlag.COLLAPSES_TO_A, p == a - r2),
+        (CaseFlag.COLLAPSES_TO_D, p == r1 - a),
+        (CaseFlag.TOUCHING_CIRCLES, ordering is Ordering.EXTERNALLY_TANGENT),
+        (CaseFlag.ON_RADICAL_AXIS, 4 * a * p == r1 * r1 - r2 * r2),
+    ) if holds)
+    return flags or _GENERIC
 
 
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
@@ -168,13 +165,8 @@ def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
     w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
     """
-    return _closed_form(_frame(cfg)[1:], probe)
-
-
-def _closed_form(ints: tuple, probe: ProbePoint) -> ExtendedPoint:
-    """image_closed_form on the integers (d, a, r1, r2) of _frame, as a scene keeps them."""
     # a, r1, r2 and p over one common denominator d > 0.
-    d, a, r1, r2, p = _with_p(ints, probe.p)
+    _, d, a, r1, r2, p = _with_p(cfg, probe.p)
     q_n, q_d = probe.q.numerator, probe.q.denominator
     if q_n == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
@@ -193,13 +185,13 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     Depends on (a, r1, r2, p) only, never on q: that is the fixed-line
     theorem this package verifies.
     """
-    x, w = _image_x(_frame(cfg)[1:], as_rational(p))
+    x, w = _image_x(cfg, as_rational(p))
     return Fraction(x, w) if w else INFINITY
 
 
-def _image_x(ints: tuple, p: Fraction) -> tuple[int, int]:
-    """locus_x on _frame's (d, a, r1, r2) as (x, w), p' = x/w; w = 0 exactly for tangent circles."""
-    d, a, r1, r2, p = _with_p(ints, p)
+def _image_x(cfg: ScenarioConfig, p: Fraction) -> tuple[int, int]:
+    """locus_x as integers (x, w), p' = x/w; w = 0 exactly for tangent circles."""
+    _, d, a, r1, r2, p = _with_p(cfg, p)
     return r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a), d * (r1 + r2 - 2 * a)
 
 
@@ -298,7 +290,7 @@ def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
     while True:
         probe = ProbePoint(random_rational(rng), random_rational(rng))
         # B and C lie on the axis, so only a probe with q = 0 can hit them.
-        if probe.q or not _classify(scene, probe) & {CaseFlag.COLLAPSES_TO_A, CaseFlag.COLLAPSES_TO_D}:
+        if probe.q or not classify_case(scene.cfg, probe) & _ON_BASE:
             return probe
 
 
@@ -341,7 +333,7 @@ def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> F
         scene = derive(cfg)
         probe = random_probe(rng, scene)
         geometric = construct_image(scene, probe).p_prime
-        closed = _closed_form(scene._ints, probe)
+        closed = image_closed_form(cfg, probe)
         if geometric != closed:
             failures.append(FuzzFailure(index, cfg, probe, geometric, closed))
     return FuzzReport(trials=trials, seed=seed, failures=tuple(failures))

@@ -44,7 +44,7 @@ INFINITY = _Infinity()
 #: A scalar that is either an exact rational or the symbolic INFINITY.
 ExtendedScalar = Fraction | _Infinity
 
-_RATIONAL_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
+_RATIONAL_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)", re.ASCII)
 
 
 def as_rational(value) -> Fraction:
@@ -68,7 +68,7 @@ def as_rational(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "13", "-18", "5/8", or a finite decimal such as "0.625" exactly.
 
-    Each integer part may have at most sys.get_int_max_str_digits() digits,
+    Digits are ASCII 0-9. Each integer part may have at most sys.get_int_max_str_digits() digits,
     CPython's cap on converting text to int.
     """
     body = text.strip()

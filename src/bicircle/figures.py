@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, _image_x
 from .exact import _cross, _triple
-from .scenario import DerivedScene
+from .scenario import DerivedScene, _frame
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
 # Fixed pixel-unit style lengths as (numerator, denominator) pairs, each
@@ -300,7 +300,7 @@ def render_svg(spec: RenderSpec) -> str:
     em = _Emitter(viewport)
     rect = xmin, xmax, ymin, ymax = em.rect
 
-    d, a, r1, r2 = scene._ints
+    _, d, a, r1, r2 = _frame(scene.cfg)
     em.circle("circle-k1", (-a, 0, d), scene.cfg.r1, _COLORS["circle"], "circle")
     em.circle("circle-k2", (a, 0, d), scene.cfg.r2, _COLORS["circle"], "circle")
     em.full_line("axis", _AXIS, _COLORS["axis"], "line")
@@ -313,7 +313,7 @@ def render_svg(spec: RenderSpec) -> str:
     em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator), _COLORS["probe"], "accent")
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
-    image_x, image_w = _image_x(scene._ints, probe.p)
+    image_x, image_w = _image_x(scene.cfg, probe.p)
     if image_w:
         em.full_line("image-line", (image_w, 0, -image_x), _COLORS["image"], "accent")
 

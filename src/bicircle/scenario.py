@@ -8,8 +8,9 @@ external tangency as the boundary case where B = C. Configurations where one
 circle contains or internally touches the other are rejected outright. The
 ordering is decided on integers over one common denominator, by _order.
 
-derive validates once and keeps _frame's integers; the circles, the named
-points and the radical axis of its DerivedScene are views built when read.
+A config is validated once: _frame keeps its integers on the config, which
+is immutable, and every later call reads them. The circles, the named
+points and the radical axis of a DerivedScene are views built when read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _axis_point(i: int) -> cached_property:
 
 
 def _radical_axis_x(scene) -> Fraction:
-    d, a, r1, r2 = scene._ints
+    _, d, a, r1, r2 = _frame(scene.cfg)
     return Fraction(r1 * r1 - r2 * r2, 4 * a * d)
 
 
@@ -59,8 +60,8 @@ def _radical_axis_x(scene) -> Fraction:
 class DerivedScene:
     """A validated ScenarioConfig, its ordering, and everything named that follows.
 
-    Integer-first: _ints is (d, a, r1, r2) from _frame, _conics and _triples
-    the kernel form of k1, k2 and A, B, C, D. The other fields are views
+    Integer-first: _conics and _triples are the kernel form of k1, k2 and
+    A, B, C, D, built from cfg's frame (see _frame). The other fields are views
     built on first read, which equality, hash and repr read. The keyword
     constructor builds the scene as derive does and keeps the views given.
     """
@@ -99,8 +100,12 @@ def _frame(cfg: ScenarioConfig) -> tuple:
     The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is the
     product of the denominators, so it is positive and comparisons and signs
     carry over from the rationals to the integers. Raises InvalidScenario
-    outside the two orderings.
+    outside the two orderings, on every call. A valid cfg keeps its frame,
+    so it is computed once; the write is idempotent, so configs stay safe to
+    share between threads.
     """
+    if (frame := cfg.__dict__.get("_frame")) is not None:
+        return frame
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     if a.numerator <= 0:
         raise InvalidScenario(f"a must be positive, got {a}")
@@ -116,7 +121,8 @@ def _frame(cfg: ScenarioConfig) -> tuple:
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
-    return ordering, d, a, r1, r2
+    cfg.__dict__["_frame"] = frame = ordering, d, a, r1, r2
+    return frame
 
 
 def validate(cfg: ScenarioConfig) -> Ordering:
@@ -131,14 +137,13 @@ def _axis_triple(x: int, d: int) -> tuple[int, int, int]:
 
 
 def derive(cfg: ScenarioConfig) -> DerivedScene:
-    """Validate cfg once and build the scene on integers; its views are built when read."""
+    """Validate cfg, which keeps its frame, and build the scene on integers; views are built when read."""
     ordering, d, a, r1, r2 = _frame(cfg)
     an, ad = cfg.a.numerator, cfg.a.denominator
     scene = object.__new__(DerivedScene)
     scene.__dict__.update(
         cfg=cfg,
         ordering=ordering,
-        _ints=(d, a, r1, r2),
         _conics=(_circle_conic(-an, 0, ad, cfg.r1), _circle_conic(an, 0, ad, cfg.r2)),
         _triples=(_axis_triple(-a - r1, d), _axis_triple(a - r2, d),
                   _axis_triple(r1 - a, d), _axis_triple(a + r2, d)),

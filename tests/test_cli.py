@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bicircle import cli
+from bicircle import ScenarioConfig, cli, derive
 from bicircle.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -315,6 +315,26 @@ class TestScenarioForms:
         err = capsys.readouterr().err
         assert err.startswith("usage: bicircle locus ")
         assert "bicircle locus: error: " in err
+
+
+    @pytest.mark.parametrize("scenario", [
+        ["--a", "٢", "--r1", "3", "--r2", "2"],
+        ["--a", "2", "--r1", "３", "--r2", "2"],
+        ["--scenario", '{"a": "2", "r1": "3", "r2": "٢"}'],
+    ], ids=["arabic-indic-flag", "fullwidth-flag", "json-scenario"])
+    def test_non_ascii_digits_are_a_usage_error(self, capsys, scenario):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["locus", *scenario, "--p", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bicircle locus ")
+        assert "ParseError" in captured.err
+
+    def test_validated_scenario_encodes_its_three_fields(self):
+        cfg = ScenarioConfig(2, 3, 2)
+        derive(cfg)  # keeps the frame on cfg
+        assert set(cli._encode(cfg)) == {"a", "r1", "r2"}
 
 
 class TestInputLimits:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import threading
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -43,7 +44,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
-from bicircle import cli, construction, exact, scenario
+from bicircle import cli, exact, scenario
 from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 WORKED = ScenarioConfig(2, 3, 2)
@@ -399,14 +400,18 @@ class TestSeededTrials:
         }
 
 
-def calls_made(target, fn, *args):
-    """Count calls of the Python function target made while fn runs, with a profile hook."""
+def calls_made(target, fn, *args, caller=None):
+    """Count calls of the Python function target made while fn runs, with a profile hook.
+
+    With caller given, count only the calls that caller makes directly.
+    """
     code = target.__code__
+    outer = caller and caller.__code__
     calls = 0
 
     def hook(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code is code and (outer is None or frame.f_back.f_code is outer):
             calls += 1
 
     sys.setprofile(hook)
@@ -426,6 +431,15 @@ def worked_spec(clip):
 def fractions_built(fn, *args):
     """Count Fraction.__new__ calls made while fn runs."""
     return calls_made(F.__new__, fn, *args)
+
+
+def frames_computed(fn, *args):
+    """Count scenario frames computed while fn runs.
+
+    scenario._frame computes a config's frame only on a miss, and then calls
+    _order once; random_scenario's own _order calls are not counted.
+    """
+    return calls_made(scenario._order, fn, *args, caller=scenario._frame)
 
 
 class TestWorkCount:
@@ -448,8 +462,8 @@ class TestWorkCount:
     on the worked case builds 3 with or without clipping: the scale, tx and
     ty of layout, since layout finds its bounds on integer pairs and
     render_svg clips, places markers and writes coordinates on integer
-    triples and draws the radical axis and the image line from the scene's
-    integers (4 with the one of locus_x; 31 and 29 when layout compared its
+    triples and draws the radical axis and the image line from the config's
+    frame (4 with the one of locus_x; 31 and 29 when layout compared its
     bounds as Fractions and the emitter read the four divisions of
     Viewport.visible_rect, of which 21 in layout; 38 and 30 when layout
     took its bounds over A, B, C, D, the radical axis, P, M, N and P′
@@ -465,11 +479,15 @@ class TestWorkCount:
     and _triple 0 times (2 and 6 before), and render_svg calls _triple once,
     for P (8 unclipped before, then 3 with the two circle centers). layout
     reads P from probe.p and probe.q, not from the triple of a Point2, which
-    would add one. A fuzz trial calls _frame once, in derive: the closed
-    form reads the scene's integers (twice before, once more in
-    image_closed_form). classify_case builds 0 on probes on B, C and the
-    radical axis, since _classify compares p with them on those integers
-    (6 before, the views derive built).
+    would add one. A fuzz trial computes its config's frame once, in
+    derive, which the config keeps: image_closed_form and random_probe's
+    classify_case read it (twice before, when image_closed_form ran _frame
+    itself; then once, while the scene kept a copy and the oracle called a
+    private twin of image_closed_form on it). classify_case builds 0 on
+    probes on B, C and the radical axis, since it compares p with them on
+    the frame's integers (6 before, the views derive built). A sweep-tall
+    cycle of the benchmark computes 0 frames in its 353 ops, as its set-up
+    derived every scene (706 while only the scene kept the integers).
 
     construct_image joins A and D to the raw triples of M and N and builds
     one ExtendedPoint, P′; m and n are built when read (3 before).
@@ -503,7 +521,7 @@ class TestWorkCount:
         assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
 
     def test_oracle_fuzz_checks_each_scenario_once(self):
-        assert calls_made(scenario._frame, run_oracle_fuzz, 20, 360) == 20
+        assert frames_computed(run_oracle_fuzz, 20, 360) == 20
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -540,30 +558,85 @@ class TestWorkCount:
         assert calls_made(exact._triple, render_svg, spec) == 1  # P
 
 
-@pytest.mark.parametrize("cfg", [WORKED, TANGENT])
+@pytest.fixture
+def cfg(request):
+    """A fresh config per test, so no earlier test can have cached its frame."""
+    return ScenarioConfig(*request.param)
+
+
+@pytest.mark.parametrize("cfg", [(2, 3, 2), (2, 2, 2)], indirect=True)
 class TestOneCheckPerCall:
-    """Each entry point checks and converts the scenario in one private pass."""
+    """Each config's frame, its check and conversion in one private pass, is computed once."""
 
     def test_derive(self, cfg):
-        assert calls_made(scenario._frame, derive, cfg) == 1
+        assert frames_computed(derive, cfg) == 1
 
     def test_image_closed_form(self, cfg):
-        assert calls_made(scenario._frame, image_closed_form, cfg, ProbePoint(2, 1)) == 1
+        assert frames_computed(image_closed_form, cfg, ProbePoint(2, 1)) == 1
 
     def test_locus_x(self, cfg):
-        assert calls_made(scenario._frame, locus_x, cfg, 2) == 1
+        assert frames_computed(locus_x, cfg, 2) == 1
+
+    @pytest.mark.parametrize("fn, args", [
+        (validate, ()), (image_closed_form, (ProbePoint(2, 1),)), (locus_x, (2,)),
+        (classify_case, (ProbePoint(2, 1),)),
+    ], ids=["validate", "image_closed_form", "locus_x", "classify_case"])
+    def test_none_after_derive(self, cfg, fn, args):
+        derive(cfg)
+        assert frames_computed(fn, cfg, *args) == 0
 
     @pytest.mark.parametrize("command", ["compute", "locus", "classify", "verify"])
     def test_cli(self, cfg, command):
         probe = {"locus": ["--p", "2"], "verify": []}.get(command, ["--p", "2", "--q", "1"])
         argv = [command, *scenario_argv(cfg), *probe]
-        assert calls_made(scenario._frame, cli.main, argv) == 1
+        assert frames_computed(cli.main, argv) == 1
 
     def test_cli_render(self, cfg, tmp_path):
         out = str(tmp_path / "figure.svg")
         argv = ["render", *scenario_argv(cfg), "--p", "2", "--q", "1", "--out", out]
-        # render_svg draws the image line from the scene's integers.
-        assert calls_made(scenario._frame, cli.main, argv) == 1
+        # render_svg draws the circles, radical axis and image line from the frame.
+        assert frames_computed(cli.main, argv) == 1
+
+
+@pytest.mark.parametrize("sides", [(0, 1, 1), (1, 5, 1)], ids=["sign", "nested"])
+def test_invalid_config_caches_nothing(sides):
+    """An invalid config keeps no frame, so each call checks it again and raises the same error."""
+    cfg = ScenarioConfig(*sides)
+    messages = set()
+    for check in (validate, derive, validate):
+        with pytest.raises(InvalidScenario) as caught:
+            check(cfg)
+        messages.add(str(caught.value))
+        assert "_frame" not in vars(cfg)
+    assert len(messages) == 1
+
+
+def test_shared_configs_across_threads():
+    """Threads that compute and keep the same configs' frames at once all read the serial results."""
+    sides = [(F(a, 3), F(r1, 2), F(r2, 5)) for a in range(1, 6) for r1 in range(1, 6) for r2 in range(1, 6)]
+    sides = [s for s in sides if 2 * s[0] > abs(s[1] - s[2])]
+    probe = ProbePoint(F(1, 3), 2)
+
+    def results(configs):
+        return [(validate(c), image_closed_form(c, probe), locus_x(c, probe.p), classify_case(c, probe))
+                for c in configs]
+
+    expected = results([ScenarioConfig(*s) for s in sides])
+    shared = [ScenarioConfig(*s) for s in sides]
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: seen.append(results(shared))) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == [expected] * 4
+    assert all(c.__dict__["_frame"] == scenario._frame(ScenarioConfig(*s)) for c, s in zip(shared, sides))
 
 
 def scenario_argv(cfg):
@@ -787,7 +860,7 @@ class TestConstructImageMatchesReference:
     @pytest.mark.parametrize("stratum", STRATA)
     def test_no_classification(self, stratum):
         scene, probe = stratum_case(stratum, F(3), F(2), F(3), F(2), F(1))
-        assert calls_made(construction._classify, construct_image, scene, probe) == 0
+        assert calls_made(classify_case, construct_image, scene, probe) == 0
 
     @pytest.mark.parametrize("cfg, p", [(WORKED, 0), (WORKED, 1), (TANGENT, 0)])
     def test_probe_on_a_base_point(self, cfg, p):

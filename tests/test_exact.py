@@ -73,6 +73,13 @@ class TestRationalText:
             with pytest.raises(ParseError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["٣/٤", "３", "1/٤", "٠.٥", "-٢"])
+    def test_ascii_digits_only(self, text):
+        # Fraction(text) reads any Unicode decimal digit: Fraction("٣/٤") is 3/4.
+        for build in (parse_rational, lambda t: ScenarioConfig(t, 3, 2)):
+            with pytest.raises(ParseError, match="not a rational literal"):
+                build(text)
+
     def test_over_cap_numerator_over_zero(self):
         # Fraction reads the numerator first, so the digit cap fires before the zero test.
         huge = "1" * (sys.get_int_max_str_digits() + 1)

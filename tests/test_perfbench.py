@@ -45,6 +45,26 @@ def test_tracer_installs_and_uninstalls():
     assert "scenario.derive" in {span[tracer.NAME] for span in spans.spans}
 
 
+def test_sweep_tall_cycle_computes_no_frames():
+    # Set-up derives every scene, and each config keeps its frame, so the
+    # timed ops only read it (706 frames per cycle when only scenes kept one).
+    workload = workloads.SweepTall(SEED)
+    order, frame = bicircle.scenario._order.__code__, bicircle.scenario._frame.__code__
+    computed = 0
+
+    def hook(call, event, arg):
+        nonlocal computed
+        computed += event == "call" and call.f_code is order and call.f_back.f_code is frame
+
+    sys.setprofile(hook)
+    try:
+        for i in range(workload.cycle):
+            workload.op(i)
+    finally:
+        sys.setprofile(None)
+    assert computed == 0
+
+
 # SHA-256 of all RenderSvg(seed) documents joined in op order, recorded at
 # 018eb28. The workload's own check compares each seeded variant only with
 # its first rendering, so a change that alters every rendering alike would

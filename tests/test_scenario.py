@@ -26,7 +26,6 @@ from bicircle import (
     radical_axis,
     validate,
 )
-from bicircle.construction import _closed_form
 from bicircle.exact import _conic, _triple
 from bicircle.scenario import _frame
 
@@ -137,6 +136,12 @@ class TestParseScenario:
     def test_json_rejects_repeated_keys(self, text):
         # json.loads alone keeps the last value of a repeated key.
         with pytest.raises(ParseError, match="repeats the key"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("text", ['{"a": "٢", "r1": "3", "r2": "2"}', '{"a": "2", "r1": "\\u0663", "r2": "2"}',
+                                      "٢ 3 2"], ids=["json", "json-escape", "whitespace"])
+    def test_ascii_digits_only(self, text):
+        with pytest.raises(ParseError, match="not a rational literal"):
             parse_scenario(text)
 
     def test_wrong_arity(self):
@@ -281,10 +286,11 @@ class TestScenarioMatchesReference:
             scene = outcome(derive, cfg)
             if not isinstance(scene, DerivedScene):
                 return
-            assert scene._ints == _frame(cfg)[1:]
-            # The oracle's closed form reads the scene's integers, not cfg.
+            # derive leaves cfg its frame; later calls read it instead of a fresh one.
+            fresh = ScenarioConfig(cfg.a, cfg.r1, cfg.r2)
+            assert cfg.__dict__["_frame"] == _frame(fresh)
             p = (p, scene.B.x, scene.C.x, scene.radical_axis_x)[line]
             probe = ProbePoint(p, q)
-            assert outcome(_closed_form, scene._ints, probe) == outcome(image_closed_form, cfg, probe)
+            assert outcome(image_closed_form, cfg, probe) == outcome(image_closed_form, fresh, probe)
 
         check()
