@@ -27,7 +27,7 @@ from .construction import (
     verify_concurrency,
 )
 from .errors import GeometryError
-from .exact import INFINITY, ExtendedPoint, Line, Point2, parse_rational
+from .exact import _SPACE, INFINITY, ExtendedPoint, Line, Point2, parse_rational
 from .figures import RenderSpec, render_svg
 from .scenario import Ordering, ScenarioConfig, derive, parse_scenario
 
@@ -40,7 +40,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _q_samples(text: str) -> list[Fraction]:
-    samples = [_rational(part) for part in text.split(",") if part.strip()]
+    samples = [_rational(part) for part in text.split(",") if part.strip(_SPACE)]
     if not samples:
         raise argparse.ArgumentTypeError("needs at least one q sample")
     if 0 in samples:

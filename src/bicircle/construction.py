@@ -24,10 +24,12 @@ exactly on every admissible input, including the degenerate ones:
 Everything is a pure function over immutable values. The fuzz harness draws
 each trial's randomness from its own deterministically derived stream, so
 trials could be evaluated concurrently without changing the report. Its
-sampler admits a scenario on integers and builds Fractions only for the
-one it returns. Each trial validates once, in derive; both routes read the
-integers its config then keeps (scenario._frame). The oracle reads only P'
-of construct_image, whose M and N are normalized only when read.
+sampler admits a scenario on integers and builds no Fraction: every value
+a draw can take is built once, on the first draw, and shared. The config
+it returns keeps the frame its admission computed (scenario._frame), so
+derive, both routes and the probe's classification read it and nothing
+orders the scenario again. The oracle reads only P' of construct_image,
+whose M and N are normalized only when read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DegenerateProbe, IndeterminateParam, WrongOrdering
 from .exact import (
@@ -50,7 +52,7 @@ from .exact import (
     _second,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _order, derive
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _keep_frame, _order, derive
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -234,8 +236,18 @@ def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
 
 # --- seeded pseudorandom trials -------------------------------------------
 
+@cache
+def _rationals() -> tuple:
+    """Every value a seeded draw can take: _rationals()[n][d] is Fraction(n - 50, d + 1).
+
+    Built on the first draw, not at import, and shared from then on;
+    Fractions are immutable, so sharing one is safe.
+    """
+    return tuple(tuple(Fraction(n - 50, d + 1) for d in range(20)) for n in range(101))
+
+
 def random_rational(rng: random.Random) -> Fraction:
-    """Fraction with numerator in [-50, 50] and denominator in [1, 20].
+    """Fraction with numerator in [-50, 50] and denominator in [1, 20], shared from _rationals.
 
     randint redraws getrandbits(k), k the bit length of the range size, until
     a draw is below that size, so these loops draw what rng.randint(-50, 50)
@@ -246,7 +258,7 @@ def random_rational(rng: random.Random) -> Fraction:
         pass
     while (d := getrandbits(5)) > 19:
         pass
-    return Fraction(n - 50, d + 1)
+    return _rationals()[n][d]
 
 
 def random_scenario(rng: random.Random) -> ScenarioConfig:
@@ -258,10 +270,11 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     random_rational draws but without a Python call per draw. An attempt
     with a nonpositive numerator is rejected at once. The rest are ordered by
     scenario._order on their integers over the denominator ad·r1d·r2d, as
-    validate orders them, and only the attempt returned builds its Fractions
-    and its ScenarioConfig.
+    validate orders them. Only the attempt returned builds a ScenarioConfig,
+    of Fractions shared from _rationals, and it leaves with its frame kept
+    (scenario._keep_frame), so derive and validate do not order it again.
     """
-    getrandbits = rng.getrandbits
+    getrandbits, rationals = rng.getrandbits, _rationals()
     while True:
         while (a := getrandbits(7)) > 100:
             pass
@@ -277,9 +290,12 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
             pass
         if a <= 50 or r1 <= 50 or r2 <= 50:  # a nonpositive numerator
             continue
-        a, ad, r1, r1d, r2, r2d = a - 50, ad + 1, r1 - 50, r1d + 1, r2 - 50, r2d + 1
-        if _order(a * r1d * r2d, r1 * ad * r2d, r2 * ad * r1d) is not None:
-            return ScenarioConfig(Fraction(a, ad), Fraction(r1, r1d), Fraction(r2, r2d))
+        ordering = _order((a - 50) * (r1d + 1) * (r2d + 1), (r1 - 50) * (ad + 1) * (r2d + 1),
+                          (r2 - 50) * (ad + 1) * (r1d + 1))
+        if ordering is not None:
+            cfg = ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
+            _keep_frame(cfg, ordering)
+            return cfg
 
 
 def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:

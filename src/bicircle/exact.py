@@ -45,6 +45,8 @@ INFINITY = _Infinity()
 ExtendedScalar = Fraction | _Infinity
 
 _RATIONAL_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)", re.ASCII)
+# The whitespace the grammar allows around a literal: ASCII only, not str.strip's Unicode set.
+_SPACE = " \t\n\r\f\v"
 
 
 def as_rational(value) -> Fraction:
@@ -68,10 +70,10 @@ def as_rational(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "13", "-18", "5/8", or a finite decimal such as "0.625" exactly.
 
-    Digits are ASCII 0-9. Each integer part may have at most sys.get_int_max_str_digits() digits,
-    CPython's cap on converting text to int.
+    Digits and the whitespace around the literal are ASCII. Each integer part may have at most
+    sys.get_int_max_str_digits() digits, CPython's cap on converting text to int.
     """
-    body = text.strip()
+    body = text.strip(_SPACE)
     if not _RATIONAL_RE.fullmatch(body):
         raise ParseError(f"not a rational literal: {text!r}")
     try:

@@ -9,13 +9,17 @@ circle contains or internally touches the other are rejected outright. The
 ordering is decided on integers over one common denominator, by _order.
 
 A config is validated once: _frame keeps its integers on the config, which
-is immutable, and every later call reads them. The circles, the named
-points and the radical axis of a DerivedScene are views built when read.
+is immutable, and every later call reads them. _keep_frame is their one
+writer; construction.random_scenario calls it with the ordering it admitted
+a draw by, so a sampled config arrives with its frame kept and is never
+ordered twice. The circles, the named points and the radical axis of a
+DerivedScene are views built when read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +27,9 @@ from functools import cached_property
 from math import gcd
 
 from .errors import InvalidScenario, ParseError
-from .exact import _ZERO, Circle, Point2, _circle_conic, as_rational, parse_rational
+from .exact import _SPACE, _ZERO, Circle, Point2, _circle_conic, as_rational, parse_rational
+
+_SEPARATOR_RE = re.compile(f"[{_SPACE}]+")
 
 
 class Ordering(Enum):
@@ -100,9 +106,9 @@ def _frame(cfg: ScenarioConfig) -> tuple:
     The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is the
     product of the denominators, so it is positive and comparisons and signs
     carry over from the rationals to the integers. Raises InvalidScenario
-    outside the two orderings, on every call. A valid cfg keeps its frame,
-    so it is computed once; the write is idempotent, so configs stay safe to
-    share between threads.
+    outside the two orderings, on every call. A valid cfg keeps its frame
+    (written by _keep_frame), so it is computed once; the write is
+    idempotent, so configs stay safe to share between threads.
     """
     if (frame := cfg.__dict__.get("_frame")) is not None:
         return frame
@@ -113,15 +119,24 @@ def _frame(cfg: ScenarioConfig) -> tuple:
         raise InvalidScenario(f"r1 must be positive, got {r1}")
     if r2.numerator <= 0:
         raise InvalidScenario(f"r2 must be positive, got {r2}")
+    return _keep_frame(cfg)
+
+
+def _keep_frame(cfg: ScenarioConfig, ordering: Ordering | None = None) -> tuple:
+    """Write cfg's positive a, r1 and r2 over one denominator and keep (ordering, d, a, r1, r2) on cfg.
+
+    The one writer of the frame: _frame on a miss, and random_scenario for
+    the config it returns, passing the ordering it admitted that config by.
+    Without one, _order decides it, and a config it rejects keeps nothing.
+    """
+    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
-    d = ad * r1d * r2d
     a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-    ordering = _order(a, r1, r2)
-    if ordering is None:
+    if ordering is None and (ordering := _order(a, r1, r2)) is None:
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
-    cfg.__dict__["_frame"] = frame = ordering, d, a, r1, r2
+    cfg.__dict__["_frame"] = frame = ordering, ad * r1d * r2d, a, r1, r2
     return frame
 
 
@@ -162,14 +177,14 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse 'a r1 r2' (whitespace-separated rationals) or a JSON object form.
+    """Parse 'a r1 r2' (rationals separated by ASCII whitespace) or a JSON object form.
 
     The JSON form is an object with exactly the keys a, r1, r2, each given
     once, each a rational string or a JSON number: {"a": "2", "r1": 3,
     "r2": 2.5}. A number is read from its literal text, so it is exact like
     a string.
     """
-    body = text.strip()
+    body = text.strip(_SPACE)
     if body.startswith("{"):
         try:
             data = json.loads(body, parse_float=str, object_pairs_hook=_unique_keys)
@@ -180,7 +195,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError("scenario JSON needs exactly the keys a, r1, r2")
         values = data["a"], data["r1"], data["r2"]
     else:
-        values = body.split()
+        values = _SEPARATOR_RE.split(body)
         if len(values) != 3:
             raise ParseError(f"expected three rationals 'a r1 r2', got {text!r}")
     return ScenarioConfig(*(parse_rational(str(v)) for v in values))

@@ -331,6 +331,20 @@ class TestScenarioForms:
         assert captured.err.startswith("usage: bicircle locus ")
         assert "ParseError" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--a", "\u00a02", "--r1", "3", "--r2", "2"],
+        ["--scenario", "2\u00a03 2"],
+    ], ids=["flag", "scenario"])
+    def test_non_ascii_whitespace_is_a_usage_error(self, capsys, argv):
+        # A no-break space, which str.strip() and str.split() take for whitespace.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["locus", *argv, "--p", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bicircle locus ")
+        assert "ParseError" in captured.err
+
     def test_validated_scenario_encodes_its_three_fields(self):
         cfg = ScenarioConfig(2, 3, 2)
         derive(cfg)  # keeps the frame on cfg
@@ -378,6 +392,13 @@ class TestInputLimits:
             capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2", "--q-samples", samples]
         )
         assert "at least one q sample" in err
+
+    def test_no_break_space_q_sample(self, capsys):
+        # str.strip() would empty the second part, and the list would read [1].
+        err = self.usage_error(
+            capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2", "--q-samples", "1,\u00a0"]
+        )
+        assert "ParseError" in err
 
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_render_size_below_64(self, capsys, tmp_path, flag):
@@ -450,20 +471,27 @@ class TestReportLimits:
 
 
 class TestExitContract:
-    """Seeded argv vectors over all six commands: exit 0, 1 or 2, never a traceback."""
+    """Seeded argv vectors over all six commands: exit 0, 1 or 2, never a traceback.
+
+    A vector that passes a BAD literal as a value exits 2.
+    """
 
     VECTORS = 600
     COMMANDS = ("compute", "locus", "classify", "verify", "fuzz", "render")
     VALID = ["2", "3", "5/8", "-1/2", "0.5", "+7/3", "13", "0", "1/7", ".25"]
-    # A zero denominator, an exponent, one over the digit cap, non-ASCII digits, empty.
-    BAD = ["1/0", "1e3", "1" * (sys.get_int_max_str_digits() + 1), "٣/٤", "３", ""]
+    # A zero denominator, an exponent, one over the digit cap, non-ASCII digits,
+    # no-break spaces around a literal, empty.
+    BAD = ["1/0", "1e3", "1" * (sys.get_int_max_str_digits() + 1), "٣/٤", "３", "\u00a02\u00a0", ""]
     SIZES = ["800", "64", "63", "-5", "x", "1e3", ""]
     COUNTS = ["0", "1", "2", "-1", "x", "1.5", ""]
     SEEDS = ["360", "-7", "2408", "x", "1e3", ""]
     SAMPLES = ["1,2,-3,1/7", "1", "0", "1,0", "", ",", "1/0", "x"]
 
-    def literal(self, rng):
-        return rng.choice(self.VALID if rng.random() < 0.9 else self.BAD)
+    def literal(self, rng, joined=False):
+        value = rng.choice(self.VALID if rng.random() < 0.9 else self.BAD)
+        # Joined into 'a r1 r2', an empty literal is no value, only a wider gap.
+        self.bad |= value in self.BAD and not (joined and value == "")
+        return value
 
     def option(self, rng, flag, value):
         # The "--p=-1/2" form is the only way to pass a negative literal.
@@ -477,7 +505,7 @@ class TestExitContract:
                 argv += self.option(rng, flag, self.literal(rng))
             return argv
         if form == 1:
-            text = " ".join(self.literal(rng) for _ in range(rng.choice([3] * 8 + [2, 4])))
+            text = " ".join(self.literal(rng, joined=True) for _ in range(rng.choice([3] * 8 + [2, 4])))
             return [f"--scenario={text}"]
         keys = ["a", "r1", "r2"] + rng.choice([[]] * 6 + [["a"], ["r9"]])  # repeated or unknown
         values = [
@@ -494,6 +522,7 @@ class TestExitContract:
         return argv
 
     def argv(self, rng, command, tmp_path):
+        self.bad = False
         argv = [command]
         if command == "fuzz":
             if rng.random() < 0.8:
@@ -529,6 +558,8 @@ class TestExitContract:
             out, err = capsys.readouterr()
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err, argv
+            assert code == 2 or not self.bad, argv
+            seen["bad"] += self.bad
             if code == 0:
                 report = json.loads(out)
                 assert isinstance(report, dict) and report["command"] == command, argv
@@ -537,3 +568,4 @@ class TestExitContract:
             seen[command, code] += 1
         # Each command is reached with a clean run and with a usage error.
         assert all(seen[command, 0] and seen[command, 2] for command in self.COMMANDS), seen
+        assert seen["bad"] >= 100, seen

@@ -44,7 +44,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
-from bicircle import cli, exact, scenario
+from bicircle import cli, construction, exact, scenario
 from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 WORKED = ScenarioConfig(2, 3, 2)
@@ -399,6 +399,26 @@ class TestSeededTrials:
             (Ordering.EXTERNALLY_TANGENT, True, True),
         }
 
+    def test_rational_table(self):
+        table = construction._rationals()
+        assert len(table) == 101 and {len(row) for row in table} == {20}
+        for n, row in enumerate(table):
+            for d, value in enumerate(row):
+                assert type(value) is F and value == F(n - 50, d + 1)
+
+    def test_rational_table_built_once(self):
+        construction._rationals.cache_clear()
+        assert fractions_built(construction._rationals) == 2020
+        assert fractions_built(construction._rationals) == 0
+
+    def test_random_scenario_keeps_a_fresh_configs_frame(self):
+        # The kept integers are those _frame writes: reduced numerators over
+        # the product of the reduced denominators, not the raw draws.
+        for seed in range(3000):
+            cfg = random_scenario(random.Random(seed))
+            fresh = ScenarioConfig(cfg.a, cfg.r1, cfg.r2)
+            assert vars(cfg)["_frame"] == scenario._frame(fresh)
+
 
 def calls_made(target, fn, *args, caller=None):
     """Count calls of the Python function target made while fn runs, with a profile hook.
@@ -434,12 +454,12 @@ def fractions_built(fn, *args):
 
 
 def frames_computed(fn, *args):
-    """Count scenario frames computed while fn runs.
+    """Count scenario frames computed by scenario._frame while fn runs.
 
-    scenario._frame computes a config's frame only on a miss, and then calls
-    _order once; random_scenario's own _order calls are not counted.
+    _frame computes a config's frame only on a miss, and then calls
+    _keep_frame once; the frames random_scenario keeps are not counted.
     """
-    return calls_made(scenario._order, fn, *args, caller=scenario._frame)
+    return calls_made(scenario._keep_frame, fn, *args, caller=scenario._frame)
 
 
 class TestWorkCount:
@@ -453,8 +473,10 @@ class TestWorkCount:
     Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 0
     (30 with Fraction formulas, 6 while it built every view eagerly),
     image_closed_form 0 (29, then 2) and locus_x 2 (19); run_oracle_fuzz(20,
-    360) builds 100 (4860 before integer pre-rejection in random_scenario and
-    the integer kernel, 1636 before the integer scenario layer, 478 before
+    360) builds 0 once the table of the 2,020 values a draw can take is
+    built (100 while each draw built its Fraction; 4860 before integer
+    pre-rejection in random_scenario and the integer kernel, 1636 before
+    the integer scenario layer, 478 before
     the integer ExtendedPoint, 398 before the triple chain, 238 before
     random_scenario admitted draws on integers and built a ScenarioConfig
     only for the one it returns, 220 before derive kept its integers and
@@ -479,13 +501,15 @@ class TestWorkCount:
     and _triple 0 times (2 and 6 before), and render_svg calls _triple once,
     for P (8 unclipped before, then 3 with the two circle centers). layout
     reads P from probe.p and probe.q, not from the triple of a Point2, which
-    would add one. A fuzz trial computes its config's frame once, in
-    derive, which the config keeps: image_closed_form and random_probe's
-    classify_case read it (twice before, when image_closed_form ran _frame
-    itself; then once, while the scene kept a copy and the oracle called a
-    private twin of image_closed_form on it). classify_case builds 0 on
-    probes on B, C and the radical axis, since it compares p with them on
-    the frame's integers (6 before, the views derive built). A sweep-tall
+    would add one. A fuzz trial computes no frame: random_scenario keeps
+    the frame of the config it returns, with the ordering it admitted it
+    by, and derive, image_closed_form and random_probe's classify_case read
+    it (one per trial, in derive, before; twice, when image_closed_form ran
+    _frame itself; then once, while the scene kept a copy and the oracle
+    called a private twin of image_closed_form on it). classify_case
+    builds 0 on probes on B, C and the radical axis, since it compares p
+    with them on the frame's integers (6 before, the views derive built).
+    A sweep-tall
     cycle of the benchmark computes 0 frames in its 353 ops, as its set-up
     derived every scene (706 while only the scene kept the integers).
 
@@ -514,14 +538,17 @@ class TestWorkCount:
         assert fractions_built(locus_x, WORKED, 2) <= 2
 
     def test_oracle_fuzz(self):
-        assert fractions_built(run_oracle_fuzz, 20, 360) <= 100
+        construction._rationals()  # the table of draws, built once per process
+        assert fractions_built(run_oracle_fuzz, 20, 360) == 0
 
     @pytest.mark.parametrize("p", [0, 1, F(5, 8)], ids=["B", "C", "radical-axis"])
     def test_classify_case_on_special_lines(self, p):
         assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
 
     def test_oracle_fuzz_checks_each_scenario_once(self):
-        assert frames_computed(run_oracle_fuzz, 20, 360) == 20
+        assert frames_computed(run_oracle_fuzz, 20, 360) == 0
+        sampled = sum(calls_made(scenario._order, random_scenario, trial_rng(360, i)) for i in range(20))
+        assert calls_made(scenario._order, run_oracle_fuzz, 20, 360) == sampled
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)

@@ -80,6 +80,14 @@ class TestRationalText:
             with pytest.raises(ParseError, match="not a rational literal"):
                 build(text)
 
+    @pytest.mark.parametrize("text", ["\u00a02", "2\u00a0", "\u20032", "\x1c2", "\u30002"],
+                             ids=["no-break-space", "trailing", "em-space", "file-separator", "ideographic"])
+    def test_ascii_whitespace_only(self, text):
+        # str.strip() removes any Unicode whitespace, and \x1c-\x1f with it.
+        with pytest.raises(ParseError, match="not a rational literal"):
+            parse_rational(text)
+        assert parse_rational(" \t\n\r\f\v2 \t\n\r\f\v") == 2
+
     def test_over_cap_numerator_over_zero(self):
         # Fraction reads the numerator first, so the digit cap fires before the zero test.
         huge = "1" * (sys.get_int_max_str_digits() + 1)

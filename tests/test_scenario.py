@@ -144,6 +144,14 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="not a rational literal"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("text", ["2\u00a03 2", "\u00a02 3 2", "2 3\u20282"],
+                             ids=["no-break-space", "leading", "line-separator"])
+    def test_ascii_whitespace_only(self, text):
+        # str.split() would read each of these as the three values 2, 3, 2.
+        with pytest.raises(ParseError):
+            parse_scenario(text)
+        assert parse_scenario("\v2\f3\r\n2\t") == ScenarioConfig(2, 3, 2)
+
     def test_wrong_arity(self):
         with pytest.raises(ParseError):
             parse_scenario("2 3")
