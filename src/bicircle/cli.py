@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -48,10 +49,16 @@ def _q_samples(text: str) -> list[Fraction]:
     return samples
 
 
+_INTEGER_RE = re.compile("[+-]?[0-9]+")
+
+
 def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+    """argparse type: an integer of ASCII digits, no smaller than ``low``."""
     def integer(text: str) -> int:
-        value = int(text)
+        body = text.strip(_SPACE)
+        if not _INTEGER_RE.fullmatch(body):
+            raise ValueError(text)  # argparse: "invalid integer value"
+        value = int(body)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value

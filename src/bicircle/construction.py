@@ -26,10 +26,10 @@ each trial's randomness from its own deterministically derived stream, so
 trials could be evaluated concurrently without changing the report. Its
 sampler admits a scenario on integers and builds no Fraction: every value
 a draw can take is built once, on the first draw, and shared. The config
-it returns keeps the frame its admission computed (scenario._frame), so
-derive, both routes and the probe's classification read it and nothing
-orders the scenario again. The oracle reads only P' of construct_image,
-whose M and N are normalized only when read.
+it returns writes its frame once, in its constructor (scenario._frame),
+and derive, both routes and the probe's classification read it. The
+oracle reads only P' of construct_image, whose M and N are normalized
+only when read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .exact import (
     _second,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _keep_frame, _order, derive
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _order, derive
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -271,8 +271,7 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     with a nonpositive numerator is rejected at once. The rest are ordered by
     scenario._order on their integers over the denominator ad·r1d·r2d, as
     validate orders them. Only the attempt returned builds a ScenarioConfig,
-    of Fractions shared from _rationals, and it leaves with its frame kept
-    (scenario._keep_frame), so derive and validate do not order it again.
+    of Fractions shared from _rationals, whose constructor writes its frame.
     """
     getrandbits, rationals = rng.getrandbits, _rationals()
     while True:
@@ -290,12 +289,9 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
             pass
         if a <= 50 or r1 <= 50 or r2 <= 50:  # a nonpositive numerator
             continue
-        ordering = _order((a - 50) * (r1d + 1) * (r2d + 1), (r1 - 50) * (ad + 1) * (r2d + 1),
-                          (r2 - 50) * (ad + 1) * (r1d + 1))
-        if ordering is not None:
-            cfg = ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
-            _keep_frame(cfg, ordering)
-            return cfg
+        if _order((a - 50) * (r1d + 1) * (r2d + 1), (r1 - 50) * (ad + 1) * (r2d + 1),
+                  (r2 - 50) * (ad + 1) * (r1d + 1)) is not None:
+            return ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
 
 
 def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:

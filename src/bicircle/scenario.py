@@ -8,12 +8,10 @@ external tangency as the boundary case where B = C. Configurations where one
 circle contains or internally touches the other are rejected outright. The
 ordering is decided on integers over one common denominator, by _order.
 
-A config is validated once: _frame keeps its integers on the config, which
-is immutable, and every later call reads them. _keep_frame is their one
-writer; construction.random_scenario calls it with the ordering it admitted
-a draw by, so a sampled config arrives with its frame kept and is never
-ordered twice. The circles, the named points and the radical axis of a
-DerivedScene are views built when read.
+A config is checked and converted once, by its constructor: it writes its
+frame, the three values over one denominator and their ordering, and
+_frame only reads it. A DerivedScene comes only from derive; its circles,
+named points and radical axis are views built when read.
 """
 
 from __future__ import annotations
@@ -40,16 +38,27 @@ class Ordering(Enum):
 
 @dataclass(frozen=True, init=False)
 class ScenarioConfig:
-    """Half center distance and the two radii, all exact rationals."""
+    """Half center distance and the two radii, all exact rationals.
+
+    The constructor also writes the frame (ordering, d, a, r1, r2), which
+    _frame reads: a/d, r1/d and r2/d are the three values, d the product of
+    their denominators, and the ordering is None outside the two orderings.
+    The frame takes no part in equality, hash or repr.
+    """
 
     a: Fraction
     r1: Fraction
     r2: Fraction
 
     def __init__(self, a, r1, r2):
-        object.__setattr__(self, "a", as_rational(a))
-        object.__setattr__(self, "r1", as_rational(r1))
-        object.__setattr__(self, "r2", as_rational(r2))
+        a, r1, r2 = as_rational(a), as_rational(r1), as_rational(r2)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+        ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
+        a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
+        ordering = _order(a, r1, r2) if a > 0 and r1 > 0 and r2 > 0 else None
+        object.__setattr__(self, "_frame", (ordering, ad * r1d * r2d, a, r1, r2))
 
 
 def _axis_point(i: int) -> cached_property:
@@ -66,10 +75,10 @@ def _radical_axis_x(scene) -> Fraction:
 class DerivedScene:
     """A validated ScenarioConfig, its ordering, and everything named that follows.
 
-    Integer-first: _conics and _triples are the kernel form of k1, k2 and
-    A, B, C, D, built from cfg's frame (see _frame). The other fields are views
-    built on first read, which equality, hash and repr read. The keyword
-    constructor builds the scene as derive does and keeps the views given.
+    Built only by derive. Integer-first: _conics and _triples are the
+    kernel form of k1, k2 and A, B, C, D, built from cfg's frame (see
+    _frame). The other fields are views built on first read, which
+    equality, hash and repr read.
     """
 
     cfg: ScenarioConfig
@@ -81,10 +90,6 @@ class DerivedScene:
     C: Point2 = _axis_point(2)
     D: Point2 = _axis_point(3)
     radical_axis_x: Fraction = cached_property(_radical_axis_x)
-
-    def __init__(self, cfg, ordering, k1, k2, A, B, C, D, radical_axis_x):  # past the frozen __setattr__
-        self.__dict__.update(vars(derive(cfg)), ordering=ordering, k1=k1, k2=k2, A=A, B=B, C=C, D=D,
-                             radical_axis_x=radical_axis_x)
 
 
 def _order(a: int, r1: int, r2: int) -> Ordering | None:
@@ -101,42 +106,21 @@ def _order(a: int, r1: int, r2: int) -> Ordering | None:
 
 
 def _frame(cfg: ScenarioConfig) -> tuple:
-    """Validate cfg and write it over one denominator: (ordering, d, a, r1, r2).
+    """cfg's frame (ordering, d, a, r1, r2), written by its constructor.
 
-    The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is the
-    product of the denominators, so it is positive and comparisons and signs
-    carry over from the rationals to the integers. Raises InvalidScenario
-    outside the two orderings, on every call. A valid cfg keeps its frame
-    (written by _keep_frame), so it is computed once; the write is
-    idempotent, so configs stay safe to share between threads.
+    The integers give cfg.a = a/d, cfg.r1 = r1/d and cfg.r2 = r2/d. d is
+    positive, so comparisons and signs carry over from the rationals to the
+    integers. Raises InvalidScenario outside the two orderings, on every
+    call: on a, r1 or r2 not positive, in that order, then on nesting.
     """
-    if (frame := cfg.__dict__.get("_frame")) is not None:
-        return frame
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
-    if a.numerator <= 0:
-        raise InvalidScenario(f"a must be positive, got {a}")
-    if r1.numerator <= 0:
-        raise InvalidScenario(f"r1 must be positive, got {r1}")
-    if r2.numerator <= 0:
-        raise InvalidScenario(f"r2 must be positive, got {r2}")
-    return _keep_frame(cfg)
-
-
-def _keep_frame(cfg: ScenarioConfig, ordering: Ordering | None = None) -> tuple:
-    """Write cfg's positive a, r1 and r2 over one denominator and keep (ordering, d, a, r1, r2) on cfg.
-
-    The one writer of the frame: _frame on a miss, and random_scenario for
-    the config it returns, passing the ordering it admitted that config by.
-    Without one, _order decides it, and a config it rejects keeps nothing.
-    """
-    a, r1, r2 = cfg.a, cfg.r1, cfg.r2
-    ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
-    a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-    if ordering is None and (ordering := _order(a, r1, r2)) is None:
+    frame = cfg._frame
+    if frame[0] is None:
+        for name in ("a", "r1", "r2"):
+            if (value := getattr(cfg, name)) <= 0:
+                raise InvalidScenario(f"{name} must be positive, got {value}")
         raise InvalidScenario(
             "one circle contains or internally touches the other (2a <= |r1 - r2|)"
         )
-    cfg.__dict__["_frame"] = frame = ordering, ad * r1d * r2d, a, r1, r2
     return frame
 
 
@@ -152,7 +136,7 @@ def _axis_triple(x: int, d: int) -> tuple[int, int, int]:
 
 
 def derive(cfg: ScenarioConfig) -> DerivedScene:
-    """Validate cfg, which keeps its frame, and build the scene on integers; views are built when read."""
+    """Validate cfg and build the scene on its frame's integers; views are built when read."""
     ordering, d, a, r1, r2 = _frame(cfg)
     an, ad = cfg.a.numerator, cfg.a.denominator
     scene = object.__new__(DerivedScene)

@@ -419,6 +419,24 @@ class TestInputLimits:
         err = self.usage_error(capsys, ["fuzz", "--seed=-5"])
         assert "at least 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--trials", "２"], ["fuzz", "--seed", "٣"], ["fuzz", "--trials", "1_0"],
+        ["fuzz", "--seed", "\u00a02"], ["fuzz", "--trials", "2\u2003"],
+        ["render", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q", "1", "--out", "x.svg",
+         "--width", "８００"],
+    ], ids=["fullwidth", "arabic-indic", "underscore", "no-break-space", "em-space", "render-width"])
+    def test_integer_options_are_ascii(self, capsys, tmp_path, monkeypatch, argv):
+        # int() reads each of these; the option takes only [+-]?[0-9]+ within ASCII whitespace.
+        monkeypatch.chdir(tmp_path)
+        err = self.usage_error(capsys, argv)
+        assert err.startswith(f"usage: bicircle {argv[0]}") and "invalid integer value" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_integer_options_allow_ascii_space_and_sign(self, capsys):
+        code, out, _ = run(capsys, ["fuzz", "--trials", " +2\t", "--seed", "\n3 "])
+        assert code == 0
+        assert (json.loads(out)["trials"], json.loads(out)["seed"]) == (2, 3)
+
     def test_zero_trials_allowed(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--trials", "0"])
         assert code == 0
@@ -485,12 +503,23 @@ class TestExitContract:
     SIZES = ["800", "64", "63", "-5", "x", "1e3", ""]
     COUNTS = ["0", "1", "2", "-1", "x", "1.5", ""]
     SEEDS = ["360", "-7", "2408", "x", "1e3", ""]
+    # Integers that int() reads but the ASCII grammar of integer options does not.
+    BAD_INTEGERS = ["３", "1_0", "\u00a02"]
     SAMPLES = ["1,2,-3,1/7", "1", "0", "1,0", "", ",", "1/0", "x"]
 
     def literal(self, rng, joined=False):
         value = rng.choice(self.VALID if rng.random() < 0.9 else self.BAD)
         # Joined into 'a r1 r2', an empty literal is no value, only a wider gap.
         self.bad |= value in self.BAD and not (joined and value == "")
+        return value
+
+    def integer(self, rng, values):
+        value = rng.choice(values)
+        # A BAD_INTEGERS value replaces one in four, drawn from a stream of
+        # its own, so every other draw of the vectors stays as it was.
+        if self.integers.random() < 0.25:
+            value = self.integers.choice(self.BAD_INTEGERS)
+            self.bad = True
         return value
 
     def option(self, rng, flag, value):
@@ -526,9 +555,9 @@ class TestExitContract:
         argv = [command]
         if command == "fuzz":
             if rng.random() < 0.8:
-                argv += self.option(rng, "--trials", rng.choice(self.COUNTS))
+                argv += self.option(rng, "--trials", self.integer(rng, self.COUNTS))
             if rng.random() < 0.8:
-                argv += self.option(rng, "--seed", rng.choice(self.SEEDS))
+                argv += self.option(rng, "--seed", self.integer(rng, self.SEEDS))
             return argv
         argv += self.scenario(rng)
         for flag in ("--p", "--q") if command != "locus" else ("--p",):
@@ -541,12 +570,12 @@ class TestExitContract:
             argv += self.option(rng, "--out", str(out))
             for flag in ("--width", "--height"):
                 if rng.random() < 0.4:
-                    argv += self.option(rng, flag, rng.choice(self.SIZES))
+                    argv += self.option(rng, flag, self.integer(rng, self.SIZES))
             argv += [f for f in ("--clip", "--no-labels", "--no-radical-axis") if rng.random() < 0.3]
         return argv
 
     def test_generated_argv(self, capsys, tmp_path):
-        rng = random.Random(1995)
+        rng, self.integers = random.Random(1995), random.Random(2408)
         seen = collections.Counter()
         for i in range(self.VECTORS):
             command = self.COMMANDS[i % len(self.COMMANDS)]

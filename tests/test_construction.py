@@ -412,12 +412,13 @@ class TestSeededTrials:
         assert fractions_built(construction._rationals) == 0
 
     def test_random_scenario_keeps_a_fresh_configs_frame(self):
-        # The kept integers are those _frame writes: reduced numerators over
-        # the product of the reduced denominators, not the raw draws.
+        # A config of shared table values has the frame of an equal config of
+        # fresh Fractions: reduced numerators over the product of the reduced
+        # denominators, not the raw draws.
         for seed in range(3000):
             cfg = random_scenario(random.Random(seed))
-            fresh = ScenarioConfig(cfg.a, cfg.r1, cfg.r2)
-            assert vars(cfg)["_frame"] == scenario._frame(fresh)
+            fresh = ScenarioConfig(F(str(cfg.a)), F(str(cfg.r1)), F(str(cfg.r2)))
+            assert scenario._frame(cfg) == scenario._frame(fresh)
 
 
 def calls_made(target, fn, *args, caller=None):
@@ -453,13 +454,14 @@ def fractions_built(fn, *args):
     return calls_made(F.__new__, fn, *args)
 
 
-def frames_computed(fn, *args):
-    """Count scenario frames computed by scenario._frame while fn runs.
+def frames_computed(fn, *args, caller=None):
+    """Count scenario._order calls made while fn runs, or only those caller makes.
 
-    _frame computes a config's frame only on a miss, and then calls
-    _keep_frame once; the frames random_scenario keeps are not counted.
+    ScenarioConfig's constructor orders its values once, to write its frame;
+    random_scenario also orders each draw it admits or rejects. Nothing
+    else orders a scenario.
     """
-    return calls_made(scenario._keep_frame, fn, *args, caller=scenario._frame)
+    return calls_made(scenario._order, fn, *args, caller=caller)
 
 
 class TestWorkCount:
@@ -501,23 +503,24 @@ class TestWorkCount:
     and _triple 0 times (2 and 6 before), and render_svg calls _triple once,
     for P (8 unclipped before, then 3 with the two circle centers). layout
     reads P from probe.p and probe.q, not from the triple of a Point2, which
-    would add one. A fuzz trial computes no frame: random_scenario keeps
-    the frame of the config it returns, with the ordering it admitted it
-    by, and derive, image_closed_form and random_probe's classify_case read
-    it (one per trial, in derive, before; twice, when image_closed_form ran
-    _frame itself; then once, while the scene kept a copy and the oracle
-    called a private twin of image_closed_form on it). classify_case
+    would add one. A config computes its frame once, in its constructor,
+    and no later call orders it again. A fuzz trial computes one frame,
+    for the config random_scenario returns, and derive, image_closed_form
+    and random_probe's classify_case read it (one, in derive, before the
+    config kept the frame computed on first use; twice, when
+    image_closed_form ran _frame itself). classify_case
     builds 0 on probes on B, C and the radical axis, since it compares p
     with them on the frame's integers (6 before, the views derive built).
     A sweep-tall
     cycle of the benchmark computes 0 frames in its 353 ops, as its set-up
-    derived every scene (706 while only the scene kept the integers).
+    built every config (706 while only the scene kept the integers).
 
     construct_image joins A and D to the raw triples of M and N and builds
     one ExtendedPoint, P′; m and n are built when read (3 before).
     random_scenario orders each attempt with scenario._order on its integers
     and calls _frame 0 times (once per attempt that passed the sign test
-    before, through validate).
+    before, through validate); the config it returns orders itself once
+    more, in its constructor.
     """
 
     def test_construct_image_worked_case(self):
@@ -546,9 +549,10 @@ class TestWorkCount:
         assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
 
     def test_oracle_fuzz_checks_each_scenario_once(self):
-        assert frames_computed(run_oracle_fuzz, 20, 360) == 0
-        sampled = sum(calls_made(scenario._order, random_scenario, trial_rng(360, i)) for i in range(20))
-        assert calls_made(scenario._order, run_oracle_fuzz, 20, 360) == sampled
+        # Every _order call of a trial is made while sampling, and one per trial is the frame.
+        sampled = sum(frames_computed(random_scenario, trial_rng(360, i)) for i in range(20))
+        assert frames_computed(run_oracle_fuzz, 20, 360) == sampled
+        assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 20
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -559,7 +563,7 @@ class TestWorkCount:
         for seed in range(20):
             assert calls_made(scenario._frame, random_scenario, random.Random(seed)) == 0
             assert calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed)) == 1
-            attempts += calls_made(scenario._order, random_scenario, random.Random(seed))
+            attempts += frames_computed(random_scenario, random.Random(seed), caller=random_scenario)
         # Some seeds reject a sign-passing attempt before the one returned.
         assert attempts > 20
 
@@ -585,24 +589,18 @@ class TestWorkCount:
         assert calls_made(exact._triple, render_svg, spec) == 1  # P
 
 
-@pytest.fixture
-def cfg(request):
-    """A fresh config per test, so no earlier test can have cached its frame."""
-    return ScenarioConfig(*request.param)
-
-
-@pytest.mark.parametrize("cfg", [(2, 3, 2), (2, 2, 2)], indirect=True)
+@pytest.mark.parametrize("cfg", [ScenarioConfig(2, 3, 2), ScenarioConfig(2, 2, 2)])
 class TestOneCheckPerCall:
-    """Each config's frame, its check and conversion in one private pass, is computed once."""
+    """Each config's frame, its check and conversion in one pass, is computed once, by its constructor."""
 
     def test_derive(self, cfg):
-        assert frames_computed(derive, cfg) == 1
+        assert frames_computed(derive, cfg) == 0
 
     def test_image_closed_form(self, cfg):
-        assert frames_computed(image_closed_form, cfg, ProbePoint(2, 1)) == 1
+        assert frames_computed(image_closed_form, cfg, ProbePoint(2, 1)) == 0
 
     def test_locus_x(self, cfg):
-        assert frames_computed(locus_x, cfg, 2) == 1
+        assert frames_computed(locus_x, cfg, 2) == 0
 
     @pytest.mark.parametrize("fn, args", [
         (validate, ()), (image_closed_form, (ProbePoint(2, 1),)), (locus_x, (2,)),
@@ -617,29 +615,33 @@ class TestOneCheckPerCall:
         probe = {"locus": ["--p", "2"], "verify": []}.get(command, ["--p", "2", "--q", "1"])
         argv = [command, *scenario_argv(cfg), *probe]
         assert frames_computed(cli.main, argv) == 1
+        assert frames_computed(cli.main, argv, caller=ScenarioConfig.__init__) == 1
 
     def test_cli_render(self, cfg, tmp_path):
         out = str(tmp_path / "figure.svg")
         argv = ["render", *scenario_argv(cfg), "--p", "2", "--q", "1", "--out", out]
         # render_svg draws the circles, radical axis and image line from the frame.
         assert frames_computed(cli.main, argv) == 1
+        assert frames_computed(cli.main, argv, caller=ScenarioConfig.__init__) == 1
 
 
-@pytest.mark.parametrize("sides", [(0, 1, 1), (1, 5, 1)], ids=["sign", "nested"])
-def test_invalid_config_caches_nothing(sides):
-    """An invalid config keeps no frame, so each call checks it again and raises the same error."""
+@pytest.mark.parametrize("sides, message", [
+    ((0, 1, 1), "a must be positive, got 0"),
+    ((1, 5, 1), "one circle contains or internally touches the other (2a <= |r1 - r2|)"),
+], ids=["sign", "nested"])
+def test_invalid_config_caches_nothing(sides, message):
+    """An invalid config raises the same InvalidScenario on every call."""
     cfg = ScenarioConfig(*sides)
-    messages = set()
-    for check in (validate, derive, validate):
+    probe = ProbePoint(2, 1)
+    for check, args in ((validate, ()), (derive, ()), (image_closed_form, (probe,)), (locus_x, (2,)),
+                        (classify_case, (probe,)), (validate, ())):
         with pytest.raises(InvalidScenario) as caught:
-            check(cfg)
-        messages.add(str(caught.value))
-        assert "_frame" not in vars(cfg)
-    assert len(messages) == 1
+            check(cfg, *args)
+        assert str(caught.value) == message
 
 
 def test_shared_configs_across_threads():
-    """Threads that compute and keep the same configs' frames at once all read the serial results."""
+    """Threads that read the same configs at once all get the serial results."""
     sides = [(F(a, 3), F(r1, 2), F(r2, 5)) for a in range(1, 6) for r1 in range(1, 6) for r2 in range(1, 6)]
     sides = [s for s in sides if 2 * s[0] > abs(s[1] - s[2])]
     probe = ProbePoint(F(1, 3), 2)
@@ -663,7 +665,7 @@ def test_shared_configs_across_threads():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert seen == [expected] * 4
-    assert all(c.__dict__["_frame"] == scenario._frame(ScenarioConfig(*s)) for c, s in zip(shared, sides))
+    assert all(c._frame == ScenarioConfig(*s)._frame for c, s in zip(shared, sides))
 
 
 def scenario_argv(cfg):

@@ -46,15 +46,15 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_sweep_tall_cycle_computes_no_frames():
-    # Set-up derives every scene, and each config keeps its frame, so the
-    # timed ops only read it (706 frames per cycle when only scenes kept one).
+    # Set-up builds every config, whose constructor writes its frame, so the
+    # timed ops order no scenario (706 frames per cycle when only scenes kept one).
     workload = workloads.SweepTall(SEED)
-    keep, frame = bicircle.scenario._keep_frame.__code__, bicircle.scenario._frame.__code__
+    order = bicircle.scenario._order.__code__
     computed = 0
 
     def hook(call, event, arg):
         nonlocal computed
-        computed += event == "call" and call.f_code is keep and call.f_back.f_code is frame
+        computed += event == "call" and call.f_code is order
 
     sys.setprofile(hook)
     try:

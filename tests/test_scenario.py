@@ -1,5 +1,8 @@
 """Scenario validation, derivation, and the probe line."""
 
+import copy
+import dataclasses
+import pickle
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -58,6 +61,21 @@ class TestValidate:
             validate(ScenarioConfig(a, r1, r2))
 
 
+@pytest.mark.parametrize("sides", [(2, 3, 2), (F(5, 2), F(7, 3), F(3, 4)), (0, 1, 1), (1, 5, 1)],
+                         ids=["worked", "fractions", "sign", "nested"])
+@pytest.mark.parametrize("make", [
+    lambda cfg: dataclasses.replace(cfg, a=cfg.a + F(1, 3)),
+    copy.copy,
+    lambda cfg: pickle.loads(pickle.dumps(cfg)),
+], ids=["replace", "copy", "pickle"])
+def test_copies_carry_a_fresh_frame(make, sides):
+    """A config made from another has the frame of a fresh config equal to it."""
+    made = make(ScenarioConfig(*sides))
+    fresh = ScenarioConfig(made.a, made.r1, made.r2)
+    assert made._frame == fresh._frame
+    assert outcome(validate, made) == outcome(validate, fresh)
+
+
 class TestDerive:
     def test_worked_scene(self):
         scene = derive(ScenarioConfig(2, 3, 2))
@@ -83,6 +101,12 @@ class TestDerive:
     def test_containment_rejected(self):
         with pytest.raises(InvalidScenario):
             derive(ScenarioConfig(1, 5, 1))
+
+    def test_scenes_come_only_from_derive(self):
+        # A hand-built scene could hold views that disagree with its kernel form.
+        values = dict(ref_derive(ScenarioConfig(2, 3, 2)), A=Point2(99, 0), ordering=Ordering.DISJOINT_ACBD)
+        with pytest.raises(TypeError):
+            DerivedScene(**values)
 
     @given(admissible_configs())
     def test_axis_points_on_circles_and_axis(self, cfg):
@@ -189,10 +213,11 @@ def ref_validate(cfg):
 
 
 def ref_derive(cfg):
+    """The field values of derive(cfg), by name."""
     ordering = ref_validate(cfg)
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     radical_x = (r1 * r1 - r2 * r2) / (4 * a)
-    return DerivedScene(
+    return dict(
         cfg=cfg,
         ordering=ordering,
         k1=Circle(Point2(-a, 0), r1),
@@ -203,6 +228,12 @@ def ref_derive(cfg):
         D=Point2(a + r2, 0),
         radical_axis_x=radical_x,
     )
+
+
+def derived_fields(cfg):
+    """The field values of derive(cfg), by name, as ref_derive gives them."""
+    scene = derive(cfg)
+    return {f.name: getattr(scene, f.name) for f in fields(DerivedScene)}
 
 
 def outcome(fn, *args):
@@ -258,8 +289,8 @@ class TestScenarioMatchesReference:
     def test_derive(self, height):
         @given(scenario_configs(height))
         def check(cfg):
+            assert outcome(derived_fields, cfg) == outcome(ref_derive, cfg)
             scene = outcome(derive, cfg)
-            assert scene == outcome(ref_derive, cfg)
             if isinstance(scene, DerivedScene):
                 assert all(type(value) is F for value in scene_fields(scene))
 
@@ -271,17 +302,18 @@ class TestScenarioMatchesReference:
             scene = outcome(derive, cfg)
             if not isinstance(scene, DerivedScene):
                 return
-            conics = (_conic(scene.k1), _conic(scene.k2))
-            triples = tuple(_triple(point) for point in (scene.A, scene.B, scene.C, scene.D))
-            hand_built = ref_derive(cfg)
-            for built in (scene, hand_built):
-                assert built._conics == conics and built._triples == triples
+            expected = ref_derive(cfg)
+            assert scene._conics == (_conic(expected["k1"]), _conic(expected["k2"]))
+            assert scene._triples == tuple(_triple(expected[name]) for name in "ABCD")
             # The kernel form takes no part in repr, equality or hash.
             names = [f.name for f in fields(DerivedScene) if f.init]
             values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in names)
             assert repr(scene) == f"DerivedScene({values})"
-            object.__setattr__(hand_built, "_triples", ())
-            assert hand_built == scene and hash(hand_built) == hash(scene)
+            twin = derive(ScenarioConfig(cfg.a, cfg.r1, cfg.r2))
+            repr(twin)  # builds the views from the kernel form first
+            object.__setattr__(twin, "_conics", ())
+            object.__setattr__(twin, "_triples", ())
+            assert twin == scene and hash(twin) == hash(scene)
 
         check()
 
@@ -294,9 +326,9 @@ class TestScenarioMatchesReference:
             scene = outcome(derive, cfg)
             if not isinstance(scene, DerivedScene):
                 return
-            # derive leaves cfg its frame; later calls read it instead of a fresh one.
+            # cfg, already derived, gives what an equal fresh config gives.
             fresh = ScenarioConfig(cfg.a, cfg.r1, cfg.r2)
-            assert cfg.__dict__["_frame"] == _frame(fresh)
+            assert _frame(cfg) == _frame(fresh)
             p = (p, scene.B.x, scene.C.x, scene.radical_axis_x)[line]
             probe = ProbePoint(p, q)
             assert outcome(image_closed_form, cfg, probe) == outcome(image_closed_form, fresh, probe)
