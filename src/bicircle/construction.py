@@ -35,7 +35,6 @@ only when read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
@@ -50,6 +49,7 @@ from .exact import (
     _cross,
     _polar,
     _second,
+    _Value,
     as_rational,
 )
 from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _order, derive
@@ -68,24 +68,21 @@ class CaseFlag(Enum):
     ON_RADICAL_AXIS = "OnRadicalAxis"
 
 
-@dataclass(frozen=True, init=False)
-class ProbePoint:
+class ProbePoint(_Value):
     """The probe P = (p, q); p doubles as the abscissa of the probe line."""
 
     p: Fraction
     q: Fraction
 
     def __init__(self, p, q):
-        object.__setattr__(self, "p", as_rational(p))
-        object.__setattr__(self, "q", as_rational(q))
+        self.__dict__.update(p=as_rational(p), q=as_rational(q))
 
     @property
     def point(self) -> Point2:
         return Point2(self.p, self.q)
 
 
-@dataclass(frozen=True, init=False)
-class ImageResult:
+class ImageResult(_Value):
     """Everything the synthetic construction produces for one probe.
 
     The constructor takes m and n as integer triples of any scale; they
@@ -101,7 +98,7 @@ class ImageResult:
     M = property(lambda self: self.m.point)
     N = property(lambda self: self.n.point)
 
-    def __init__(self, m, n, line_am, line_dn, p_prime):  # past the frozen __setattr__
+    def __init__(self, m, n, line_am, line_dn, p_prime):
         self.__dict__.update(_m=m, _n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
 
 
@@ -316,20 +313,30 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(_Value):
+    """A fuzz trial whose two routes disagree: its index, its inputs and both images of P."""
+
     trial: int
     config: ScenarioConfig
     probe: ProbePoint
     geometric: ExtendedPoint
     closed_form: ExtendedPoint
 
+    def __init__(self, trial, config, probe, geometric, closed_form):
+        self.__dict__.update(
+            trial=trial, config=config, probe=probe, geometric=geometric, closed_form=closed_form
+        )
 
-@dataclass(frozen=True)
-class FuzzReport:
+
+class FuzzReport(_Value):
+    """What run_oracle_fuzz ran, trials at seed, and the FuzzFailure of each disagreeing trial."""
+
     trials: int
     seed: int
     failures: tuple
+
+    def __init__(self, trials, seed, failures):
+        self.__dict__.update(trials=trials, seed=seed, failures=failures)
 
 
 def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> FuzzReport:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import (
     CoincidentLines,
@@ -85,21 +85,53 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"literal too long: a part has more than {limit} digits") from None
 
 
-@dataclass(frozen=True, init=False)
-class Point2:
+class _Value:
+    """Base of the package's frozen value types.
+
+    A subclass's fields are its own annotated names, in order: equality,
+    hash, repr and positional match patterns read them, and values of
+    different classes never compare equal. A constructor sets each field
+    once through self.__dict__; assigning or deleting an attribute later
+    raises AttributeError. copy, deepcopy and pickle rebuild a value from
+    its __dict__ without running its constructor. Nothing is generated per
+    class, so defining a value type costs no code generation at import.
+    """
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point2(_Value):
     x: Fraction
     y: Fraction
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", as_rational(x))
-        object.__setattr__(self, "y", as_rational(y))
+        self.__dict__.update(x=as_rational(x), y=as_rational(y))
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True, init=False)
-class ExtendedPoint:
+class ExtendedPoint(_Value):
     """A point of the extended plane as a primitive integer triple (x : y : w).
 
     w > 0 is the finite point (x/w, y/w), w = 0 the point at infinity in
@@ -121,9 +153,7 @@ class ExtendedPoint:
             g = -g
         if g != 1:
             x, y, w = x // g, y // g, w // g
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", w)
+        self.__dict__.update(x=x, y=y, w=w)
 
     @classmethod
     def finite(cls, point: Point2) -> "ExtendedPoint":
@@ -155,8 +185,7 @@ class ExtendedPoint:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True, init=False)
-class Line:
+class Line(_Value):
     """Locus of a*x + b*y + c = 0 as a primitive integer triple ``coefficients``.
 
     The triple is divided by its gcd and signed so the first nonzero of
@@ -179,7 +208,7 @@ class Line:
             g = -g
         if g != 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "coefficients", (a, b, c))
+        self.__dict__["coefficients"] = (a, b, c)
 
     @cached_property
     def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -203,8 +232,7 @@ class Line:
         return ExtendedPoint(self.coefficients[1], -self.coefficients[0], 0).direction
 
 
-@dataclass(frozen=True, init=False)
-class Circle:
+class Circle(_Value):
     center: Point2
     radius: Fraction
 
@@ -212,8 +240,7 @@ class Circle:
         radius = as_rational(radius)
         if radius.numerator <= 0:
             raise ValueError(f"circle radius must be positive, got {radius}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        self.__dict__.update(center=center, radius=radius)
 
     def __str__(self) -> str:
         return f"circle(center={self.center}, r={self.radius})"

@@ -17,11 +17,10 @@ at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, _image_x
-from .exact import _cross, _triple
+from .exact import _cross, _triple, _Value
 from .scenario import DerivedScene, _frame
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
@@ -65,30 +64,30 @@ def decimal6(n: int, d: int) -> str:
     return "%d.%06d" % divmod(q, 1_000_000)
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Value):
     """What to draw: a scene, a probe and its construction result. width/height are pixels."""
 
     scene: DerivedScene
     probe: ProbePoint
     result: ImageResult
-    width: int = 800
-    height: int = 600
-    show_radical_axis: bool = True
-    labels: bool = True
-    clip: bool = False
+    width: int
+    height: int
+    show_radical_axis: bool
+    labels: bool
+    clip: bool
 
-    def __post_init__(self):
-        for name in ("width", "height"):
-            value = getattr(self, name)
+    def __init__(self, scene, probe, result, width=800, height=600,
+                 show_radical_axis=True, labels=True, clip=False):
+        for name, value in (("width", width), ("height", height)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if self.width < 64 or self.height < 64:
+        if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64 pixels")
+        self.__dict__.update(scene=scene, probe=probe, result=result, width=width, height=height,
+                             show_radical_axis=show_radical_axis, labels=labels, clip=clip)
 
 
-@dataclass(frozen=True)
-class Viewport:
+class Viewport(_Value):
     """Affine model-to-pixel map: px = tx + scale*x, py = ty - scale*y."""
 
     width: int
@@ -96,6 +95,9 @@ class Viewport:
     scale: Fraction
     tx: Fraction
     ty: Fraction
+
+    def __init__(self, width, height, scale, tx, ty):
+        self.__dict__.update(width=width, height=height, scale=scale, tx=tx, ty=ty)
 
     def _rect(self) -> tuple[tuple[int, int], ...]:
         """visible_rect as (numerator, denominator) pairs with positive denominators, unreduced."""

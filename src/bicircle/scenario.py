@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import InvalidScenario, ParseError
-from .exact import _SPACE, _ZERO, Circle, Point2, _circle_conic, as_rational, parse_rational
+from .exact import _SPACE, _ZERO, Circle, Point2, _circle_conic, _Value, as_rational, parse_rational
 
 _SEPARATOR_RE = re.compile(f"[{_SPACE}]+")
 
@@ -36,8 +35,7 @@ class Ordering(Enum):
     EXTERNALLY_TANGENT = "ExternallyTangent"
 
 
-@dataclass(frozen=True, init=False)
-class ScenarioConfig:
+class ScenarioConfig(_Value):
     """Half center distance and the two radii, all exact rationals.
 
     The constructor also writes the frame (ordering, d, a, r1, r2), which
@@ -52,13 +50,11 @@ class ScenarioConfig:
 
     def __init__(self, a, r1, r2):
         a, r1, r2 = as_rational(a), as_rational(r1), as_rational(r2)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
+        self.__dict__.update(a=a, r1=r1, r2=r2)
         ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
         a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
         ordering = _order(a, r1, r2) if a > 0 and r1 > 0 and r2 > 0 else None
-        object.__setattr__(self, "_frame", (ordering, ad * r1d * r2d, a, r1, r2))
+        self.__dict__["_frame"] = (ordering, ad * r1d * r2d, a, r1, r2)
 
 
 def _axis_point(i: int) -> cached_property:
@@ -71,8 +67,7 @@ def _radical_axis_x(scene) -> Fraction:
     return Fraction(r1 * r1 - r2 * r2, 4 * a * d)
 
 
-@dataclass(frozen=True, init=False)
-class DerivedScene:
+class DerivedScene(_Value):
     """A validated ScenarioConfig, its ordering, and everything named that follows.
 
     Built only by derive. Integer-first: _conics and _triples are the
@@ -90,6 +85,9 @@ class DerivedScene:
     C: Point2 = _axis_point(2)
     D: Point2 = _axis_point(3)
     radical_axis_x: Fraction = cached_property(_radical_axis_x)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DerivedScene comes only from derive")
 
 
 def _order(a: int, r1: int, r2: int) -> Ordering | None:

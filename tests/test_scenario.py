@@ -1,9 +1,7 @@
 """Scenario validation, derivation, and the probe line."""
 
 import copy
-import dataclasses
 import pickle
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +33,15 @@ from bicircle.scenario import _frame
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
 
+# DerivedScene's fields, in order: its repr, equality and hash read them.
+DERIVED_FIELDS = ("cfg", "ordering", "k1", "k2", "A", "B", "C", "D", "radical_axis_x")
+COPIES = pytest.mark.parametrize("make", [
+    copy.copy,
+    copy.deepcopy,
+    lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+
+
 def admissible_configs():
     return (
         st.builds(ScenarioConfig, positives, positives, positives)
@@ -63,11 +70,7 @@ class TestValidate:
 
 @pytest.mark.parametrize("sides", [(2, 3, 2), (F(5, 2), F(7, 3), F(3, 4)), (0, 1, 1), (1, 5, 1)],
                          ids=["worked", "fractions", "sign", "nested"])
-@pytest.mark.parametrize("make", [
-    lambda cfg: dataclasses.replace(cfg, a=cfg.a + F(1, 3)),
-    copy.copy,
-    lambda cfg: pickle.loads(pickle.dumps(cfg)),
-], ids=["replace", "copy", "pickle"])
+@COPIES
 def test_copies_carry_a_fresh_frame(make, sides):
     """A config made from another has the frame of a fresh config equal to it."""
     made = make(ScenarioConfig(*sides))
@@ -103,10 +106,21 @@ class TestDerive:
             derive(ScenarioConfig(1, 5, 1))
 
     def test_scenes_come_only_from_derive(self):
-        # A hand-built scene could hold views that disagree with its kernel form.
+        # A hand-built scene could hold views that disagree with its kernel
+        # form, and an empty one would have no fields at all.
         values = dict(ref_derive(ScenarioConfig(2, 3, 2)), A=Point2(99, 0), ordering=Ordering.DISJOINT_ACBD)
-        with pytest.raises(TypeError):
-            DerivedScene(**values)
+        for kwargs in (values, {}):
+            with pytest.raises(TypeError, match="comes only from derive"):
+                DerivedScene(**kwargs)
+
+    @COPIES
+    def test_copies_keep_the_kernel_form(self, make):
+        scene = derive(ScenarioConfig(F(5, 2), F(7, 3), F(3, 4)))
+        made = make(scene)
+        assert type(made) is DerivedScene and made is not scene
+        assert (made._conics, made._triples) == (scene._conics, scene._triples)
+        assert made.cfg._frame == scene.cfg._frame
+        assert made == scene and hash(made) == hash(scene) and repr(made) == repr(scene)
 
     @given(admissible_configs())
     def test_axis_points_on_circles_and_axis(self, cfg):
@@ -233,7 +247,7 @@ def ref_derive(cfg):
 def derived_fields(cfg):
     """The field values of derive(cfg), by name, as ref_derive gives them."""
     scene = derive(cfg)
-    return {f.name: getattr(scene, f.name) for f in fields(DerivedScene)}
+    return {name: getattr(scene, name) for name in DERIVED_FIELDS}
 
 
 def outcome(fn, *args):
@@ -306,8 +320,7 @@ class TestScenarioMatchesReference:
             assert scene._conics == (_conic(expected["k1"]), _conic(expected["k2"]))
             assert scene._triples == tuple(_triple(expected[name]) for name in "ABCD")
             # The kernel form takes no part in repr, equality or hash.
-            names = [f.name for f in fields(DerivedScene) if f.init]
-            values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in names)
+            values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in DERIVED_FIELDS)
             assert repr(scene) == f"DerivedScene({values})"
             twin = derive(ScenarioConfig(cfg.a, cfg.r1, cfg.r2))
             repr(twin)  # builds the views from the kernel form first
