@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -278,14 +279,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command != "fuzz":
         args.cfg = _resolve_scenario(args.subparser, args)
+    text = None
     try:
         text, status = _RUNNERS[args.command](args)
+        print(text, flush=True)
     # ValueError: a report rational with more digits than
     # sys.get_int_max_str_digits(), though every input had fewer.
     except (GeometryError, OSError, ValueError) as exc:
+        if text is not None:
+            # The report is still buffered for the closed pipe or full disk that refused
+            # it; point stdout at the null device, so the flush at exit cannot fail again.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(text)
     return status
 
 

@@ -46,6 +46,7 @@ from .exact import (
     ExtendedScalar,
     Line,
     Point2,
+    _axis_join,
     _cross,
     _polar,
     _second,
@@ -130,12 +131,13 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route: M, N, lines AM and DN, and their intersection P'.
 
     The steps are chained on integer triples; the lines and P' are divided
-    by their gcd where they are stored, M and N only when read. When a
-    chord degenerates (M = A or N = D, exactly for probes on the axis) the
-    join is the zero triple and the line is the tangent at A or D, the
-    limiting position of the moving chord line. This route uses only kernel
-    constructions and never the closed form, so it is the independent
-    oracle for image_closed_form.
+    by their gcd where they are stored, M and N only when read. A and D lie
+    on the axis, so lines AM and DN take their content from one two-term
+    gcd (exact._axis_join). When a chord degenerates (M = A or N = D,
+    exactly for probes on the axis) the join is the zero triple and the
+    line is the tangent at A or D, the limiting position of the moving
+    chord line. This route uses only kernel constructions and never the
+    closed form, so it is the independent oracle for image_closed_form.
     """
     p, q = probe.p, probe.q
     xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
@@ -146,9 +148,8 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     n = _second(k2, b, xyw)
     if not any(n):
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    am, dn = _cross(a, m), _cross(d, n)
-    line_am = Line(*(am if any(am) else _polar(k1, a)))
-    line_dn = Line(*(dn if any(dn) else _polar(k2, d)))
+    line_am = _axis_join(a, m) or Line(*_polar(k1, a))
+    line_dn = _axis_join(d, n) or Line(*_polar(k2, d))
     x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
     if not (x or y or w):
         # Only reachable for tangent circles with the probe on the vertical

@@ -2,7 +2,9 @@
 
 import collections
 import json
+import os
 import random
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -453,6 +455,45 @@ class TestOutputErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("FileNotFoundError: ")
+
+
+WORKED_ARGV = ["compute", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q", "1"]
+
+
+def child_report(stdout, unbuffered):
+    """Run the worked compute in a child interpreter whose stdout is the file descriptor given."""
+    paths = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "bicircle", *WORKED_ARGV],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestUnwritableReport:
+    """A report that cannot be written exits 1 with one line on stderr, never a traceback.
+
+    Python flushes stdout again at exit; a failure there would print
+    "Exception ignored" and exit 120.
+    """
+
+    def test_closed_pipe(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = child_report(write, unbuffered)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            child = child_report(full, unbuffered)
+        assert child.returncode == 1
+        assert child.stderr == "OSError: [Errno 28] No space left on device\n"
 
 
 class TestReportLimits:

@@ -516,7 +516,9 @@ class TestWorkCount:
     built every config (706 while only the scene kept the integers).
 
     construct_image joins A and D to the raw triples of M and N and builds
-    one ExtendedPoint, P′; m and n are built when read (3 before).
+    one ExtendedPoint, P′; m and n are built when read (3 before). It calls
+    Line.__init__ 0 times off the axis (2 before): AM and DN take their
+    content from one two-term gcd (exact._axis_join).
     random_scenario orders each attempt with scenario._order on its integers
     and calls _frame 0 times (once per attempt that passed the sign test
     before, through validate); the config it returns orders itself once
@@ -553,6 +555,10 @@ class TestWorkCount:
         sampled = sum(frames_computed(random_scenario, trial_rng(360, i)) for i in range(20))
         assert frames_computed(run_oracle_fuzz, 20, 360) == sampled
         assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 20
+
+    def test_construct_image_builds_no_line(self):
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        assert calls_made(Line.__init__, construct_image, scene, probe) == 0
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -865,6 +871,26 @@ class TestConstructImageMatchesReference:
             assert first.m is first.m and first.n is first.n
             u, v = tangent_half_params(scene, probe)
             assert first.M == param_point(scene.k1, u) and first.N == param_point(scene.k2, v)
+
+        check()
+
+    @pytest.mark.parametrize("height", sorted(CLOSED_FORM_INPUTS))
+    def test_axis_join_normalizes_as_line(self, height):
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(st.sampled_from(STRATA), radius, radius, radius, values, values)
+        @settings(max_examples=200, deadline=None)
+        def check(stratum, r1, r2, gap, p, q):
+            scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
+            (k1, k2), (a, b, c, d) = scene._conics, scene._triples
+            assert a[0] < 0 < d[0]
+            xyw = exact._triple(probe.point)
+            for base, point in ((a, exact._second(k1, c, xyw)), (d, exact._second(k2, b, xyw))):
+                cross, line = exact._cross(base, point), exact._axis_join(base, point)
+                if any(cross):
+                    assert type(line) is Line and line.coefficients == Line(*cross).coefficients
+                else:  # the probe is on the axis, or is the chord's base
+                    assert line is None
 
         check()
 

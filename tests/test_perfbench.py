@@ -45,16 +45,14 @@ def test_tracer_installs_and_uninstalls():
     assert "scenario.derive" in {span[tracer.NAME] for span in spans.spans}
 
 
-def test_sweep_tall_cycle_computes_no_frames():
-    # Set-up builds every config, whose constructor writes its frame, so the
-    # timed ops order no scenario (706 frames per cycle when only scenes kept one).
-    workload = workloads.SweepTall(SEED)
-    order = bicircle.scenario._order.__code__
-    computed = 0
+def cycle_calls(workload, target):
+    """Calls of the Python function target made over one cycle of the workload's ops."""
+    code = target.__code__
+    calls = 0
 
     def hook(call, event, arg):
-        nonlocal computed
-        computed += event == "call" and call.f_code is order
+        nonlocal calls
+        calls += event == "call" and call.f_code is code
 
     sys.setprofile(hook)
     try:
@@ -62,7 +60,22 @@ def test_sweep_tall_cycle_computes_no_frames():
             workload.op(i)
     finally:
         sys.setprofile(None)
-    assert computed == 0
+    return calls
+
+
+def test_sweep_tall_cycle_computes_no_frames():
+    # Set-up builds every config, whose constructor writes its frame, so the
+    # timed ops order no scenario (706 frames per cycle when only scenes kept one).
+    assert cycle_calls(workloads.SweepTall(SEED), bicircle.scenario._order) == 0
+
+
+def test_sweep_tall_cycle_builds_lines_only_for_tangents():
+    # AM and DN take their content from one two-term gcd, without Line.__init__
+    # (706 calls per cycle when it divided each by the gcd of all three terms).
+    # Only a probe on the axis, q = 0, builds both lines as tangents.
+    workload = workloads.SweepTall(SEED)
+    on_axis = sum(probe.q == 0 for _, _, probe in workload.ops)
+    assert cycle_calls(workload, bicircle.Line.__init__) == 2 * on_axis == 46
 
 
 # SHA-256 of all RenderSvg(seed) documents joined in op order, recorded at
@@ -81,3 +94,20 @@ def test_render_svg_corpus_frozen(seed):
     assert workload.cycle == 100
     corpus = "".join(workload.op(i) for i in range(workload.cycle))
     assert workloads.sha(corpus.encode()) == RENDER_CORPUS[seed]
+
+
+# SHA-256 of SweepTall(seed).encode(i, op(i)) over the whole 353-op cycle,
+# recorded at e11c22f. perfbench/golden.json pins only the 96-op prefix the
+# traced run repeats; this digest pins every op's P′ (both routes) and p'.
+SWEEP_TALL_CORPUS = {
+    360: "e8bf8b31d2a8381cef08da2969d3b97edb901f4a645862a38f1a2fcf325bd1b4",
+    2408: "f35433d758d3b3eab5d7b9b145ee3652fd543a12837397cde2c03d4bab5e79ec",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_TALL_CORPUS))
+def test_sweep_tall_corpus_frozen(seed):
+    workload = workloads.SweepTall(seed)
+    assert workload.cycle == 353
+    corpus = b"".join(workload.encode(i, workload.op(i)) for i in range(workload.cycle))
+    assert workloads.sha(corpus) == SWEEP_TALL_CORPUS[seed]
