@@ -252,7 +252,7 @@ def _run_render(args) -> tuple[str, int]:
         clip=args.clip,
     )
     data = render_svg(spec).encode("utf-8")
-    # Encoded first, so a report that cannot be written leaves no figure either.
+    # Encoded first: a report that cannot be encoded leaves no figure, one stdout refuses does.
     report = _report({
         "command": "render",
         "out": args.out,

@@ -21,15 +21,15 @@ exactly on every admissible input, including the degenerate ones:
   every probe and the image is at infinity, perpendicular to the chord
   through B = C.
 
-Everything is a pure function over immutable values. The fuzz harness draws
-each trial's randomness from its own deterministically derived stream, so
-trials could be evaluated concurrently without changing the report. Its
-sampler admits a scenario on integers and builds no Fraction: every value
-a draw can take is built once, on the first draw, and shared. The config
-it returns writes its frame once, in its constructor (scenario._frame),
-and derive, both routes and the probe's classification read it. The
-oracle reads only P' of construct_image, whose M and N are normalized
-only when read.
+The closed form is written once, as the integers of _image_map, which
+image_closed_form, locus_x, classify_case, tangent_half_params,
+random_probe and the figure's image line read: each degenerate case above
+is a zero of one of its factors, and the radical axis is its fixed point.
+The synthetic route never calls it. Everything is a pure function over
+immutable values. Each fuzz trial draws from its own deterministically
+derived stream, so trials could run concurrently without changing the
+report. A config writes its frame once, in its constructor
+(scenario._frame), and both routes read it.
 """
 
 from __future__ import annotations
@@ -104,25 +104,32 @@ class ImageResult(_Value):
 
 
 _GENERIC = frozenset({CaseFlag.GENERIC})
-_ON_BASE = frozenset({CaseFlag.COLLAPSES_TO_A, CaseFlag.COLLAPSES_TO_D})
 
 
-def _with_p(cfg: ScenarioConfig, p: Fraction) -> tuple:
-    """cfg's frame and p over one denominator, (ordering, d, a, r1, r2, p): B.x = a - r2, C.x = r1 - a."""
-    ordering, d, a, r1, r2 = _frame(cfg)
+def _image_map(cfg: ScenarioConfig, p: Fraction) -> tuple:
+    """The closed form on the line x = p: integers (d, x, w, s, u, v), with a, r1, r2 and p over d > 0.
+
+    p' = x/w and q q' = s u v / (d w), where w = d(r1 + r2 - 2a) is zero
+    exactly for tangent circles, s = r1 + r2 + 2a, u = a - r1 + p (zero on
+    the line through C) and v = a - r2 - p (through B). The radical axis is
+    the fixed point x/w = p, or x = 0 where w = 0.
+    """
+    _, d, a, r1, r2 = _frame(cfg)
     pd = p.denominator
-    return ordering, d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
+    d, a, r1, r2, p = d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
+    s = r1 + r2 + 2 * a
+    return d, r2 * r2 - r1 * r1 + p * s, d * (r1 + r2 - 2 * a), s, a - r1 + p, a - r2 - p
 
 
 def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
-    """Degeneracy flags for the probe; several can hold at once."""
-    ordering, _, a, r1, r2, p = _with_p(cfg, probe.p)
+    """Degeneracy flags, several at once: zeros of _image_map's factors, or its fixed point."""
+    _, x, w, _, u, v = _image_map(cfg, probe.p)
     flags = frozenset(flag for flag, holds in (
         (CaseFlag.PROBE_ON_AXIS, probe.q == 0),
-        (CaseFlag.COLLAPSES_TO_A, p == a - r2),
-        (CaseFlag.COLLAPSES_TO_D, p == r1 - a),
-        (CaseFlag.TOUCHING_CIRCLES, ordering is Ordering.EXTERNALLY_TANGENT),
-        (CaseFlag.ON_RADICAL_AXIS, 4 * a * p == r1 * r1 - r2 * r2),
+        (CaseFlag.COLLAPSES_TO_A, v == 0),
+        (CaseFlag.COLLAPSES_TO_D, u == 0),
+        (CaseFlag.TOUCHING_CIRCLES, w == 0),
+        (CaseFlag.ON_RADICAL_AXIS, x * probe.p.denominator == probe.p.numerator * w),
     ) if holds)
     return flags or _GENERIC
 
@@ -165,15 +172,11 @@ def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
     w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
     """
-    # a, r1, r2 and p over one common denominator d > 0.
-    _, d, a, r1, r2, p = _with_p(cfg, probe.p)
+    d, x, w, s, u, v = _image_map(cfg, probe.p)
     q_n, q_d = probe.q.numerator, probe.q.denominator
-    if q_n == 0 and (p == a - r2 or p == r1 - a):
+    if q_n == 0 and not (u and v):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
-    s, den = r1 + r2 + 2 * a, r1 + r2 - 2 * a
-    x = (r2 * r2 - r1 * r1 + p * s) * d * q_n
-    y = s * (a - r1 + p) * (a - r2 - p) * q_d
-    w = d * d * den * q_n
+    x, y, w = x * d * q_n, s * u * v * q_d, d * w * q_n
     # All zero for tangent circles with the probe line through B = C: AM and
     # DN both collapse onto the axis, so the image escapes along it.
     return ExtendedPoint(x, y, w) if x or y or w else ExtendedPoint(1, 0, 0)
@@ -185,14 +188,8 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     Depends on (a, r1, r2, p) only, never on q: that is the fixed-line
     theorem this package verifies.
     """
-    x, w = _image_x(cfg, as_rational(p))
+    _, x, w, *_ = _image_map(cfg, as_rational(p))
     return Fraction(x, w) if w else INFINITY
-
-
-def _image_x(cfg: ScenarioConfig, p: Fraction) -> tuple[int, int]:
-    """locus_x as integers (x, w), p' = x/w; w = 0 exactly for tangent circles."""
-    _, d, a, r1, r2, p = _with_p(cfg, p)
-    return r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a), d * (r1 + r2 - 2 * a)
 
 
 def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[ExtendedScalar, ExtendedScalar]:
@@ -201,13 +198,13 @@ def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[Extende
     u = (C.x - p)/q and v = q/(p - B.x), with the conventions that a nonzero
     numerator over zero is INFINITY and 0/0 (probe on C or B) is an error.
     """
-    p, q = probe.p, probe.q
-    u_num, v_den = scene.C.x - p, p - scene.B.x
-    if q == 0 and u_num == 0:
+    d, _, _, _, u, v = _image_map(scene.cfg, probe.p)  # C.x - p = -u/d, p - B.x = -v/d
+    q = probe.q
+    if q == 0 and u == 0:
         raise IndeterminateParam("probe coincides with C: u = 0/0")
-    if q == 0 and v_den == 0:
+    if q == 0 and v == 0:
         raise IndeterminateParam("probe coincides with B: v = 0/0")
-    return (u_num / q if q else INFINITY), (q / v_den if v_den else INFINITY)
+    return (Fraction(-u, d) / q if q else INFINITY), (q * d / -v if v else INFINITY)
 
 
 def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
@@ -299,8 +296,8 @@ def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
     """
     while True:
         probe = ProbePoint(random_rational(rng), random_rational(rng))
-        # B and C lie on the axis, so only a probe with q = 0 can hit them.
-        if probe.q or not classify_case(scene.cfg, probe) & _ON_BASE:
+        # B and C lie on the axis: only a probe with q = 0 and u v = 0 (_image_map) is on one.
+        if probe.q or all(_image_map(scene.cfg, probe.p)[4:]):
             return probe
 
 

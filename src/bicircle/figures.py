@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .construction import ImageResult, ProbePoint, _image_x
+from .construction import ImageResult, ProbePoint, _image_map
 from .exact import _cross, _triple, _Value
 from .scenario import DerivedScene, _frame
 
@@ -315,7 +315,7 @@ def render_svg(spec: RenderSpec) -> str:
     em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator), _COLORS["probe"], "accent")
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
-    image_x, image_w = _image_x(scene.cfg, probe.p)
+    _, image_x, image_w, *_ = _image_map(scene.cfg, probe.p)
     if image_w:
         em.full_line("image-line", (image_w, 0, -image_x), _COLORS["image"], "accent")
 

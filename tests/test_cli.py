@@ -460,14 +460,14 @@ class TestOutputErrors:
 WORKED_ARGV = ["compute", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q", "1"]
 
 
-def child_report(stdout, unbuffered):
-    """Run the worked compute in a child interpreter whose stdout is the file descriptor given."""
+def child_report(stdout, unbuffered, argv=WORKED_ARGV):
+    """Run argv, the worked compute by default, in a child interpreter with the stdout given."""
     paths = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "bicircle", *WORKED_ARGV],
+    return subprocess.run([sys.executable, "-m", "bicircle", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
@@ -487,6 +487,18 @@ class TestUnwritableReport:
         finally:
             os.close(write)
         assert (child.returncode, child.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_render_into_closed_pipe(self, unbuffered, tmp_path):
+        out_path = tmp_path / "figure.svg"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = child_report(write, unbuffered, ["render", *WORKED_ARGV[1:], "--out", str(out_path)])
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
+        # Only the report was lost: the figure was written, whole, before it.
+        assert out_path.read_bytes() == (GOLDEN / "render-worked.svg").read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self, unbuffered):

@@ -1,5 +1,6 @@
 """The probe-to-image construction: both routes, degeneracies, and properties."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -506,9 +507,9 @@ class TestWorkCount:
     would add one. A config computes its frame once, in its constructor,
     and no later call orders it again. A fuzz trial computes one frame,
     for the config random_scenario returns, and derive, image_closed_form
-    and random_probe's classify_case read it (one, in derive, before the
-    config kept the frame computed on first use; twice, when
-    image_closed_form ran _frame itself). classify_case
+    and, on a draw with q = 0, random_probe's _image_map read it (one, in
+    derive, before the config kept the frame computed on first use; twice,
+    when image_closed_form ran _frame itself). classify_case
     builds 0 on probes on B, C and the radical axis, since it compares p
     with them on the frame's integers (6 before, the views derive built).
     A sweep-tall
@@ -829,6 +830,61 @@ def stratum_case(stratum, r1, r2, gap, p, q):
     return scene, ProbePoint(p, F(0) if stratum == "q = 0" else q)
 
 
+def seeded_value(rng, height, positive):
+    """A seeded value within the bounds of CLOSED_FORM_INPUTS[height]: a radius if positive."""
+    if height == "small":
+        d = rng.randint(1, 20)
+        return F(rng.randint(1 if positive else -50 * d, 50 * d), d)
+    return F(rng.randint(1 if positive else -TALL, TALL), rng.randint(TALL // 10, TALL))
+
+
+def encoded(value):
+    """One closed-form outcome as text: flags in CaseFlag order, an error as its type and message."""
+    if isinstance(value, frozenset):
+        return ",".join(flag.value for flag in CaseFlag if flag in value)
+    if isinstance(value, tuple) and isinstance(value[0], type):
+        return f"{value[0].__name__}: {value[1]}"
+    return repr(value)
+
+
+def closed_form_corpus(seed, draws=6):
+    """The closed-form readers on seeded cases of every stratum and height, one line per case.
+
+    Each drawn probe is read as drawn and on the axis (q = 0), then come one
+    config with a nonpositive value and one with nested circles.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for height in sorted(CLOSED_FORM_INPUTS):
+        for stratum in STRATA:
+            for _ in range(draws):
+                r1, r2, gap = (seeded_value(rng, height, True) for _ in range(3))
+                p, q = seeded_value(rng, height, False), seeded_value(rng, height, False)
+                scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
+                cases += [(scene.cfg, probe), (scene.cfg, ProbePoint(probe.p, 0))]
+    cases += [(ScenarioConfig(0, 1, 1), ProbePoint(2, 1)), (ScenarioConfig(1, 5, 1), ProbePoint(2, 1))]
+    return "\n".join(" | ".join(encoded(value) for value in (
+        outcome(classify_case, cfg, probe),
+        outcome(image_closed_form, cfg, probe),
+        outcome(locus_x, cfg, probe.p),
+        outcome(lambda: tangent_half_params(derive(cfg), probe)),
+    )) for cfg, probe in cases).encode()
+
+
+# SHA-256 of closed_form_corpus(seed), recorded at a5fbbfb, before
+# image_closed_form, locus_x, classify_case and tangent_half_params read one
+# integer image map.
+CLOSED_FORM_CORPUS = {
+    360: "98a923e228b8dc333fa5fa40bfdb0cc3bf1a23ef7b0228ff6a1d4d14ff365cba",
+    2408: "1419ca0015525b3fab710164278fddd975701f5deaf471364f614923fa9c7325",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CLOSED_FORM_CORPUS))
+def test_closed_form_corpus_frozen(seed):
+    assert hashlib.sha256(closed_form_corpus(seed)).hexdigest() == CLOSED_FORM_CORPUS[seed]
+
+
 def assert_matches_reference(scene, probe):
     fields = outcome(image_fields, scene, probe)
     assert fields == outcome(ref_construct_image, scene, probe)
@@ -916,6 +972,13 @@ class TestConstructImageMatchesReference:
     def test_no_classification(self, stratum):
         scene, probe = stratum_case(stratum, F(3), F(2), F(3), F(2), F(1))
         assert calls_made(classify_case, construct_image, scene, probe) == 0
+        # The synthetic route is the oracle for the closed form, so it never reads it.
+        assert calls_made(construction._image_map, construct_image, scene, probe) == 0
+
+    def test_concurrency_check_reads_no_closed_form(self):
+        scene = derive(WORKED)
+        assert scene.ordering is Ordering.INTERSECTING_ABCD
+        assert calls_made(construction._image_map, verify_concurrency, scene, DEFAULT_Q_SAMPLES) == 0
 
     @pytest.mark.parametrize("cfg, p", [(WORKED, 0), (WORKED, 1), (TANGENT, 0)])
     def test_probe_on_a_base_point(self, cfg, p):
