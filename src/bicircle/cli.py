@@ -1,5 +1,10 @@
 """Command-line front end with exact JSON reports.
 
+Each command is declared once, in build_parser: its subparser, its options
+and its runner (set_defaults(run=...)). main resolves the scenario for a
+command that declares the scenario options and the probe for one that
+declares --p and --q, and each report names its command first.
+
 Every numeric value in a report is an exact rational string ("13", "-18",
 "5/8"); nothing is ever serialized through floating point. Exit status is 0
 on success, 1 on a domain or I/O error or a report value too long to write
@@ -94,9 +99,9 @@ def _encode(value):
     return _JSON_FORMS[type(value)](value)
 
 
-def _report(fields: dict, status: int = 0) -> tuple[str, int]:
-    """A report's JSON text and exit status; ValueError if a value is too long to write."""
-    return json.dumps(fields, indent=2, default=_encode), status
+def _report(args, fields: dict, status: int = 0) -> tuple[str, int]:
+    """args.command's JSON report and exit status; ValueError if a value is too long to write."""
+    return json.dumps({"command": args.command, **fields}, indent=2, default=_encode), status
 
 
 def _scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -107,7 +112,8 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
         "--scenario",
         help="alternative to --a/--r1/--r2: 'a r1 r2' or JSON {\"a\": ..., \"r1\": ..., \"r2\": ...}",
     )
-    # _resolve_scenario reports through this parser, as argparse does for a bad option.
+    # main resolves the scenario through this parser, which reports a bad one
+    # as argparse does a bad option.
     parser.set_defaults(subparser=parser)
 
 
@@ -125,6 +131,7 @@ def _resolve_scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig:
 
 
 def _probe_args(parser: argparse.ArgumentParser) -> None:
+    # main builds args.probe for every command that declares --q.
     parser.add_argument("--p", type=_rational, required=True, help="probe x-coordinate")
     parser.add_argument("--q", type=_rational, required=True, help="probe y-coordinate")
 
@@ -137,18 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="construct M, N and the image point for one probe")
+    compute.set_defaults(run=_run_compute)
     _scenario_args(compute)
     _probe_args(compute)
 
     locus = sub.add_parser("locus", help="abscissa of the image line for a probe line x = p")
+    locus.set_defaults(run=_run_locus)
     _scenario_args(locus)
     locus.add_argument("--p", type=_rational, required=True, help="probe line abscissa")
 
     classify = sub.add_parser("classify", help="degeneracy flags for a probe")
+    classify.set_defaults(run=_run_classify)
     _scenario_args(classify)
     _probe_args(classify)
 
     verify = sub.add_parser("verify", help="check that AM, DN and the radical axis concur")
+    verify.set_defaults(run=_run_verify)
     _scenario_args(verify)
     verify.add_argument(
         "--q-samples",
@@ -158,10 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fuzz = sub.add_parser("fuzz", help="random trials comparing the two image routes")
+    fuzz.set_defaults(run=_run_fuzz)
     fuzz.add_argument("--trials", type=_at_least(0), default=DEFAULT_TRIALS)
     fuzz.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
 
     render = sub.add_parser("render", help="write an SVG figure for one probe")
+    render.set_defaults(run=_run_render)
     _scenario_args(render)
     _probe_args(render)
     render.add_argument("--out", required=True, help="output SVG path")
@@ -176,26 +189,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_compute(args) -> tuple[str, int]:
     scene = derive(args.cfg)
-    probe = ProbePoint(args.p, args.q)
-    result = construct_image(scene, probe)
-    return _report({
-        "command": "compute",
+    result = construct_image(scene, args.probe)
+    return _report(args, {
         "scenario": scene.cfg,
         "ordering": scene.ordering,
-        "probe": probe,
+        "probe": args.probe,
         "M": result.M,
         "N": result.N,
         "lineAM": result.line_am,
         "lineDN": result.line_dn,
         "Pprime": result.p_prime,
-        "classification": classify_case(scene.cfg, probe),
+        "classification": classify_case(scene.cfg, args.probe),
     })
 
 
 def _run_locus(args) -> tuple[str, int]:
     value = locus_x(args.cfg, args.p)
-    return _report({
-        "command": "locus",
+    return _report(args, {
         "scenario": args.cfg,
         "p": args.p,
         "pPrime": value,
@@ -204,20 +214,17 @@ def _run_locus(args) -> tuple[str, int]:
 
 
 def _run_classify(args) -> tuple[str, int]:
-    probe = ProbePoint(args.p, args.q)
-    return _report({
-        "command": "classify",
+    return _report(args, {
         "scenario": args.cfg,
-        "probe": probe,
-        "classification": classify_case(args.cfg, probe),
+        "probe": args.probe,
+        "classification": classify_case(args.cfg, args.probe),
     })
 
 
 def _run_verify(args) -> tuple[str, int]:
     scene = derive(args.cfg)
     passed = verify_concurrency(scene, args.q_samples)
-    return _report({
-        "command": "verify",
+    return _report(args, {
         "scenario": scene.cfg,
         "p": scene.radical_axis_x,
         "qSamples": args.q_samples,
@@ -227,8 +234,7 @@ def _run_verify(args) -> tuple[str, int]:
 
 def _run_fuzz(args) -> tuple[str, int]:
     report = run_oracle_fuzz(trials=args.trials, seed=args.seed)
-    return _report({
-        "command": "fuzz",
+    return _report(args, {
         "trials": report.trials,
         "seed": report.seed,
         "failures": len(report.failures),
@@ -237,13 +243,11 @@ def _run_fuzz(args) -> tuple[str, int]:
 
 
 def _run_render(args) -> tuple[str, int]:
-    cfg = args.cfg
-    scene = derive(cfg)
-    probe = ProbePoint(args.p, args.q)
-    result = construct_image(scene, probe)
+    scene = derive(args.cfg)
+    result = construct_image(scene, args.probe)
     spec = RenderSpec(
         scene=scene,
-        probe=probe,
+        probe=args.probe,
         result=result,
         width=args.width,
         height=args.height,
@@ -253,8 +257,7 @@ def _run_render(args) -> tuple[str, int]:
     )
     data = render_svg(spec).encode("utf-8")
     # Encoded first: a report that cannot be encoded leaves no figure, one stdout refuses does.
-    report = _report({
-        "command": "render",
+    report = _report(args, {
         "out": args.out,
         "bytes": len(data),
         "Pprime": result.p_prime,
@@ -264,24 +267,15 @@ def _run_render(args) -> tuple[str, int]:
     return report
 
 
-_RUNNERS = {
-    "compute": _run_compute,
-    "locus": _run_locus,
-    "classify": _run_classify,
-    "verify": _run_verify,
-    "fuzz": _run_fuzz,
-    "render": _run_render,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "fuzz":
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "subparser"):
         args.cfg = _resolve_scenario(args.subparser, args)
+    if hasattr(args, "q"):
+        args.probe = ProbePoint(args.p, args.q)
     text = None
     try:
-        text, status = _RUNNERS[args.command](args)
+        text, status = args.run(args)
         print(text, flush=True)
     # ValueError: a report rational with more digits than
     # sys.get_int_max_str_digits(), though every input had fewer.

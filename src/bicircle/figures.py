@@ -55,7 +55,9 @@ _COLORS = {
 
 
 def decimal6(n: int, d: int) -> str:
-    """n/d, d > 0, as a decimal string with exactly six fractional digits, rounded half to even."""
+    """n/d with exactly six fractional digits, rounded half to even; ValueError unless d > 0."""
+    if d <= 0:
+        raise ValueError(f"decimal6 needs a positive denominator, got {d}")
     q, r = divmod(n * 1_000_000, d)
     if 2 * r > d or (2 * r == d and q & 1):
         q += 1

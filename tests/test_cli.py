@@ -1,5 +1,6 @@
 """CLI contract: JSON shapes, exit codes, reproducibility."""
 
+import argparse
 import collections
 import json
 import os
@@ -8,10 +9,11 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from bicircle import ScenarioConfig, cli, derive
+from bicircle import ExtendedPoint, Point2, ScenarioConfig, cli, construction, derive
 from bicircle.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -142,6 +144,24 @@ class TestVerify:
         assert code == 1
         assert "WrongOrdering" in err
 
+    def test_failed_check_exits_1_with_full_report(self, capsys, monkeypatch):
+        construct = construction.construct_image
+
+        def moved(scene, probe):  # P' one unit right of the radical axis
+            point = construct(scene, probe).p_prime.point
+            return SimpleNamespace(p_prime=ExtendedPoint.finite(Point2(point.x + 1, point.y)))
+
+        monkeypatch.setattr(construction, "construct_image", moved)
+        code, out, err = run(capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "command": "verify",
+            "scenario": {"a": "2", "r1": "3", "r2": "2"},
+            "p": "5/8",
+            "qSamples": ["1", "2", "-3", "1/7"],
+            "passed": False,
+        }
+
 
 class TestFuzz:
     def test_clean_report(self, capsys):
@@ -215,6 +235,24 @@ class TestRender:
         assert code == 1
         assert "DegenerateProbe" in err
         assert not (tmp_path / "x.svg").exists()
+
+
+class TestCommandDeclaration:
+    def test_command_without_scenario_or_probe(self, capsys, monkeypatch):
+        # A command declares its runner and its inputs beside its subparser;
+        # main resolves no scenario and no probe for one that declares neither.
+        build = cli.build_parser
+
+        def build_parser():
+            parser = build()
+            (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+            sub.add_parser("ping").set_defaults(run=lambda args: cli._report(args, {"pong": True}))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        code, out, err = run(capsys, ["ping"])
+        assert (code, err) == (0, "")
+        assert out == '{\n  "command": "ping",\n  "pong": true\n}\n'
 
 
 class TestUsageErrors:

@@ -304,6 +304,20 @@ class TestVerifyConcurrency:
         with pytest.raises(ValueError):
             verify_concurrency(derive(WORKED), [0])
 
+    def test_image_off_the_radical_axis_fails(self, monkeypatch):
+        # P' one unit right of the radical axis for the last sample only:
+        # every sample's image is read, not just the first.
+        construct = construction.construct_image
+
+        def moved(scene, probe):
+            point = construct(scene, probe).p_prime.point
+            shift = probe.q == DEFAULT_Q_SAMPLES[-1]
+            return SimpleNamespace(p_prime=ExtendedPoint.finite(Point2(point.x + shift, point.y)))
+
+        monkeypatch.setattr(construction, "construct_image", moved)
+        assert verify_concurrency(derive(WORKED), DEFAULT_Q_SAMPLES[:-1]) is True
+        assert verify_concurrency(derive(WORKED), DEFAULT_Q_SAMPLES) is False
+
 
 class TestSeededTrials:
     def test_fuzz_clean_and_reproducible(self):

@@ -70,6 +70,13 @@ class TestDecimal6:
         assert decimal6(3, 2_000_000) == "0.000002"
         assert decimal6(-1, 2_000_000) == "0.000000"
 
+    @pytest.mark.parametrize("d", [0, -1, -2, -3, -8])
+    def test_denominator_must_be_positive(self, d):
+        # Floor division by a negative d would round the wrong way:
+        # decimal6(1, -2) read "-0.499999" before this check.
+        with pytest.raises(ValueError, match="positive denominator"):
+            decimal6(1, d)
+
 
 class TestLayout:
     def test_circle_bbox_fills_constrained_dimension(self):
