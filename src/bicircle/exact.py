@@ -2,9 +2,9 @@
 
 Every coordinate is an arbitrary-precision rational (``fractions.Fraction``)
 and every operation is exact: no floating point enters this module, and no
-square root is ever taken. ExtendedPoint and Line are primitive integer
-triples with Fraction views, and the kernel computes on triples with +, -
-and * alone. A point at infinity (x : y : 0) is an exact direction, never an
+square root is ever taken. ExtendedPoint, Line and a circle's conic are
+primitive integer tuples, computed with +, - and * and divided by a gcd only
+where stored. A point at infinity (x : y : 0) is an exact direction, never an
 approximation by large coordinates.
 
 All types are immutable values and all operations are pure functions, so
@@ -246,10 +246,11 @@ class Circle(_Value):
         return f"circle(center={self.center}, r={self.radius})"
 
 
-# The kernel core computes on integer triples with +, - and * alone: a point
-# (x : y : w), a line (a : b : c) through the points with a*x + b*y + c*w = 0,
-# and a circle as the conic s(x² + y²) + u*x*w + v*y*w + t*w² = 0, written
-# (s, u, v, t). Join and meet are cross products and the tangent is a polar.
+# The kernel core computes on integer triples: a point (x : y : w), a line (a : b : c)
+# through the points with a*x + b*y + c*w = 0, and a circle as the conic
+# s(x² + y²) + u*x*w + v*y*w + t*w² = 0, written (s, u, v, t). Join and meet are cross
+# products and the tangent is a polar. _cross, _polar and _second use +, - and * alone,
+# so they run over any commutative ring; _circle_conic and _axis_join divide by a gcd.
 
 def _triple(p: Point2) -> tuple[int, int, int]:
     """Integers (x, y, w) with p = (x/w, y/w), w the product of p's denominators."""
@@ -259,15 +260,16 @@ def _triple(p: Point2) -> tuple[int, int, int]:
 
 
 def _conic(k: Circle) -> tuple[int, int, int, int]:
-    """(s, u, v, t) of k."""
-    return _circle_conic(*_triple(k.center), k.radius)
+    """(s, u, v, t) of k: _circle_conic of its center and radius over one denominator."""
+    (x, y, w), rn, rd = _triple(k.center), k.radius.numerator, k.radius.denominator
+    return _circle_conic(x * rd, y * rd, rn * w, w * rd)
 
 
-def _circle_conic(cx: int, cy: int, cw: int, r: Fraction) -> tuple[int, int, int, int]:
-    """(s, u, v, t) of (x - cx)² + (y - cy)² - r² times (cw·rd)², center (cx/cw, cy/cw)."""
-    rn, rd = r.numerator, r.denominator
-    rr = rd * rd
-    return cw * cw * rr, -2 * cx * cw * rr, -2 * cy * cw * rr, (cx * cx + cy * cy) * rr - (rn * cw) ** 2
+def _circle_conic(x: int, y: int, r: int, d: int) -> tuple[int, int, int, int]:
+    """The one primitive (s, u, v, t), s > 0, of the circle with center (x/d, y/d) and radius r/d."""
+    s, u, v, t = d * d, -2 * x * d, -2 * y * d, x * x + y * y - r * r
+    g = gcd(s, u, v, t)
+    return s // g, u // g, v // g, t // g
 
 
 def _cross(u, v) -> tuple[int, int, int]:

@@ -135,10 +135,9 @@ def layout(spec: RenderSpec) -> Viewport:
     and the translation are built as Fractions.
     """
     scene = spec.scene
-    r1, r2 = ((r.numerator, r.denominator) for r in (scene.cfg.r1, scene.cfg.r2))
-    rn, rd = r2 if _less(r1, r2) else r1
+    _, d, _, r1, r2 = _frame(scene.cfg)
     (ax, _, aw), (dx, _, dw) = scene._triples[0], scene._triples[3]
-    xmin, xmax, ymin, ymax = (ax, aw), (dx, dw), (-rn, rd), (rn, rd)
+    xmin, xmax, ymin, ymax = (ax, aw), (dx, dw), (-max(r1, r2), d), (max(r1, r2), d)
     if not spec.clip:
         p, q, image = spec.probe.p, spec.probe.q, spec.result.p_prime
         points = [((p.numerator, p.denominator), (q.numerator, q.denominator))]
@@ -263,8 +262,9 @@ class _Emitter:
         if span is not None and any(_octant(*span)):
             self.segment(cls, span[0], span[1], color, width, dash)
 
-    def circle(self, cls: str, center, radius: Fraction, color: str, width: str) -> None:
-        r = decimal6(radius.numerator, radius.denominator)
+    def circle(self, cls: str, center, radius: int, color: str, width: str) -> None:
+        """A circle with center (x : y : w) and radius radius/w."""
+        r = decimal6(radius, center[2])
         self.parts.append(
             f'<circle class="{cls}" {_place(center, "cx", "cy")}'
             f' r="{r}" fill="none" stroke="{color}" stroke-width="{self.px[width]}"/>'
@@ -305,8 +305,8 @@ def render_svg(spec: RenderSpec) -> str:
     rect = xmin, xmax, ymin, ymax = em.rect
 
     _, d, a, r1, r2 = _frame(scene.cfg)
-    em.circle("circle-k1", (-a, 0, d), scene.cfg.r1, _COLORS["circle"], "circle")
-    em.circle("circle-k2", (a, 0, d), scene.cfg.r2, _COLORS["circle"], "circle")
+    em.circle("circle-k1", (-a, 0, d), r1, _COLORS["circle"], "circle")
+    em.circle("circle-k2", (a, 0, d), r2, _COLORS["circle"], "circle")
     em.full_line("axis", _AXIS, _COLORS["axis"], "line")
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).

@@ -127,24 +127,19 @@ def validate(cfg: ScenarioConfig) -> Ordering:
     return _frame(cfg)[0]
 
 
-def _axis_triple(x: int, d: int) -> tuple[int, int, int]:
-    """exact._triple of the point (x/d, 0), d > 0: (x, 0, d) divided by its gcd."""
-    g = gcd(x, d)
-    return x // g, 0, d // g
+def _axis_circle(c: int, r: int, d: int) -> tuple:
+    """The circle about (c/d, 0) of radius r/d, d > 0: its conic and its axis points (c ∓ r)/d."""
+    left, right = c - r, c + r
+    g, h = gcd(left, d), gcd(right, d)
+    return _circle_conic(c, 0, r, d), (left // g, 0, d // g), (right // h, 0, d // h)
 
 
 def derive(cfg: ScenarioConfig) -> DerivedScene:
     """Validate cfg and build the scene on its frame's integers; views are built when read."""
     ordering, d, a, r1, r2 = _frame(cfg)
-    an, ad = cfg.a.numerator, cfg.a.denominator
+    (k1, A, C), (k2, B, D) = _axis_circle(-a, r1, d), _axis_circle(a, r2, d)
     scene = object.__new__(DerivedScene)
-    scene.__dict__.update(
-        cfg=cfg,
-        ordering=ordering,
-        _conics=(_circle_conic(-an, 0, ad, cfg.r1), _circle_conic(an, 0, ad, cfg.r2)),
-        _triples=(_axis_triple(-a - r1, d), _axis_triple(a - r2, d),
-                  _axis_triple(r1 - a, d), _axis_triple(a + r2, d)),
-    )
+    scene.__dict__.update(cfg=cfg, ordering=ordering, _conics=(k1, k2), _triples=(A, B, C, D))
     return scene
 
 

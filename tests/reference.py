@@ -1,10 +1,24 @@
-"""The Fraction kernel formulas that the integer kernel replaced.
-
-Shared by the tests that check the shipped kernel and construct_image
-against them. Not a test module, so pytest does not collect it.
+"""Helpers the tests share: the Fraction kernel formulas that the integer
+kernel replaced, against which the shipped kernel and construct_image are
+checked, and the environment of a child interpreter. Not a test module, so
+pytest does not collect it.
 """
 
+import os
+from pathlib import Path
+
+import bicircle
 from bicircle import ExtendedPoint, Line, Point2
+
+
+def child_env() -> dict:
+    """os.environ with this bicircle's directory first on PYTHONPATH.
+
+    A child interpreter started with it imports the same package as the
+    test, installed or not.
+    """
+    paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def ref_line_through(p1, p2):

@@ -7,18 +7,14 @@ parsed back out of rendered SVG text.
 
 import functools
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
-
-import bicircle
 
 from bicircle import (
     DEFAULT_Q_SAMPLES,
@@ -51,6 +47,7 @@ from bicircle import (
     validate,
     verify_concurrency,
 )
+from reference import child_env
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -309,11 +306,8 @@ def test_criterion_8_render():
 
 
 def _cli(*args):
-    # The child imports the same package as this test, installed or not.
-    paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
-        [sys.executable, "-m", "bicircle", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "bicircle", *args], capture_output=True, text=True, env=child_env()
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from bicircle import ExtendedPoint, Point2, ScenarioConfig, cli, construction, derive
 from bicircle.cli import main
+from reference import child_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -500,8 +501,7 @@ WORKED_ARGV = ["compute", "--a", "2", "--r1", "3", "--r2", "2", "--p", "2", "--q
 
 def child_report(stdout, unbuffered, argv=WORKED_ARGV):
     """Run argv, the worked compute by default, in a child interpreter with the stdout given."""
-    paths = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -36,6 +36,7 @@ from bicircle import (
     second_intersection,
     tangent_at,
 )
+from bicircle.exact import _conic
 from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 K1 = Circle(Point2(-2, 0), 3)
@@ -297,6 +298,15 @@ class TestPowerAndRadicalAxis:
     def test_concentric(self):
         with pytest.raises(ConcentricCircles):
             radical_axis(K1, Circle(Point2(-2, 0), 1))
+
+    @given(circles, points)
+    def test_conic_is_primitive(self, k, point):
+        # One conic per circle: divided by its gcd, s > 0, and its value at a
+        # point is s times the point's power.
+        s, u, v, t = _conic(k)
+        assert gcd(s, u, v, t) == 1 and s > 0
+        x, y = point.x, point.y
+        assert s * (x * x + y * y) + u * x + v * y + t == s * power_of_point(k, point)
 
     @given(circles, circles, rationals, rationals)
     def test_equal_power_property(self, k1, k2, t1, t2):

@@ -24,7 +24,6 @@ from unittest import mock
 
 import pytest
 
-import bicircle
 from bicircle import (
     ExtendedPoint,
     FuzzFailure,
@@ -34,6 +33,7 @@ from bicircle import (
     ScenarioConfig,
     cli,
 )
+from reference import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -149,11 +149,8 @@ def run_case(name: str) -> tuple[bytes, bytes | None]:
 
 def run_demo(script: str) -> bytes:
     """Exit line plus stdout of demos/<script>.py, run in a child interpreter."""
-    # The child imports the same package as this test, installed or not.
-    paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     child = subprocess.run(
-        [sys.executable, str(DEMOS / f"{script}.py")], capture_output=True, env=env
+        [sys.executable, str(DEMOS / f"{script}.py")], capture_output=True, env=child_env()
     )
     return b"exit %d\n" % child.returncode + child.stdout
 

@@ -12,12 +12,21 @@ random a, r1, r2, p and q, and three polynomial identities are checked there:
 Each side has degree at most 13, so by Schwartz–Zippel (J. T. Schwartz,
 JACM 27, 1980) a false identity passes one random point with probability at
 most 13/p < 2⁻⁵⁷.
+
+The check sees only the arithmetic this chain runs. Both circles are centred
+on the axis, so v = 0 in both conics and the v terms of _polar never show.
+Flipping the sign of _cross's middle component passes too: the chain joins A
+and D to M and N with _cross, and the mutant's three crosses compose to −P′,
+the same point. construct_image joins A and D with exact._axis_join instead,
+so the two-route oracle catches that mutant; the last test here runs it.
 """
 
 import inspect
 import random
 
-from bicircle import exact
+import pytest
+
+from bicircle import construction, exact, run_oracle_fuzz
 
 MODULUS = 2**61 - 1
 
@@ -75,13 +84,18 @@ def identities_hold(rng, second=exact._second) -> bool:
     )
 
 
-def mutant(function, old: str, new: str):
-    """``function`` compiled from its source with ``old`` replaced by ``new``, in its module."""
-    source = inspect.getsource(function)
-    assert source.count(old) == 1, old
+def mutant(old: str, new: str) -> dict:
+    """exact's names, with _cross, _polar and _second recompiled, ``old`` replaced by ``new``.
+
+    ``old`` occurs once in the three sources. The recompiled _second calls
+    the recompiled _polar, so a mutant of _polar shows through _second.
+    """
+    sources = [inspect.getsource(f) for f in (exact._cross, exact._polar, exact._second)]
+    assert sum(source.count(old) for source in sources) == 1, old
     namespace = dict(vars(exact))
-    exec(source.replace(old, new), namespace)
-    return namespace[function.__name__]
+    for source in sources:
+        exec(source.replace(old, new), namespace)
+    return namespace
 
 
 class TestImageChainModP:
@@ -92,7 +106,22 @@ class TestImageChainModP:
         assert all(identities_hold(rng) for _ in range(self.POINTS))
 
     def test_sign_flip_in_second_is_caught(self):
-        # Mutating the v terms of _polar cannot show here: both circles are
-        # centred on the axis, so v = 0 in both conics.
-        second, rng = mutant(exact._second, "- b * t0", "+ b * t0"), random.Random(2408)
+        second, rng = mutant("- b * t0", "+ b * t0")["_second"], random.Random(2408)
         assert not any(identities_hold(rng, second) for _ in range(self.POINTS))
+
+    @pytest.mark.parametrize("old, new", [
+        ("2 * s * x + u * w", "2 * s * x - u * w"),
+        ("2 * t * w", "t * w"),
+    ], ids=["sign-of-uw", "halved-tw"])
+    def test_mutant_in_polar_is_caught(self, old, new):
+        second, rng = mutant(old, new)["_second"], random.Random(2408)
+        assert not any(identities_hold(rng, second) for _ in range(self.POINTS))
+
+
+def test_sign_flip_in_cross_is_caught_by_the_oracle(monkeypatch):
+    # Invisible over ℤ/pℤ above. The shipped route joins A and D with
+    # _axis_join, so only its last cross, AM × DN, is the mutant's: 198 of
+    # the 200 trials fail.
+    cross = mutant("u2 * v0 - u0 * v2", "u0 * v2 - u2 * v0")["_cross"]
+    monkeypatch.setattr(construction, "_cross", cross)
+    assert len(run_oracle_fuzz(200, 360).failures) > 190

@@ -6,6 +6,7 @@ package drops breaks the benchmark, so both are exercised here on a few ops.
 """
 
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,16 @@ def test_sweep_tall_cycle_builds_lines_only_for_tangents():
     workload = workloads.SweepTall(SEED)
     on_axis = sum(probe.q == 0 for _, _, probe in workload.ops)
     assert cycle_calls(workload, bicircle.Line.__init__) == 2 * on_axis == 46
+
+
+@pytest.mark.parametrize("seed", [360, 2408])
+def test_sweep_tall_conics_are_canonical(seed):
+    # ~100-digit values: written over the frame's denominator, each conic of
+    # these scenes has a common factor of 325 to 821 bits, which derive drops.
+    for scene in {id(scene): scene for _, scene, _ in workloads.SweepTall(seed).ops}.values():
+        for conic, circle in zip(scene._conics, (scene.k1, scene.k2)):
+            assert gcd(*conic) == 1 and conic[0] > 0
+            assert bicircle.exact._conic(circle) == conic
 
 
 # SHA-256 of all RenderSvg(seed) documents joined in op order, recorded at

@@ -3,9 +3,10 @@
 import copy
 import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bicircle import (
@@ -327,6 +328,22 @@ class TestScenarioMatchesReference:
             object.__setattr__(twin, "_conics", ())
             object.__setattr__(twin, "_triples", ())
             assert twin == scene and hash(twin) == hash(scene)
+
+        check()
+
+    def test_conics_are_canonical(self, height):
+        # Each circle has one conic, primitive with s > 0, so derive's equals
+        # _conic of the view because the conic is unique. The example's
+        # circles are x² + y² ± x = 0.
+        @given(scenario_configs(height))
+        @example(ScenarioConfig("1/2", "1/2", "1/2"))
+        def check(cfg):
+            scene = outcome(derive, cfg)
+            if not isinstance(scene, DerivedScene):
+                return
+            for conic, circle in zip(scene._conics, (scene.k1, scene.k2)):
+                assert gcd(*conic) == 1 and conic[0] > 0
+                assert _conic(circle) == conic
 
         check()
 

@@ -1,6 +1,5 @@
 """The frozen value types: fields, equality, hash, repr, match patterns and start-up cost."""
 
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import bicircle
 from bicircle import (
     Circle,
     DerivedScene,
@@ -26,6 +24,7 @@ from bicircle import (
     layout,
 )
 from bicircle.figures import Viewport
+from reference import child_env
 
 GUARD = Path(__file__).with_name("startup_guard.py")
 
@@ -185,7 +184,5 @@ class TestConstructors:
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
     # A fresh interpreter, so modules the tests import do not hide the cost.
-    paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    child = subprocess.run([sys.executable, str(GUARD)], capture_output=True, text=True, env=env)
+    child = subprocess.run([sys.executable, str(GUARD)], capture_output=True, text=True, env=child_env())
     assert child.returncode == 0, child.stderr
