@@ -7,8 +7,9 @@ moment. layout finds the bounds and the scale on integer (numerator,
 denominator) pairs too; Fractions remain only in the scale, tx and ty of its
 Viewport. Geometry is written in model units inside a single translate+scale
 group; the y axis is flipped by negating y values at emission time, which
-keeps text upright without nested transforms. Styling is fixed, so identical
-specs yield byte-identical documents.
+keeps text upright without nested transforms. One emitter method writes
+every element, painted by its class from one style table (_STYLES), so
+identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -40,17 +41,23 @@ _ARROW_LEN, _ARROW_HALF = 9, 3  # clipped-marker arrow length and half width, in
 
 _FONT = "Helvetica, Arial, sans-serif"
 
-_COLORS = {
-    "circle": "#2b2b2b",
-    "axis": "#888888",
-    "radical": "#666666",
-    "probe": "#1f6fd0",
-    "image": "#d04a1f",
-    "chord": "#9a9a9a",
-    "construction": "#3c8c3c",
-    "marker": "#111111",
-    "label": "#111111",
-    "caption": "#333333",
+# Each element class drawn: its colour, and the _PIXELS key of its stroke
+# width, of its font size for text, or None for a filled shape.
+_STYLES = {
+    "circle-k1": ("#2b2b2b", "circle"),
+    "circle-k2": ("#2b2b2b", "circle"),
+    "axis": ("#888888", "line"),
+    "radical-axis": ("#666666", "line"),
+    "probe-line": ("#1f6fd0", "accent"),
+    "image-line": ("#d04a1f", "accent"),
+    "chord chord-cm": ("#9a9a9a", "line"),
+    "chord chord-bn": ("#9a9a9a", "line"),
+    "construction construction-am": ("#3c8c3c", "accent"),
+    "construction construction-dn": ("#3c8c3c", "accent"),
+    "point-marker": ("#111111", None),
+    "point-marker clipped": ("#111111", None),
+    "point-label": ("#111111", "font"),
+    "caption": ("#333333", "font"),
 }
 
 
@@ -217,15 +224,9 @@ def _at(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
     return x[0] * y[1], y[0] * x[1], x[1] * y[1]
 
 
-def _shift(t, dx: int, dy: int, d: int = 1) -> tuple[int, int, int]:
-    """The triple of t + (dx/d, dy/d), for a triple t = (x, y, w) with w > 0 and d > 0."""
-    x, y, w = t
-    return x * d + dx * w, y * d + dy * w, w * d
-
-
 def _octant(p, q) -> tuple[int, int]:
     """Signs of the x and y components of p - q, for triples p and q."""
-    dx, dy, _ = _shift(p, -q[0], -q[1], q[2])
+    dx, dy = p[0] * q[2] - q[0] * p[2], p[1] * q[2] - q[1] * p[2]
     return (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
 
 
@@ -240,49 +241,33 @@ class _Emitter:
     def __init__(self, viewport: Viewport):
         self.rect = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
-        self.px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        px = self.px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        self.paint = {}
+        for cls, (color, key) in _STYLES.items():
+            if key is None:
+                self.paint[cls] = f'fill="{color}"'
+            elif key == "font":
+                self.paint[cls] = f'font-family="{_FONT}" font-size="{px[key]}" fill="{color}"'
+            else:
+                self.paint[cls] = f'stroke="{color}" stroke-width="{px[key]}"'
+        self.paint["radical-axis"] += f' stroke-dasharray="{px["dash-on"]} {px["dash-off"]}"'
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
         """t moved by (dx, dy) pixels, in model units."""
-        return _shift(t, dx * self.sd, dy * self.sd, self.sn)
+        x, y, w = t
+        return x * self.sn + dx * self.sd * w, y * self.sn + dy * self.sd * w, w * self.sn
 
-    def segment(self, cls: str, p1, p2, color: str, width: str, dash: bool = False) -> None:
-        dash_attr = (
-            f' stroke-dasharray="{self.px["dash-on"]} {self.px["dash-off"]}"' if dash else ""
-        )
-        self.parts.append(
-            f'<line class="{cls}" {_place(p1, "x1", "y1")} {_place(p2, "x2", "y2")}'
-            f' stroke="{color}" stroke-width="{self.px[width]}"{dash_attr}/>'
-        )
+    def add(self, tag: str, cls: str, attrs: str, name: str = "", text: str = "") -> None:
+        """One element of class cls, painted by its class: geometry attrs, a data-name, text content."""
+        data = f' data-name="{name}"' if name else ""
+        end = f">{text}</{tag}>" if text else "/>"
+        self.parts.append(f'<{tag} class="{cls}"{data} {attrs} {self.paint[cls]}{end}')
 
-    def full_line(self, cls: str, line: tuple[int, int, int], color: str, width: str,
-                  dash: bool = False) -> None:
+    def full_line(self, cls: str, line: tuple[int, int, int]) -> None:
         span = _clip(line, self.rect)
         if span is not None and any(_octant(*span)):
-            self.segment(cls, span[0], span[1], color, width, dash)
-
-    def circle(self, cls: str, center, radius: int, color: str, width: str) -> None:
-        """A circle with center (x : y : w) and radius radius/w."""
-        r = decimal6(radius, center[2])
-        self.parts.append(
-            f'<circle class="{cls}" {_place(center, "cx", "cy")}'
-            f' r="{r}" fill="none" stroke="{color}" stroke-width="{self.px[width]}"/>'
-        )
-
-    def marker(self, name: str, point) -> None:
-        self.parts.append(
-            f'<circle class="point-marker" data-name="{name}" {_place(point, "cx", "cy")}'
-            f' r="{self.px["marker"]}" fill="{_COLORS["marker"]}"/>'
-        )
-
-    def text(self, cls: str, name: str, anchor, content: str, color: str) -> None:
-        data = f' data-name="{name}"' if name else ""
-        self.parts.append(
-            f'<text class="{cls}"{data} {_place(anchor)}'
-            f' font-family="{_FONT}" font-size="{self.px["font"]}"'
-            f' fill="{color}">{content}</text>'
-        )
+            self.add("line", cls, f'{_place(span[0], "x1", "y1")} {_place(span[1], "x2", "y2")}')
 
     def arrow(self, name: str, tip, direction: tuple[int, int]) -> None:
         """Clipped-marker arrow: a small triangle pointing out of the canvas."""
@@ -291,10 +276,7 @@ class _Emitter:
         left = self.offset(base, -uy * _ARROW_HALF, ux * _ARROW_HALF)
         right = self.offset(base, uy * _ARROW_HALF, -ux * _ARROW_HALF)
         points = " ".join(f"{decimal6(x, w)},{decimal6(-y, w)}" for x, y, w in (tip, left, right))
-        self.parts.append(
-            f'<polygon class="point-marker clipped" data-name="{name}"'
-            f' points="{points}" fill="{_COLORS["marker"]}"/>'
-        )
+        self.add("polygon", "point-marker clipped", f'points="{points}"', name)
 
 
 def render_svg(spec: RenderSpec) -> str:
@@ -305,21 +287,20 @@ def render_svg(spec: RenderSpec) -> str:
     rect = xmin, xmax, ymin, ymax = em.rect
 
     _, d, a, r1, r2 = _frame(scene.cfg)
-    em.circle("circle-k1", (-a, 0, d), r1, _COLORS["circle"], "circle")
-    em.circle("circle-k2", (a, 0, d), r2, _COLORS["circle"], "circle")
-    em.full_line("axis", _AXIS, _COLORS["axis"], "line")
+    for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
+        em.add("circle", cls, f'{_place((x, 0, d), "cx", "cy")} r="{decimal6(r, d)}" fill="none"')
+    em.full_line("axis", _AXIS)
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).
     if spec.show_radical_axis:
-        em.full_line("radical-axis", (4 * a * d, 0, r2 * r2 - r1 * r1), _COLORS["radical"], "line",
-                     dash=True)
+        em.full_line("radical-axis", (4 * a * d, 0, r2 * r2 - r1 * r1))
     probe, result = spec.probe, spec.result
-    em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator), _COLORS["probe"], "accent")
+    em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator))
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
     _, image_x, image_w, *_ = _image_map(scene.cfg, probe.p)
     if image_w:
-        em.full_line("image-line", (image_w, 0, -image_x), _COLORS["image"], "accent")
+        em.full_line("image-line", (image_w, 0, -image_x))
 
     m, n, image = result.m, result.n, result.p_prime
     named = [*zip("ABCD", scene._triples), ("P", _triple(probe.point)),
@@ -337,18 +318,16 @@ def render_svg(spec: RenderSpec) -> str:
         if any(_octant(first, last)):
             span = _clip(_cross(first, last), rect, (first, last)) if spec.clip else (first, last)
             if span is not None:
-                em.segment(cls, span[0], span[1], _COLORS["chord"], "line")
-    em.full_line("construction construction-am", result.line_am.coefficients,
-                 _COLORS["construction"], "accent")
-    em.full_line("construction construction-dn", result.line_dn.coefficients,
-                 _COLORS["construction"], "accent")
+                em.add("line", cls, f'{_place(span[0], "x1", "y1")} {_place(span[1], "x2", "y2")}')
+    em.full_line("construction construction-am", result.line_am.coefficients)
+    em.full_line("construction construction-dn", result.line_dn.coefficients)
 
     low, high = _at(xmin, ymin), _at(xmax, ymax)
-    x, y, w = _shift(low, *high)
-    center = x, y, 2 * w
+    (lx, ly, lw), (hx, hy, hw) = low, high
+    center = lx * hw + hx * lw, ly * hw + hy * lw, 2 * lw * hw
     for name, point in named:
         if min(_octant(point, low)) >= 0 and max(_octant(point, high)) <= 0:
-            em.marker(name, point)
+            em.add("circle", "point-marker", f'{_place(point, "cx", "cy")} r="{em.px["marker"]}"', name)
             anchor = em.offset(point, _LABEL_DX, _LABEL_DY)
         else:
             # Outside the canvas (possible only with clipping): mark the spot
@@ -362,11 +341,11 @@ def render_svg(spec: RenderSpec) -> str:
             ox, oy = direction
             anchor = em.offset(tip, (1 - 4 * (ox > 0)) * _LABEL_DX, (1 - 3 * (oy > 0)) * _LABEL_DY)
         if spec.labels:
-            em.text("point-label", name, anchor, name, _COLORS["label"])
+            em.add("text", "point-label", _place(anchor), name, name)
 
     if not result.p_prime.is_finite:
         caption_at = em.offset(_at(xmin, ymax), 2 * _LABEL_DX, -3 * _LABEL_DY)
-        em.text("caption", "", caption_at, "P′ at infinity", _COLORS["caption"])
+        em.add("text", "caption", _place(caption_at), text="P′ at infinity")
 
     transform = viewport.tx, viewport.ty, viewport.scale
     tx, ty, scale = (decimal6(v.numerator, v.denominator) for v in transform)

@@ -1,10 +1,11 @@
 """Helpers the tests share: the Fraction kernel formulas that the integer
 kernel replaced, against which the shipped kernel and construct_image are
-checked, and the environment of a child interpreter. Not a test module, so
-pytest does not collect it.
+checked, a call counter, and the environment of a child interpreter. Not a
+test module, so pytest does not collect it.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import bicircle
@@ -19,6 +20,28 @@ def child_env() -> dict:
     """
     paths = [str(Path(bicircle.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def calls_made(target, fn, *args, caller=None):
+    """Count calls of the Python function target made while fn runs, with a profile hook.
+
+    With caller given, count only the calls that caller makes directly.
+    """
+    code = target.__code__
+    outer = caller and caller.__code__
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code and (outer is None or frame.f_back.f_code is outer):
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def ref_line_through(p1, p2):

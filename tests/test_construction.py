@@ -46,7 +46,7 @@ from bicircle import (
     verify_concurrency,
 )
 from bicircle import cli, construction, exact, scenario
-from reference import ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
+from reference import calls_made, ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -436,28 +436,6 @@ class TestSeededTrials:
             assert scenario._frame(cfg) == scenario._frame(fresh)
 
 
-def calls_made(target, fn, *args, caller=None):
-    """Count calls of the Python function target made while fn runs, with a profile hook.
-
-    With caller given, count only the calls that caller makes directly.
-    """
-    code = target.__code__
-    outer = caller and caller.__code__
-    calls = 0
-
-    def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code and (outer is None or frame.f_back.f_code is outer):
-            calls += 1
-
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def worked_spec(clip):
     """The render spec of the worked case, probe (2, 1), at the default canvas."""
     scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -485,59 +463,33 @@ class TestWorkCount:
     The kernel and the scenario layer build each Fraction of a result once,
     and an ExtendedPoint holds integers, so meet and image_closed_form build
     none; construct_image chains integer triples and its Fraction views are
-    built only when read, so it builds none either. Measured on the worked
-    case: construct_image builds 0 (87 with the Fraction kernel, 10 with
-    Fraction ExtendedPoint fields, 8 with Fraction lines and M, N), derive 0
-    (30 with Fraction formulas, 6 while it built every view eagerly),
-    image_closed_form 0 (29, then 2) and locus_x 2 (19); run_oracle_fuzz(20,
-    360) builds 0 once the table of the 2,020 values a draw can take is
-    built (100 while each draw built its Fraction; 4860 before integer
-    pre-rejection in random_scenario and the integer kernel, 1636 before
-    the integer scenario layer, 478 before
-    the integer ExtendedPoint, 398 before the triple chain, 238 before
-    random_scenario admitted draws on integers and built a ScenarioConfig
-    only for the one it returns, 220 before derive kept its integers and
-    built the circles, points and radical axis only when read). render_svg
-    on the worked case builds 3 with or without clipping: the scale, tx and
-    ty of layout, since layout finds its bounds on integer pairs and
-    render_svg clips, places markers and writes coordinates on integer
-    triples and draws the radical axis and the image line from the config's
-    frame (4 with the one of locus_x; 31 and 29 when layout compared its
-    bounds as Fractions and the emitter read the four divisions of
-    Viewport.visible_rect, of which 21 in layout; 38 and 30 when layout
-    took its bounds over A, B, C, D, the radical axis, P, M, N and P′
-    instead of the circles' box, P and P′; 136 and 168 with a Fraction
-    clipper and emitter; 140 and 172 when layout recomputed the circle
-    extents as center -/+ radius instead of reading A, C, B and D; 149 and
-    241 with one clipper for lines and a Liang-Barsky clipper on Fractions
-    for segments and arrows).
+    built only when read, so it builds none either. On the worked case
+    construct_image, derive and image_closed_form build 0 and locus_x 2.
+    run_oracle_fuzz(20, 360) builds 0 once the table of the 2,020 values a
+    draw can take is built. render_svg on the worked case builds 3 with or
+    without clipping, the scale, tx and ty of layout: layout finds its
+    bounds on integer pairs, and render_svg clips, places markers and writes
+    coordinates on integer triples and draws the radical axis and the image
+    line from the config's frame.
 
     The scene's conics and axis-point triples are built once, by derive,
     straight from _frame's integers: derive calls Point2.__init__ and
-    Circle.__init__ 0 times (6 and 2 before). construct_image calls _conic
-    and _triple 0 times (2 and 6 before), and render_svg calls _triple once,
-    for P (8 unclipped before, then 3 with the two circle centers). layout
-    reads P from probe.p and probe.q, not from the triple of a Point2, which
-    would add one. A config computes its frame once, in its constructor,
-    and no later call orders it again. A fuzz trial computes one frame,
-    for the config random_scenario returns, and derive, image_closed_form
-    and, on a draw with q = 0, random_probe's _image_map read it (one, in
-    derive, before the config kept the frame computed on first use; twice,
-    when image_closed_form ran _frame itself). classify_case
-    builds 0 on probes on B, C and the radical axis, since it compares p
-    with them on the frame's integers (6 before, the views derive built).
-    A sweep-tall
-    cycle of the benchmark computes 0 frames in its 353 ops, as its set-up
-    built every config (706 while only the scene kept the integers).
+    Circle.__init__ 0 times. construct_image calls _conic and _triple 0
+    times, and render_svg calls _triple once, for P. layout reads P from
+    probe.p and probe.q, not from the triple of a Point2, which would add
+    one. A config computes its frame once, in its constructor, and no later
+    call orders it again. A fuzz trial computes one frame, for the config
+    random_scenario returns, and derive, image_closed_form and, on a draw
+    with q = 0, random_probe's _image_map read it. classify_case builds 0
+    on probes on B, C and the radical axis, since it compares p with them
+    on the frame's integers.
 
     construct_image joins A and D to the raw triples of M and N and builds
-    one ExtendedPoint, P′; m and n are built when read (3 before). It calls
-    Line.__init__ 0 times off the axis (2 before): AM and DN take their
-    content from one two-term gcd (exact._axis_join).
-    random_scenario orders each attempt with scenario._order on its integers
-    and calls _frame 0 times (once per attempt that passed the sign test
-    before, through validate); the config it returns orders itself once
-    more, in its constructor.
+    one ExtendedPoint, P′; m and n are built when read. It calls
+    Line.__init__ 0 times off the axis: AM and DN take their content from
+    one two-term gcd (exact._axis_join). random_scenario orders each
+    attempt with scenario._order on its integers and calls _frame 0 times;
+    the config it returns orders itself once more, in its constructor.
     """
 
     def test_construct_image_worked_case(self):

@@ -13,8 +13,10 @@ Each side has degree at most 13, so by Schwartz–Zippel (J. T. Schwartz,
 JACM 27, 1980) a false identity passes one random point with probability at
 most 13/p < 2⁻⁵⁷.
 
-The check sees only the arithmetic this chain runs. Both circles are centred
-on the axis, so v = 0 in both conics and the v terms of _polar never show.
+The chain sees only the arithmetic it runs. Both circles are centred on the
+axis, so v = 0 in both conics and the v terms of _polar never show there. A
+second check covers them: on a random conic with v ≠ 0, _second's point from
+a point of the conic through another lies on the conic and on their line.
 Flipping the sign of _cross's middle component passes too: the chain joins A
 and D to M and N with _cross, and the mutant's three crosses compose to −P′,
 the same point. construct_image joins A and D with exact._axis_join instead,
@@ -84,6 +86,20 @@ def identities_hold(rng, second=exact._second) -> bool:
     )
 
 
+def second_point_holds(rng, second=exact._second) -> bool:
+    """_second on a random conic with v ≠ 0, from a random point of it through a random point."""
+    s, u, x, y, X, Y, W = (ModP(rng.randrange(MODULUS)) for _ in range(7))
+    v = ModP(rng.randrange(1, MODULUS))
+    t = -(s * (x * x + y * y) + u * x + v * y)  # so that base = (x, y, 1) lies on the conic
+    base, through = (x, y, 1), (X, Y, W)
+    m0, m1, m2 = point = second((s, u, v, t), base, through)
+    return (
+        m2 != 0
+        and s * (m0 * m0 + m1 * m1) + u * m0 * m2 + v * m1 * m2 + t * m2 * m2 == 0
+        and sum(a * b for a, b in zip(exact._cross(base, through), point)) == 0
+    )
+
+
 def mutant(old: str, new: str) -> dict:
     """exact's names, with _cross, _polar and _second recompiled, ``old`` replaced by ``new``.
 
@@ -116,6 +132,18 @@ class TestImageChainModP:
     def test_mutant_in_polar_is_caught(self, old, new):
         second, rng = mutant(old, new)["_second"], random.Random(2408)
         assert not any(identities_hold(rng, second) for _ in range(self.POINTS))
+
+    def test_second_point_on_a_conic_off_the_axis(self):
+        rng = random.Random(2408)
+        assert all(second_point_holds(rng) for _ in range(self.POINTS))
+
+    @pytest.mark.parametrize("old, new", [
+        ("2 * s * y + v * w", "2 * s * y - v * w"),
+        ("u * x + v * y", "u * x - v * y"),
+    ], ids=["sign-of-vw", "sign-of-vy"])
+    def test_v_term_mutant_in_polar_is_caught(self, old, new):
+        second, rng = mutant(old, new)["_second"], random.Random(2408)
+        assert not any(second_point_holds(rng, second) for _ in range(self.POINTS))
 
 
 def test_sign_flip_in_cross_is_caught_by_the_oracle(monkeypatch):

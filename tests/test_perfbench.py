@@ -8,12 +8,15 @@ package drops breaks the benchmark, so both are exercised here on a few ops.
 import sys
 from math import gcd
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import bicircle
+from reference import calls_made
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 360
 OPS = 3
 
@@ -48,31 +51,17 @@ def test_tracer_installs_and_uninstalls():
 
 def cycle_calls(workload, target):
     """Calls of the Python function target made over one cycle of the workload's ops."""
-    code = target.__code__
-    calls = 0
-
-    def hook(call, event, arg):
-        nonlocal calls
-        calls += event == "call" and call.f_code is code
-
-    sys.setprofile(hook)
-    try:
-        for i in range(workload.cycle):
-            workload.op(i)
-    finally:
-        sys.setprofile(None)
-    return calls
+    return calls_made(target, lambda: [workload.op(i) for i in range(workload.cycle)])
 
 
 def test_sweep_tall_cycle_computes_no_frames():
     # Set-up builds every config, whose constructor writes its frame, so the
-    # timed ops order no scenario (706 frames per cycle when only scenes kept one).
+    # timed ops order no scenario.
     assert cycle_calls(workloads.SweepTall(SEED), bicircle.scenario._order) == 0
 
 
 def test_sweep_tall_cycle_builds_lines_only_for_tangents():
-    # AM and DN take their content from one two-term gcd, without Line.__init__
-    # (706 calls per cycle when it divided each by the gcd of all three terms).
+    # AM and DN take their content from one two-term gcd, without Line.__init__.
     # Only a probe on the axis, q = 0, builds both lines as tangents.
     workload = workloads.SweepTall(SEED)
     on_axis = sum(probe.q == 0 for _, _, probe in workload.ops)
@@ -105,6 +94,26 @@ def test_render_svg_corpus_frozen(seed):
     assert workload.cycle == 100
     corpus = "".join(workload.op(i) for i in range(workload.cycle))
     assert workloads.sha(corpus.encode()) == RENDER_CORPUS[seed]
+
+
+def test_each_element_class_has_one_paint():
+    # Over both corpora and the golden figures: a class has one colour in
+    # every document, and one stroke width, dash array and font size within
+    # a document, whose scale sets them. The classes are the style table's.
+    corpora = [workloads.RenderSvg(seed) for seed in RENDER_CORPUS]
+    documents = [workload.op(i) for workload in corpora for i in range(workload.cycle)]
+    documents += [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.svg"))]
+    colours = {}
+    for document in documents:
+        sizes = {}
+        for element in ElementTree.fromstring(document).find("{http://www.w3.org/2000/svg}g"):
+            get = element.get
+            cls = get("class")
+            colours.setdefault(cls, set()).add((get("stroke"), get("fill"), get("font-family")))
+            sizes.setdefault(cls, set()).add((get("stroke-width"), get("stroke-dasharray"), get("font-size")))
+        assert {cls: paints for cls, paints in sizes.items() if len(paints) > 1} == {}
+    assert {cls: paints for cls, paints in colours.items() if len(paints) > 1} == {}
+    assert set(colours) == set(bicircle.figures._STYLES)
 
 
 # SHA-256 of SweepTall(seed).encode(i, op(i)) over the whole 353-op cycle,
