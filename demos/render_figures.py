@@ -47,5 +47,6 @@ if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     for name, cfg, p, q, options in FIGURES:
         path = OUT / f"{name}.svg"
-        path.write_text(figure(cfg, p, q, **options), encoding="utf-8")
+        # Bytes, not text: text mode would write \r\n for \n on Windows.
+        path.write_bytes(figure(cfg, p, q, **options).encode("utf-8"))
         print("wrote", path)

@@ -31,7 +31,6 @@ from .construction import (
 )
 from .errors import (
     CoincidentLines,
-    ConcentricCircles,
     DegenerateProbe,
     GeometryError,
     IdenticalPoints,
@@ -49,15 +48,9 @@ from .exact import (
     Line,
     Point2,
     as_rational,
-    circle_contains,
-    collinear_det,
     line_through,
     meet,
-    param_point,
     parse_rational,
-    point_on_line,
-    power_of_point,
-    radical_axis,
     second_intersection,
     tangent_at,
 )

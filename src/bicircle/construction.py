@@ -193,10 +193,11 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
 
 
 def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[ExtendedScalar, ExtendedScalar]:
-    """Circle parameters (u, v) with param_point(k1, u) = M and param_point(k2, v) = N.
+    """Parameters (u, v) of M on k1 and N on k2: t names center + r·((1 - t²), 2t)/(1 + t²).
 
-    u = (C.x - p)/q and v = q/(p - B.x), with the conventions that a nonzero
-    numerator over zero is INFINITY and 0/0 (probe on C or B) is an error.
+    INFINITY names the leftmost point. u = (C.x - p)/q and v = q/(p - B.x), with
+    the conventions that a nonzero numerator over zero is INFINITY and 0/0
+    (probe on C or B) is an error.
     """
     d, _, _, _, u, v = _image_map(scene.cfg, probe.p)  # C.x - p = -u/d, p - B.x = -v/d
     q = probe.q

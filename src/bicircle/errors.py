@@ -21,10 +21,6 @@ class PointNotOnCircle(GeometryError):
     """A point required to lie exactly on a circle does not."""
 
 
-class ConcentricCircles(GeometryError):
-    """Two circles share a center, so no radical axis exists."""
-
-
 class InvalidScenario(GeometryError):
     """Scenario parameters fall outside the supported configurations."""
 

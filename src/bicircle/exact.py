@@ -1,10 +1,11 @@
-"""Exact rational primitives for plane geometry.
+"""Exact rational values and the four kernel operations of the construction.
 
-Every coordinate is an arbitrary-precision rational (``fractions.Fraction``)
-and every operation is exact: no floating point enters this module, and no
-square root is ever taken. ExtendedPoint, Line and a circle's conic are
-primitive integer tuples, computed with +, - and * and divided by a gcd only
-where stored. A point at infinity (x : y : 0) is an exact direction, never an
+Point2 and Circle hold arbitrary-precision rationals (``fractions.Fraction``).
+ExtendedPoint, Line and a circle's conic are primitive integer tuples. The
+kernel, line_through, meet, second_intersection and tangent_at, computes on
+those integers with +, - and * and divides by a gcd only where it stores a
+value. No floating point enters this module, and no square root is ever
+taken. A point at infinity (x : y : 0) is an exact direction, never an
 approximation by large coordinates.
 
 All types are immutable values and all operations are pure functions, so
@@ -22,7 +23,6 @@ from operator import attrgetter
 
 from .errors import (
     CoincidentLines,
-    ConcentricCircles,
     IdenticalPoints,
     ParseError,
     PointNotOnCircle,
@@ -220,16 +220,8 @@ class Line(_Value):
     b = property(lambda self: self._fractions[1])
     c = property(lambda self: self._fractions[2])
 
-    def contains(self, point: Point2) -> bool:
-        return self.a * point.x + self.b * point.y + self.c == 0
-
     def __str__(self) -> str:
         return f"[{self.a}]x + [{self.b}]y + [{self.c}] = 0"
-
-    @property
-    def direction(self) -> tuple[Fraction, Fraction]:
-        """Normalized direction vector of the line."""
-        return ExtendedPoint(self.coefficients[1], -self.coefficients[0], 0).direction
 
 
 class Circle(_Value):
@@ -340,34 +332,6 @@ def meet(l1: Line, l2: Line) -> ExtendedPoint:
     return ExtendedPoint(*_cross(l1.coefficients, l2.coefficients))
 
 
-def collinear_det(p1: Point2, p2: Point2, p3: Point2) -> Fraction:
-    """Determinant of the 3x3 matrix with rows (x_i, y_i, 1); zero iff collinear."""
-    t1, t2, t3 = _triple(p1), _triple(p2), _triple(p3)
-    return Fraction(sum(u * v for u, v in zip(_cross(t1, t2), t3)), t1[2] * t2[2] * t3[2])
-
-
-def circle_contains(k: Circle, point: Point2) -> bool:
-    """Exact membership test for the circle (the curve, not the disk)."""
-    return power_of_point(k, point) == 0
-
-
-def param_point(k: Circle, t: ExtendedScalar) -> Point2:
-    """Rational parametrization of the circle.
-
-    Finite t maps to center + (r(1-t^2)/(1+t^2), 2rt/(1+t^2)); INFINITY maps
-    to the leftmost point (center.x - r, center.y). Together these cover the
-    whole circle with t in Q u {INFINITY}, and every image is exactly on k.
-    """
-    if t is INFINITY:
-        return Point2(k.center.x - k.radius, k.center.y)
-    t = as_rational(t)
-    den = 1 + t * t
-    return Point2(
-        k.center.x + k.radius * (1 - t * t) / den,
-        k.center.y + 2 * k.radius * t / den,
-    )
-
-
 def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
     """Other intersection of k with the line joining ``base`` (on k) to ``through``.
 
@@ -384,30 +348,3 @@ def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
 def tangent_at(k: Circle, point: Point2) -> Line:
     """Tangent line of k at a point of k: the polar of the point."""
     return Line(*_on_circle(k, point)[2])
-
-
-def power_of_point(k: Circle, point: Point2) -> Fraction:
-    """Squared distance to the center minus the squared radius, exact."""
-    dx = point.x - k.center.x
-    dy = point.y - k.center.y
-    return dx * dx + dy * dy - k.radius * k.radius
-
-
-def radical_axis(k1: Circle, k2: Circle) -> Line:
-    """Line of equal power with respect to two non-concentric circles.
-
-    Subtracting the two circle equations, each scaled to x² + y² + ..., cancels
-    the quadratic terms, which is why the locus is a line.
-    """
-    if k1.center == k2.center:
-        raise ConcentricCircles("concentric circles have no radical axis")
-    (s1, u1, v1, t1), (s2, u2, v2, t2) = _conic(k1), _conic(k2)
-    return Line(s2 * u1 - s1 * u2, s2 * v1 - s1 * v2, s2 * t1 - s1 * t2)
-
-
-def point_on_line(line: Line, t) -> Point2:
-    """Sample a point of the line: x = t if the line is not vertical, else y = t."""
-    t = as_rational(t)
-    if line.b != 0:
-        return Point2(t, -(line.c + line.a * t) / line.b)
-    return Point2(-line.c / line.a, t)

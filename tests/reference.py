@@ -1,7 +1,9 @@
 """Helpers the tests share: the Fraction kernel formulas that the integer
 kernel replaced, against which the shipped kernel and construct_image are
-checked, a call counter, and the environment of a child interpreter. Not a
-test module, so pytest does not collect it.
+checked; Fraction formulas for circles and lines that the package does not
+ship, against which its circles, scenes and kernel are checked; a call
+counter, and the environment of a child interpreter. Not a test module, so
+pytest does not collect it.
 """
 
 import os
@@ -9,7 +11,7 @@ import sys
 from pathlib import Path
 
 import bicircle
-from bicircle import ExtendedPoint, Line, Point2
+from bicircle import INFINITY, ExtendedPoint, Line, Point2
 
 
 def child_env() -> dict:
@@ -67,3 +69,56 @@ def ref_second_intersection(k, base, through):
 def ref_tangent_at(k, point):
     a, b = point.x - k.center.x, point.y - k.center.y
     return Line(a, b, -(a * point.x + b * point.y))
+
+
+def collinear_det(p1, p2, p3):
+    """The determinant with rows (x_i, y_i, 1): zero iff the three points are collinear."""
+    return (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x)
+
+
+def power_of_point(k, point):
+    """Squared distance to the center minus the squared radius."""
+    dx, dy = point.x - k.center.x, point.y - k.center.y
+    return dx * dx + dy * dy - k.radius * k.radius
+
+
+def circle_contains(k, point):
+    """Membership of the circle: the curve, not the disk."""
+    return power_of_point(k, point) == 0
+
+
+def param_point(k, t):
+    """center + r·((1 - t²), 2t)/(1 + t²) for rational t; INFINITY gives the leftmost point.
+
+    Together these cover the whole circle, each exactly on it.
+    """
+    if t is INFINITY:
+        return Point2(k.center.x - k.radius, k.center.y)
+    den = 1 + t * t
+    return Point2(k.center.x + k.radius * (1 - t * t) / den, k.center.y + 2 * k.radius * t / den)
+
+
+def radical_axis(k1, k2):
+    """The line of equal power: the difference of the two circles' power functions.
+
+    For concentric circles its x and y terms vanish, and Line raises ValueError.
+    """
+    (x1, y1), r1 = (k1.center.x, k1.center.y), k1.radius
+    (x2, y2), r2 = (k2.center.x, k2.center.y), k2.radius
+    return Line(2 * (x2 - x1), 2 * (y2 - y1), x1 * x1 + y1 * y1 - r1 * r1 - x2 * x2 - y2 * y2 + r2 * r2)
+
+
+def point_on_line(line, t):
+    """The point of the line with x = t, or with y = t if the line is vertical."""
+    if line.b:
+        return Point2(t, -(line.c + line.a * t) / line.b)
+    return Point2(-line.c / line.a, t)
+
+
+def line_contains(line, point):
+    return line.a * point.x + line.b * point.y + line.c == 0
+
+
+def line_direction(line):
+    """(b, -a): parallel lines share it, as Line scales a and b so the first nonzero is 1."""
+    return line.b, -line.a

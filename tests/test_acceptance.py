@@ -28,26 +28,31 @@ from bicircle import (
     ProbePoint,
     RenderSpec,
     ScenarioConfig,
-    circle_contains,
-    collinear_det,
     construct_image,
     derive,
     image_closed_form,
     locus_x,
-    param_point,
-    point_on_line,
-    power_of_point,
-    radical_axis,
     random_probe,
     random_rational,
     random_scenario,
     render_svg,
     run_oracle_fuzz,
     second_intersection,
+    tangent_at,
     validate,
     verify_concurrency,
 )
-from reference import child_env
+from reference import (
+    child_env,
+    circle_contains,
+    collinear_det,
+    line_direction,
+    param_point,
+    point_on_line,
+    power_of_point,
+    radical_axis,
+    ref_tangent_at,
+)
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -192,7 +197,7 @@ class TestCriterion6SpecialCases:
             probe = random_probe(rng, scene)
             result = construct_image(scene, probe)
             assert not result.p_prime.is_finite
-            assert result.line_am.direction == result.line_dn.direction
+            assert line_direction(result.line_am) == line_direction(result.line_dn)
             assert image_closed_form(TANGENT, probe) == result.p_prime
 
     @criterion("6iv", "containment scenario is rejected")
@@ -204,13 +209,15 @@ class TestCriterion6SpecialCases:
 
 
 class TestCriterion7KernelProperties:
-    @criterion("7a", "param_point lands on the circle, 200 parameters")
+    @criterion("7a", "param_point lands on the circle and tangent_at accepts it, 200 parameters")
     def test_param_point(self):
         rng = random.Random(367)
         for index in range(200):
             k = random_circle(rng)
             t = INFINITY if index % 10 == 0 else random_rational(rng)
-            assert circle_contains(k, param_point(k, t))
+            point = param_point(k, t)
+            assert circle_contains(k, point)
+            assert tangent_at(k, point) == ref_tangent_at(k, point)
 
     @criterion("7b", "second_intersection stays on circle and chord, 200 trials")
     def test_second_intersection(self):

@@ -28,13 +28,11 @@ from bicircle import (
     ScenarioConfig,
     WrongOrdering,
     classify_case,
-    collinear_det,
     construct_image,
     derive,
     image_closed_form,
     layout,
     locus_x,
-    param_point,
     random_probe,
     random_rational,
     random_scenario,
@@ -46,7 +44,16 @@ from bicircle import (
     verify_concurrency,
 )
 from bicircle import cli, construction, exact, scenario
-from reference import calls_made, ref_line_through, ref_meet, ref_second_intersection, ref_tangent_at
+from reference import (
+    calls_made,
+    collinear_det,
+    line_direction,
+    param_point,
+    ref_line_through,
+    ref_meet,
+    ref_second_intersection,
+    ref_tangent_at,
+)
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -110,7 +117,7 @@ class TestConstructImage:
     def test_tangent_circles_parallel_lines(self):
         result = construct_image(derive(TANGENT), ProbePoint(1, 1))
         assert not result.p_prime.is_finite
-        assert result.line_am.direction == result.line_dn.direction
+        assert line_direction(result.line_am) == line_direction(result.line_dn)
         assert result.line_am != result.line_dn
 
     def test_tangent_circles_probe_above_contact(self):
@@ -967,3 +974,43 @@ class TestConstructImageMatchesReference:
         result = construct_image(derive(WORKED), ProbePoint(2, 1))
         assert "point" not in vars(result.m) and "_fractions" not in vars(result.line_am)
         assert result.M is result.M and result.line_am.b is result.line_am.b
+
+
+# The image map as one value: p' - p* = α·(p - p*) about the radical axis
+# x = p*, and q·q' = κ(p). Both follow from the closed form; here they are
+# checked on each route by itself.
+MAP_STRATA = ("generic", "p = B.x", "p = C.x", "radical axis")
+
+
+@pytest.mark.parametrize("height", sorted(CLOSED_FORM_INPUTS))
+class TestImageMapIdentities:
+    def test_construct_image_inverts_q_through_kappa(self, height):
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(st.sampled_from(MAP_STRATA), radius, radius, radius, values, values.filter(bool))
+        @settings(max_examples=200, deadline=None)
+        def check(stratum, r1, r2, gap, p, q):
+            scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
+            assume(scene.ordering is not Ordering.EXTERNALLY_TANGENT)
+            result = construct_image(scene, probe)
+            assert result.p_prime.is_finite
+            a, r1, r2, p = scene.cfg.a, scene.cfg.r1, scene.cfg.r2, probe.p
+            kappa = (r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p) / (r1 + r2 - 2 * a)
+            assert probe.q * result.p_prime.point.y == kappa
+
+        check()
+
+    def test_locus_x_dilates_about_the_radical_axis(self, height):
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(st.sampled_from(MAP_STRATA), radius, radius, radius, values)
+        @settings(max_examples=200, deadline=None)
+        def check(stratum, r1, r2, gap, p):
+            scene, probe = stratum_case(stratum, r1, r2, gap, p, F(1))
+            assume(scene.ordering is not Ordering.EXTERNALLY_TANGENT)
+            a, r1, r2, p = scene.cfg.a, scene.cfg.r1, scene.cfg.r2, probe.p
+            p_star = (r1 * r1 - r2 * r2) / (4 * a)
+            alpha = (r1 + r2 + 2 * a) / (r1 + r2 - 2 * a)
+            assert locus_x(scene.cfg, p) - p_star == alpha * (p - p_star)
+
+        check()

@@ -20,16 +20,14 @@ from bicircle import (
     Point2,
     ProbePoint,
     ScenarioConfig,
-    circle_contains,
     derive,
     image_closed_form,
     parse_scenario,
-    power_of_point,
-    radical_axis,
     validate,
 )
 from bicircle.exact import _conic, _triple
 from bicircle.scenario import _frame
+from reference import circle_contains, line_contains, power_of_point, radical_axis
 
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
@@ -129,7 +127,7 @@ class TestDerive:
         assert circle_contains(scene.k1, scene.A) and circle_contains(scene.k1, scene.C)
         assert circle_contains(scene.k2, scene.B) and circle_contains(scene.k2, scene.D)
         for point in (scene.A, scene.B, scene.C, scene.D):
-            assert Line(0, 1, 0).contains(point)
+            assert line_contains(Line(0, 1, 0), point)
 
     @given(admissible_configs())
     def test_ordering_matches_point_order(self, cfg):

@@ -1,23 +1,30 @@
 """The public surface, listed in full: a name or option added or dropped shows here in review."""
 
 import argparse
+import ast
+import inspect
 import types
+from pathlib import Path
 
 import bicircle
 from bicircle import cli
 
+ROOT = Path(__file__).resolve().parent.parent
+# The kernel layer of the north star: public wrappers of the integer core,
+# which the package itself calls directly.
+KERNEL_WRAPPERS = ["line_through", "meet", "second_intersection", "tangent_at"]
+
 PUBLIC_NAMES = [
-    "CaseFlag", "Circle", "CoincidentLines", "ConcentricCircles", "DEFAULT_Q_SAMPLES",
-    "DEFAULT_SEED", "DEFAULT_TRIALS", "DegenerateProbe", "DerivedScene", "ExtendedPoint",
-    "FuzzFailure", "FuzzReport", "GeometryError", "INFINITY", "IdenticalPoints", "ImageResult",
+    "CaseFlag", "Circle", "CoincidentLines", "DEFAULT_Q_SAMPLES", "DEFAULT_SEED",
+    "DEFAULT_TRIALS", "DegenerateProbe", "DerivedScene", "ExtendedPoint", "FuzzFailure",
+    "FuzzReport", "GeometryError", "INFINITY", "IdenticalPoints", "ImageResult",
     "IndeterminateParam", "InvalidScenario", "Line", "Ordering", "ParseError", "Point2",
     "PointNotOnCircle", "ProbePoint", "RenderSpec", "ScenarioConfig", "WrongOrdering",
-    "ZeroDenominator", "as_rational", "circle_contains", "classify_case", "collinear_det",
-    "construct_image", "decimal6", "derive", "image_closed_form", "layout", "line_through",
-    "locus_x", "meet", "param_point", "parse_rational", "parse_scenario", "point_on_line",
-    "power_of_point", "radical_axis", "random_probe", "random_rational", "random_scenario",
-    "render_svg", "run_oracle_fuzz", "second_intersection", "tangent_at", "tangent_half_params",
-    "trial_rng", "validate", "verify_concurrency",
+    "ZeroDenominator", "as_rational", "classify_case", "construct_image", "decimal6", "derive",
+    "image_closed_form", "layout", "line_through", "locus_x", "meet", "parse_rational",
+    "parse_scenario", "random_probe", "random_rational", "random_scenario", "render_svg",
+    "run_oracle_fuzz", "second_intersection", "tangent_at", "tangent_half_params", "trial_rng",
+    "validate", "verify_concurrency",
 ]
 
 SCENARIO = ["--a", "--r1", "--r2", "--scenario"]
@@ -39,13 +46,29 @@ def option_strings(parser):
     return [option for action in parser._actions for option in action.option_strings]
 
 
-def test_public_names():
-    names = sorted(
-        name for name, value in vars(bicircle).items()
+def exported():
+    return {
+        name: value for name, value in vars(bicircle).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert len(PUBLIC_NAMES) == 57
-    assert names == PUBLIC_NAMES
+    }
+
+
+def test_public_names():
+    assert len(PUBLIC_NAMES) == 50
+    assert sorted(exported()) == PUBLIC_NAMES
+
+
+def test_every_exported_function_has_a_caller():
+    # A function only the tests call belongs in the tests, not the public surface.
+    called = set()
+    for directory in ("src", "demos", "perfbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    functions = sorted(name for name, value in exported().items() if inspect.isfunction(value))
+    assert set(KERNEL_WRAPPERS) <= set(functions)
+    assert [name for name in functions if name not in called and name not in KERNEL_WRAPPERS] == []
 
 
 def test_cli_commands_and_options():
