@@ -305,10 +305,12 @@ def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
 def trial_rng(seed: int, index: int) -> random.Random:
     """Independent deterministic stream for one trial (seed plus trial index).
 
-    Seed and index must be non-negative, as random.Random seeds from abs(seed).
-    Two seeds' streams stay distinct only while the index is below 1,000,003:
-    trial_rng(3, 1_000_003) is trial_rng(4, 0).
+    ValueError unless seed and index are non-negative, as random.Random seeds
+    from abs(seed). Two seeds' streams stay distinct only while the index is
+    below 1,000,003: trial_rng(3, 1_000_003) is trial_rng(4, 0).
     """
+    if seed < 0 or index < 0:
+        raise ValueError(f"seed and index must be at least 0, got {seed} and {index}")
     return random.Random(seed * 1_000_003 + index)
 
 

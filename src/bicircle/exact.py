@@ -50,7 +50,7 @@ _SPACE = " \t\n\r\f\v"
 
 
 def as_rational(value) -> Fraction:
-    """Coerce int/str/Fraction to Fraction; floats are rejected as inexact.
+    """Coerce int/str/Fraction to Fraction; a float (inexact) or a bool raises TypeError.
 
     A str is read by parse_rational. A Fraction is returned as it is:
     Fractions are immutable, so sharing one is safe, and the kernel builds
@@ -60,10 +60,9 @@ def as_rational(value) -> Fraction:
         return value
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing inexact float {value!r}; pass a Fraction, an int, or a rational string"
-        )
+    if isinstance(value, (bool, float)):
+        kind = "bool" if isinstance(value, bool) else "inexact float"
+        raise TypeError(f"refusing {kind} {value!r}; pass a Fraction, an int, or a rational string")
     return Fraction(value)
 
 
@@ -158,11 +157,6 @@ class ExtendedPoint(_Value):
     @classmethod
     def finite(cls, point: Point2) -> "ExtendedPoint":
         return cls(*_triple(point))
-
-    @classmethod
-    def at_infinity(cls, dx, dy) -> "ExtendedPoint":
-        x, y, _ = _triple(Point2(dx, dy))
-        return cls(x, y, 0)
 
     @property
     def is_finite(self) -> bool:

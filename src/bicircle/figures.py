@@ -109,7 +109,7 @@ class Viewport(_Value):
         self.__dict__.update(width=width, height=height, scale=scale, tx=tx, ty=ty)
 
     def _rect(self) -> tuple[tuple[int, int], ...]:
-        """visible_rect as (numerator, denominator) pairs with positive denominators, unreduced."""
+        """The canvas in model space, (xmin, xmax, ymin, ymax), as unreduced (n, d) pairs, d > 0."""
         sn, sd = self.scale.numerator, self.scale.denominator
         tn, td = self.tx.numerator, self.tx.denominator
         un, ud = self.ty.numerator, self.ty.denominator
@@ -119,10 +119,6 @@ class Viewport(_Value):
             ((un - self.height * ud) * sd, ud * sn),
             (un * sd, ud * sn),
         )
-
-    def visible_rect(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Model-space rectangle mapped onto the full canvas: (xmin, xmax, ymin, ymax)."""
-        return tuple(Fraction(n, d) for n, d in self._rect())
 
 
 def _less(u, v) -> bool:

@@ -10,8 +10,8 @@ ordering is decided on integers over one common denominator, by _order.
 
 A config is checked and converted once, by its constructor: it writes its
 frame, the three values over one denominator and their ordering, and
-_frame only reads it. A DerivedScene comes only from derive; its circles,
-named points and radical axis are views built when read.
+_frame only reads it. A DerivedScene comes only from derive; its named
+points and radical axis are views built when read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import InvalidScenario, ParseError
-from .exact import _SPACE, _ZERO, Circle, Point2, _circle_conic, _Value, as_rational, parse_rational
+from .exact import _SPACE, _ZERO, Point2, _circle_conic, _Value, as_rational, parse_rational
 
 _SEPARATOR_RE = re.compile(f"[{_SPACE}]+")
 
@@ -78,8 +78,6 @@ class DerivedScene(_Value):
 
     cfg: ScenarioConfig
     ordering: Ordering
-    k1: Circle = cached_property(lambda self: Circle(Point2(-self.cfg.a, _ZERO), self.cfg.r1))
-    k2: Circle = cached_property(lambda self: Circle(Point2(self.cfg.a, _ZERO), self.cfg.r2))
     A: Point2 = _axis_point(0)
     B: Point2 = _axis_point(1)
     C: Point2 = _axis_point(2)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import bicircle
-from bicircle import INFINITY, ExtendedPoint, Line, Point2
+from bicircle import INFINITY, Circle, ExtendedPoint, Line, Point2
 
 
 def child_env() -> dict:
@@ -53,7 +53,7 @@ def ref_line_through(p1, p2):
 def ref_meet(l1, l2):
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
-        return ExtendedPoint.at_infinity(l1.b, -l1.a)
+        return at_infinity(l1.b, -l1.a)
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l1.c * l2.a - l2.c * l1.a) / det
     return ExtendedPoint.finite(Point2(x, y))
@@ -69,6 +69,16 @@ def ref_second_intersection(k, base, through):
 def ref_tangent_at(k, point):
     a, b = point.x - k.center.x, point.y - k.center.y
     return Line(a, b, -(a * point.x + b * point.y))
+
+
+def at_infinity(dx, dy):
+    """The point at infinity in the direction (dx, dy) of two Fractions, scaled to integers."""
+    return ExtendedPoint(dx.numerator * dy.denominator, dy.numerator * dx.denominator, 0)
+
+
+def circles(cfg):
+    """The scenario's circles: k1 about (-a, 0) of radius r1 and k2 about (a, 0) of radius r2."""
+    return Circle(Point2(-cfg.a, 0), cfg.r1), Circle(Point2(cfg.a, 0), cfg.r2)
 
 
 def collinear_det(p1, p2, p3):

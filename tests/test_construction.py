@@ -45,10 +45,13 @@ from bicircle import (
 )
 from bicircle import cli, construction, exact, scenario
 from reference import (
+    at_infinity,
     calls_made,
+    circles,
     collinear_det,
     line_direction,
     param_point,
+    power_of_point,
     ref_line_through,
     ref_meet,
     ref_second_intersection,
@@ -109,7 +112,7 @@ class TestConstructImage:
     def test_probe_on_axis_goes_to_infinity(self):
         scene = derive(WORKED)
         result = construct_image(scene, ProbePoint(3, 0))
-        assert result.p_prime == ExtendedPoint.at_infinity(0, 1)
+        assert result.p_prime == ExtendedPoint(0, 1, 0)
         # the limiting lines are the vertical tangents at A and D
         assert result.line_am == Line(1, 0, 5)
         assert result.line_dn == Line(1, 0, -4)
@@ -125,7 +128,7 @@ class TestConstructImage:
         # axis; the image recedes along the axis direction.
         result = construct_image(derive(TANGENT), ProbePoint(0, 3))
         assert result.M == result.N == Point2(0, 0)
-        assert result.p_prime == ExtendedPoint.at_infinity(1, 0)
+        assert result.p_prime == ExtendedPoint(1, 0, 0)
         assert image_closed_form(TANGENT, ProbePoint(0, 3)) == result.p_prime
 
     def test_collapse_to_a(self):
@@ -160,11 +163,11 @@ class TestClosedForm:
         )
 
     def test_axis_probe(self):
-        assert image_closed_form(WORKED, ProbePoint(9, 0)) == ExtendedPoint.at_infinity(0, 1)
+        assert image_closed_form(WORKED, ProbePoint(9, 0)) == ExtendedPoint(0, 1, 0)
 
     def test_tangent_scenario(self):
         value = image_closed_form(TANGENT, ProbePoint(1, 1))
-        assert value == ExtendedPoint.at_infinity(1, -1)
+        assert value == ExtendedPoint(1, -1, 0)
 
     def test_degenerate_probe(self):
         with pytest.raises(DegenerateProbe):
@@ -281,8 +284,9 @@ class TestTangentHalfParams:
         scene = derive(cfg)
         probe = probe_for(scene, p, q)
         u, v = tangent_half_params(scene, probe)
-        assert param_point(scene.k1, u) == construct_image(scene, probe).M
-        assert param_point(scene.k2, v) == construct_image(scene, probe).N
+        k1, k2 = circles(cfg)
+        assert param_point(k1, u) == construct_image(scene, probe).M
+        assert param_point(k2, v) == construct_image(scene, probe).N
 
 
 class TestVerifyConcurrency:
@@ -339,10 +343,15 @@ class TestSeededTrials:
             run_oracle_fuzz(trials=-3)
 
     def test_negative_seed_rejected(self):
-        # random.Random seeds from abs(seed): seed -5 would replay seed 5's trials.
-        assert random_scenario(trial_rng(-5, 0)) == random_scenario(trial_rng(5, 0))
-        with pytest.raises(ValueError, match="seed must be at least 0"):
-            run_oracle_fuzz(trials=1, seed=-5)
+        # random.Random seeds from abs(seed): seed -5 would replay seed 5's trials,
+        # and index -1 of seed 0 would replay index 1.
+        for seed, index in ((-5, 0), (0, -1)):
+            with pytest.raises(ValueError, match="seed and index must be at least 0"):
+                trial_rng(seed, index)
+        # run_oracle_fuzz checks the seed itself, so a run of no trials is refused too.
+        for trials in (1, 0):
+            with pytest.raises(ValueError, match="seed must be at least 0"):
+                run_oracle_fuzz(trials=trials, seed=-5)
 
     def test_trial_streams_are_independent(self):
         assert trial_rng(360, 0).random() != trial_rng(360, 1).random()
@@ -662,9 +671,9 @@ def ref_image_closed_form(cfg, probe):
     if q == 0 and (p == a - r2 or p == r1 - a):
         raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
     if ordering is Ordering.EXTERNALLY_TANGENT:
-        return ExtendedPoint.at_infinity(q, (a - r2) - p)
+        return at_infinity(q, (a - r2) - p)
     if q == 0:
-        return ExtendedPoint.at_infinity(0, 1)
+        return ExtendedPoint(0, 1, 0)
     den = r1 + r2 - 2 * a
     p_im = (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / den
     q_im = ((r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p)) / (q * den)
@@ -766,12 +775,13 @@ def ref_construct_image(scene, probe):
     point = probe.point
     if point == scene.C:
         raise DegenerateProbe("probe coincides with C; chord CP is undefined")
-    m = ref_second_intersection(scene.k1, scene.C, point)
+    k1, k2 = circles(scene.cfg)
+    m = ref_second_intersection(k1, scene.C, point)
     if point == scene.B:
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    n = ref_second_intersection(scene.k2, scene.B, point)
-    line_am = ref_tangent_at(scene.k1, scene.A) if m == scene.A else ref_line_through(scene.A, m)
-    line_dn = ref_tangent_at(scene.k2, scene.D) if n == scene.D else ref_line_through(scene.D, n)
+    n = ref_second_intersection(k2, scene.B, point)
+    line_am = ref_tangent_at(k1, scene.A) if m == scene.A else ref_line_through(scene.A, m)
+    line_dn = ref_tangent_at(k2, scene.D) if n == scene.D else ref_line_through(scene.D, n)
     # Parallel or coincident lines: ref_meet sends the image along their direction.
     return m, n, line_am, line_dn, ref_meet(line_am, line_dn), ref_classify(scene, probe)
 
@@ -899,7 +909,8 @@ class TestConstructImageMatchesReference:
             assert first.n == ExtendedPoint(*exact._second(k2, b, xyw))
             assert first.m is first.m and first.n is first.n
             u, v = tangent_half_params(scene, probe)
-            assert first.M == param_point(scene.k1, u) and first.N == param_point(scene.k2, v)
+            circle1, circle2 = circles(scene.cfg)
+            assert first.M == param_point(circle1, u) and first.N == param_point(circle2, v)
 
         check()
 
@@ -1012,5 +1023,23 @@ class TestImageMapIdentities:
             p_star = (r1 * r1 - r2 * r2) / (4 * a)
             alpha = (r1 + r2 + 2 * a) / (r1 + r2 - 2 * a)
             assert locus_x(scene.cfg, p) - p_star == alpha * (p - p_star)
+
+        check()
+
+    def test_radical_axis_probe_inverts_q_in_the_power_of_its_foot(self, height):
+        # On x = p*, q·q' = κ(p*) = −pow(Z) for Z = (p*, 0): the inversion in the
+        # circle through the common points, or an anti-inversion for disjoint circles.
+        values, radius = CLOSED_FORM_INPUTS[height]
+
+        @given(radius, radius, radius, values.filter(bool))
+        @settings(max_examples=200, deadline=None)
+        def check(r1, r2, gap, q):
+            scene, probe = stratum_case("radical axis", r1, r2, gap, F(0), q)
+            assume(scene.ordering is not Ordering.EXTERNALLY_TANGENT)
+            z = Point2(probe.p, 0)
+            k1, k2 = circles(scene.cfg)
+            assert power_of_point(k1, z) == power_of_point(k2, z)
+            image = construct_image(scene, probe).p_prime.point
+            assert image.x == probe.p and probe.q * image.y == -power_of_point(k1, z)
 
         check()

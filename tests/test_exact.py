@@ -20,17 +20,22 @@ from bicircle import (
     ParseError,
     Point2,
     PointNotOnCircle,
+    ProbePoint,
     ScenarioConfig,
     ZeroDenominator,
     as_rational,
+    derive,
     line_through,
+    locus_x,
     meet,
     parse_rational,
     second_intersection,
     tangent_at,
+    verify_concurrency,
 )
 from bicircle.exact import _conic
 from reference import (
+    at_infinity,
     circle_contains,
     collinear_det,
     line_contains,
@@ -154,7 +159,7 @@ class TestMeet:
 
     def test_parallel_verticals(self):
         result = meet(Line(1, 0, 5), Line(1, 0, -4))
-        assert result == ExtendedPoint.at_infinity(0, 1)
+        assert result == ExtendedPoint(0, 1, 0)
 
     def test_worked_case_image(self):
         result = meet(Line(1, 1, 5), Line(2, 1, -8))
@@ -324,20 +329,16 @@ class TestPowerAndRadicalAxis:
 
 class TestExtendedPoint:
     def test_direction_normalization(self):
-        assert ExtendedPoint.at_infinity(F(2, 3), F(-4, 3)) == ExtendedPoint.at_infinity(-1, 2)
+        assert ExtendedPoint(2, -4, 0) == ExtendedPoint(-1, 2, 0)
 
     def test_first_nonzero_positive(self):
-        assert ExtendedPoint.at_infinity(0, -5).direction == (0, 1)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            ExtendedPoint.at_infinity(0, 0)
+        assert ExtendedPoint(0, -5, 0).direction == (0, 1)
 
     def test_finite_vs_infinite(self):
-        assert ExtendedPoint.finite(Point2(0, 0)) != ExtendedPoint.at_infinity(1, 0)
+        assert ExtendedPoint.finite(Point2(0, 0)) != ExtendedPoint(1, 0, 0)
 
     def test_normalize_direction_integers(self):
-        assert ExtendedPoint.at_infinity(F(6, 4), F(-9, 4)).direction == (2, -3)
+        assert ExtendedPoint(6, -9, 0).direction == (2, -3)
 
     def test_triple_is_primitive_and_signed(self):
         assert ExtendedPoint(4, 6, -2) == ExtendedPoint(-2, -3, 1)
@@ -350,7 +351,7 @@ class TestExtendedPoint:
 
     def test_float_direction_rejected(self):
         with pytest.raises(TypeError):
-            ExtendedPoint.at_infinity(0.5, 1)
+            ExtendedPoint(0.5, 1, 0)
 
     @given(triples, nonzero_integers)
     def test_scaled_triple_is_the_same_point(self, triple, k):
@@ -378,7 +379,7 @@ class TestExtendedPoint:
     @given(rationals, rationals)
     def test_at_infinity_matches_reference(self, dx, dy):
         assume(dx or dy)
-        value = ExtendedPoint.at_infinity(dx, dy)
+        value = at_infinity(dx, dy)
         assert not value.is_finite and value.point is None
         assert value.direction == ref_normalize_direction(dx, dy)
         assert all(type(c) is F for c in value.direction)
@@ -388,7 +389,7 @@ class TestExtendedPoint:
         assume(p1 != p2 and shift != 0)
         l1 = line_through(p1, p2)
         l2 = Line(l1.a, l1.b, l1.c + shift)
-        assert meet(l1, l2) == ExtendedPoint.at_infinity(p2.x - p1.x, p2.y - p1.y)
+        assert meet(l1, l2) == at_infinity(p2.x - p1.x, p2.y - p1.y)
 
 
 class TestLineTriple:
@@ -430,7 +431,7 @@ class TestLineTriple:
 
 
 def ref_normalize_direction(dx, dy):
-    """The Fraction normalization that ExtendedPoint.at_infinity replaced."""
+    """The Fraction normalization of a direction that ExtendedPoint's integer triple replaced."""
     dx, dy = F(dx), F(dy)
     if dx == 0 and dy == 0:
         raise ValueError("direction must be nonzero")
@@ -449,6 +450,18 @@ class TestValueDiscipline:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Point2(0.5, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Point2(False, 1),
+        lambda: ProbePoint(True, 1),
+        lambda: ScenarioConfig(True, 2, 2),
+        lambda: locus_x(ScenarioConfig(2, 3, 2), True),
+        lambda: verify_concurrency(derive(ScenarioConfig(2, 3, 2)), [True]),
+    ], ids=["Point2", "ProbePoint", "ScenarioConfig", "locus_x", "verify_concurrency"])
+    def test_bools_rejected(self, build):
+        # bool subclasses int, so Fraction(True) would read it as 1.
+        with pytest.raises(TypeError, match="refusing bool (True|False)"):
+            build()
 
     def test_line_needs_nonzero_gradient(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from bicircle import (
 )
 from bicircle.exact import Line, Point2, _cross, _triple
 from bicircle.figures import Viewport, _clip
+from reference import circles
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -88,7 +89,7 @@ class TestLayout:
         assert vp.scale == F(640, 9)
 
     def test_far_image_point_included_by_default(self):
-        xmin, xmax, ymin, ymax = layout(FIG_GENERIC).visible_rect()
+        xmin, xmax, ymin, ymax = ref_visible_rect(layout(FIG_GENERIC))
         point = FIG_GENERIC.result.p_prime.point
         assert xmin <= point.x <= xmax and ymin <= point.y <= ymax
 
@@ -98,7 +99,7 @@ class TestLayout:
             result=FIG_GENERIC.result, clip=True,
         )
         vp = layout(clipped)
-        xmin, xmax, ymin, ymax = vp.visible_rect()
+        xmin, xmax, ymin, ymax = ref_visible_rect(vp)
         point = FIG_GENERIC.result.p_prime.point
         assert not (xmin <= point.x <= xmax and ymin <= point.y <= ymax)
         assert vp == layout(spec_with_probe(WORKED, 3, 0, clip=True))
@@ -126,7 +127,8 @@ class TestLayout:
 def ref_layout(spec):
     scene, result = spec.scene, spec.result
     xs = [scene.A.x, scene.C.x, scene.B.x, scene.D.x]
-    ys = [-scene.k1.radius, scene.k1.radius, -scene.k2.radius, scene.k2.radius]
+    r1, r2 = scene.cfg.r1, scene.cfg.r2
+    ys = [-r1, r1, -r2, r2]
     if not spec.clip:
         xs.append(scene.radical_axis_x)
         named = [spec.probe.point, result.M, result.N]
@@ -142,7 +144,7 @@ def ref_layout(spec):
 
 
 def ref_visible_rect(vp):
-    """The rectangle as Viewport.visible_rect computed it before it read integer pairs."""
+    """The model rectangle (xmin, xmax, ymin, ymax) on the full canvas, by Fraction formulas."""
     return (
         -vp.tx / vp.scale,
         (vp.width - vp.tx) / vp.scale,
@@ -227,13 +229,13 @@ class TestLayoutAgainstReference:
     def test_visible_rect_matches_reference(self):
         for spec in self.SPECS:
             vp = layout(spec)
-            assert vp.visible_rect() == ref_visible_rect(vp)
+            assert tuple(F(n, d) for n, d in vp._rect()) == ref_visible_rect(vp)
             assert all(d > 0 for _, d in vp._rect())  # _clip needs positive denominators
 
     def test_named_points_lie_in_the_circles_box(self):
         for spec in self.SPECS:
             scene, result = spec.scene, spec.result
-            r = max(scene.k1.radius, scene.k2.radius)
+            r = max(scene.cfg.r1, scene.cfg.r2)
             assert scene.A.x < scene.radical_axis_x < scene.D.x
             for point in (result.M, result.N, scene.B, scene.C):
                 assert scene.A.x <= point.x <= scene.D.x and -r <= point.y <= r
@@ -322,7 +324,7 @@ class TestDeterminismAndRoundTrip:
     def test_circle_attributes_round_trip(self):
         svg = render_svg(FIG_GENERIC)
         scene = FIG_GENERIC.scene
-        for cls, circle in (("circle-k1", scene.k1), ("circle-k2", scene.k2)):
+        for cls, circle in zip(("circle-k1", "circle-k2"), circles(scene.cfg)):
             (el,) = find(svg, cls=cls)
             assert_close(el.get("cx"), circle.center.x)
             assert_close(el.get("cy"), -circle.center.y)
@@ -353,7 +355,7 @@ class TestClippedMarkers:
         assert find(svg, tag="circle", cls="point-marker", name="P′") == []
         (arrow,) = find(svg, tag="polygon", name="P′")
         assert "clipped" in arrow.get("class")
-        rect = layout(spec).visible_rect()
+        rect = ref_visible_rect(layout(spec))
         for pair in arrow.get("points").split():
             x, y = (F(part) for part in pair.split(","))
             assert rect[0] - TOLERANCE <= x <= rect[1] + TOLERANCE

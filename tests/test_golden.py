@@ -118,7 +118,7 @@ def _fake_fuzz(trials, seed):
         ),
         FuzzFailure(
             1, ScenarioConfig(2, 2, 2), ProbePoint(1, "-1/2"),
-            ExtendedPoint.at_infinity(1, 2), ExtendedPoint.at_infinity(0, -3),
+            ExtendedPoint(1, 2, 0), ExtendedPoint(0, -3, 0),
         ),
     ))
 

@@ -13,7 +13,7 @@ from xml.etree import ElementTree
 import pytest
 
 import bicircle
-from reference import calls_made
+from reference import calls_made, circles
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -73,7 +73,7 @@ def test_sweep_tall_conics_are_canonical(seed):
     # ~100-digit values: written over the frame's denominator, each conic of
     # these scenes has a common factor of 325 to 821 bits, which derive drops.
     for scene in {id(scene): scene for _, scene, _ in workloads.SweepTall(seed).ops}.values():
-        for conic, circle in zip(scene._conics, (scene.k1, scene.k2)):
+        for conic, circle in zip(scene._conics, circles(scene.cfg)):
             assert gcd(*conic) == 1 and conic[0] > 0
             assert bicircle.exact._conic(circle) == conic
 

@@ -10,7 +10,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bicircle import (
-    Circle,
     DerivedScene,
     GeometryError,
     InvalidScenario,
@@ -27,13 +26,13 @@ from bicircle import (
 )
 from bicircle.exact import _conic, _triple
 from bicircle.scenario import _frame
-from reference import circle_contains, line_contains, power_of_point, radical_axis
+from reference import circle_contains, circles, line_contains, power_of_point, radical_axis
 
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
 
 # DerivedScene's fields, in order: its repr, equality and hash read them.
-DERIVED_FIELDS = ("cfg", "ordering", "k1", "k2", "A", "B", "C", "D", "radical_axis_x")
+DERIVED_FIELDS = ("cfg", "ordering", "A", "B", "C", "D", "radical_axis_x")
 COPIES = pytest.mark.parametrize("make", [
     copy.copy,
     copy.deepcopy,
@@ -123,9 +122,9 @@ class TestDerive:
 
     @given(admissible_configs())
     def test_axis_points_on_circles_and_axis(self, cfg):
-        scene = derive(cfg)
-        assert circle_contains(scene.k1, scene.A) and circle_contains(scene.k1, scene.C)
-        assert circle_contains(scene.k2, scene.B) and circle_contains(scene.k2, scene.D)
+        scene, (k1, k2) = derive(cfg), circles(cfg)
+        assert circle_contains(k1, scene.A) and circle_contains(k1, scene.C)
+        assert circle_contains(k2, scene.B) and circle_contains(k2, scene.D)
         for point in (scene.A, scene.B, scene.C, scene.D):
             assert line_contains(Line(0, 1, 0), point)
 
@@ -142,10 +141,10 @@ class TestDerive:
 
     @given(admissible_configs())
     def test_radical_axis_agrees_with_kernel(self, cfg):
-        scene = derive(cfg)
-        assert radical_axis(scene.k1, scene.k2) == Line(1, 0, -scene.radical_axis_x)
+        scene, (k1, k2) = derive(cfg), circles(cfg)
+        assert radical_axis(k1, k2) == Line(1, 0, -scene.radical_axis_x)
         z = Point2(scene.radical_axis_x, 0)
-        assert power_of_point(scene.k1, z) == power_of_point(scene.k2, z)
+        assert power_of_point(k1, z) == power_of_point(k2, z)
 
 
 class TestParseScenario:
@@ -233,8 +232,6 @@ def ref_derive(cfg):
     return dict(
         cfg=cfg,
         ordering=ordering,
-        k1=Circle(Point2(-a, 0), r1),
-        k2=Circle(Point2(a, 0), r2),
         A=Point2(-a - r1, 0),
         B=Point2(a - r2, 0),
         C=Point2(r1 - a, 0),
@@ -258,9 +255,8 @@ def outcome(fn, *args):
 
 
 def scene_fields(scene):
-    points = (scene.k1.center, scene.k2.center, scene.A, scene.B, scene.C, scene.D)
-    values = [scene.k1.radius, scene.k2.radius, scene.radical_axis_x]
-    return values + [v for point in points for v in (point.x, point.y)]
+    points = (scene.A, scene.B, scene.C, scene.D)
+    return [scene.radical_axis_x] + [v for point in points for v in (point.x, point.y)]
 
 
 TALL = 10**50
@@ -316,7 +312,7 @@ class TestScenarioMatchesReference:
             if not isinstance(scene, DerivedScene):
                 return
             expected = ref_derive(cfg)
-            assert scene._conics == (_conic(expected["k1"]), _conic(expected["k2"]))
+            assert scene._conics == tuple(map(_conic, circles(cfg)))
             assert scene._triples == tuple(_triple(expected[name]) for name in "ABCD")
             # The kernel form takes no part in repr, equality or hash.
             values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in DERIVED_FIELDS)
@@ -339,7 +335,7 @@ class TestScenarioMatchesReference:
             scene = outcome(derive, cfg)
             if not isinstance(scene, DerivedScene):
                 return
-            for conic, circle in zip(scene._conics, (scene.k1, scene.k2)):
+            for conic, circle in zip(scene._conics, circles(cfg)):
                 assert gcd(*conic) == 1 and conic[0] > 0
                 assert _conic(circle) == conic
 

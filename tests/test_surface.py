@@ -4,15 +4,18 @@ import argparse
 import ast
 import inspect
 import types
+from functools import cached_property
 from pathlib import Path
 
 import bicircle
-from bicircle import cli
+from bicircle import cli, exact
 
 ROOT = Path(__file__).resolve().parent.parent
 # The kernel layer of the north star: public wrappers of the integer core,
 # which the package itself calls directly.
 KERNEL_WRAPPERS = ["line_through", "meet", "second_intersection", "tangent_at"]
+# Builds an ExtendedPoint from a Point2's rationals, which the package itself never needs.
+UNREAD_MEMBERS = ["ExtendedPoint.finite"]
 
 PUBLIC_NAMES = [
     "CaseFlag", "Circle", "CoincidentLines", "DEFAULT_Q_SAMPLES", "DEFAULT_SEED",
@@ -53,6 +56,29 @@ def exported():
     }
 
 
+def value_types(cls=exact._Value):
+    """Every subclass of the frozen value base, depth first."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from value_types(sub)
+
+
+def value_type_members():
+    """Each public method, property, cached view and classmethod of a value type, as "Class.name"."""
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    return sorted(
+        f"{cls.__name__}.{name}" for cls in value_types() for name, value in vars(cls).items()
+        if not name.startswith("_") and isinstance(value, kinds)
+    )
+
+
+def package_nodes():
+    """Every syntax node of the Python files in src/, demos/ and perfbench/: all but the tests."""
+    for directory in ("src", "demos", "perfbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def test_public_names():
     assert len(PUBLIC_NAMES) == 50
     assert sorted(exported()) == PUBLIC_NAMES
@@ -60,15 +86,19 @@ def test_public_names():
 
 def test_every_exported_function_has_a_caller():
     # A function only the tests call belongs in the tests, not the public surface.
-    called = set()
-    for directory in ("src", "demos", "perfbench"):
-        for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call):
-                    called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in package_nodes() if isinstance(node, ast.Call)
+    }
     functions = sorted(name for name, value in exported().items() if inspect.isfunction(value))
     assert set(KERNEL_WRAPPERS) <= set(functions)
     assert [name for name in functions if name not in called and name not in KERNEL_WRAPPERS] == []
+
+
+def test_every_value_type_member_is_read():
+    # A member only the tests read belongs in the tests, as a helper of their own.
+    read = {node.attr for node in package_nodes() if isinstance(node, ast.Attribute)}
+    assert [member for member in value_type_members() if member.split(".")[1] not in read] == UNREAD_MEMBERS
 
 
 def test_cli_commands_and_options():

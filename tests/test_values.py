@@ -37,7 +37,7 @@ def worked_spec():
 def fuzz_failure():
     return FuzzFailure(
         3, ScenarioConfig(2, 3, 2), ProbePoint(2, 1),
-        ExtendedPoint(13, -18, 1), ExtendedPoint.at_infinity(0, 1),
+        ExtendedPoint(13, -18, 1), ExtendedPoint(0, 1, 0),
     )
 
 
@@ -50,7 +50,7 @@ VALUES = {
     ScenarioConfig: (lambda: ScenarioConfig(2, 3, 2), ("a", "r1", "r2")),
     DerivedScene: (
         lambda: derive(ScenarioConfig(2, 3, 2)),
-        ("cfg", "ordering", "k1", "k2", "A", "B", "C", "D", "radical_axis_x"),
+        ("cfg", "ordering", "A", "B", "C", "D", "radical_axis_x"),
     ),
     ProbePoint: (lambda: ProbePoint(2, 1), ("p", "q")),
     ImageResult: (
@@ -81,8 +81,8 @@ def positional(value):
             return center, radius
         case ScenarioConfig(a, r1, r2):
             return a, r1, r2
-        case DerivedScene(cfg, ordering, k1, k2, a, b, c, d, radical_axis_x):
-            return cfg, ordering, k1, k2, a, b, c, d, radical_axis_x
+        case DerivedScene(cfg, ordering, a, b, c, d, radical_axis_x):
+            return cfg, ordering, a, b, c, d, radical_axis_x
         case ProbePoint(p, q):
             return p, q
         case ImageResult(m, n, line_am, line_dn, p_prime):
@@ -141,7 +141,7 @@ class TestConstructors:
     def test_fuzz_failure_by_position_and_keyword(self):
         by_keyword = FuzzFailure(
             trial=3, config=ScenarioConfig(2, 3, 2), probe=ProbePoint(2, 1),
-            geometric=ExtendedPoint(13, -18, 1), closed_form=ExtendedPoint.at_infinity(0, 1),
+            geometric=ExtendedPoint(13, -18, 1), closed_form=ExtendedPoint(0, 1, 0),
         )
         assert by_keyword == fuzz_failure()
 
