@@ -334,6 +334,10 @@ class TestExtendedPoint:
     def test_first_nonzero_positive(self):
         assert ExtendedPoint(0, -5, 0).direction == (0, 1)
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            at_infinity(F(0), F(0))
+
     def test_finite_vs_infinite(self):
         assert ExtendedPoint.finite(Point2(0, 0)) != ExtendedPoint(1, 0, 0)
 
