@@ -305,10 +305,13 @@ def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
 def trial_rng(seed: int, index: int) -> random.Random:
     """Independent deterministic stream for one trial (seed plus trial index).
 
-    ValueError unless seed and index are non-negative, as random.Random seeds
-    from abs(seed). Two seeds' streams stay distinct only while the index is
-    below 1,000,003: trial_rng(3, 1_000_003) is trial_rng(4, 0).
+    TypeError unless seed and index are ints, not bools; ValueError unless
+    they are at least 0, as random.Random seeds from abs(seed). Two seeds'
+    streams stay distinct only while the index is below 1,000,003:
+    trial_rng(3, 1_000_003) is trial_rng(4, 0).
     """
+    if not (type(seed) is type(index) is int):
+        raise TypeError(f"seed and index must be ints, got {seed!r} and {index!r}")
     if seed < 0 or index < 0:
         raise ValueError(f"seed and index must be at least 0, got {seed} and {index}")
     return random.Random(seed * 1_000_003 + index)
@@ -342,6 +345,8 @@ class FuzzReport(_Value):
 
 def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> FuzzReport:
     """Compare the synthetic and closed-form routes on random admissible inputs."""
+    if not (type(trials) is type(seed) is int):
+        raise TypeError(f"trials and seed must be ints, got {trials!r} and {seed!r}")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if seed < 0:

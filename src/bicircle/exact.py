@@ -145,6 +145,8 @@ class ExtendedPoint(_Value):
     w: int
 
     def __init__(self, x: int, y: int, w: int):
+        if not (type(x) is type(y) is type(w) is int):  # a bool is refused too
+            raise TypeError(f"x, y and w must be ints, got {(x, y, w)!r}")
         g = gcd(x, y, w)
         if g == 0:
             raise ValueError("direction must be nonzero")

@@ -8,8 +8,9 @@ denominator) pairs too; Fractions remain only in the scale, tx and ty of its
 Viewport. Geometry is written in model units inside a single translate+scale
 group; the y axis is flipped by negating y values at emission time, which
 keeps text upright without nested transforms. One emitter method writes
-every element, painted by its class from one style table (_STYLES), so
-identical specs yield byte-identical documents.
+every element, then the whole paint of its class from one style table
+(_STYLES) whose pixel lengths are formatted once per document, so identical
+specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -39,25 +40,23 @@ _PIXELS = {
 _LABEL_DX, _LABEL_DY = 5, 7  # label offset from its point, in pixels
 _ARROW_LEN, _ARROW_HALF = 9, 3  # clipped-marker arrow length and half width, in pixels
 
-_FONT = "Helvetica, Arial, sans-serif"
-
-# Each element class drawn: its colour, and the _PIXELS key of its stroke
-# width, of its font size for text, or None for a filled shape.
+# Each element class drawn and its whole paint, written after the geometry;
+# {key} stands for the _PIXELS length of that key.
 _STYLES = {
-    "circle-k1": ("#2b2b2b", "circle"),
-    "circle-k2": ("#2b2b2b", "circle"),
-    "axis": ("#888888", "line"),
-    "radical-axis": ("#666666", "line"),
-    "probe-line": ("#1f6fd0", "accent"),
-    "image-line": ("#d04a1f", "accent"),
-    "chord chord-cm": ("#9a9a9a", "line"),
-    "chord chord-bn": ("#9a9a9a", "line"),
-    "construction construction-am": ("#3c8c3c", "accent"),
-    "construction construction-dn": ("#3c8c3c", "accent"),
-    "point-marker": ("#111111", None),
-    "point-marker clipped": ("#111111", None),
-    "point-label": ("#111111", "font"),
-    "caption": ("#333333", "font"),
+    "circle-k1": 'fill="none" stroke="#2b2b2b" stroke-width="{circle}"',
+    "circle-k2": 'fill="none" stroke="#2b2b2b" stroke-width="{circle}"',
+    "axis": 'stroke="#888888" stroke-width="{line}"',
+    "radical-axis": 'stroke="#666666" stroke-width="{line}" stroke-dasharray="{dash-on} {dash-off}"',
+    "probe-line": 'stroke="#1f6fd0" stroke-width="{accent}"',
+    "image-line": 'stroke="#d04a1f" stroke-width="{accent}"',
+    "chord chord-cm": 'stroke="#9a9a9a" stroke-width="{line}"',
+    "chord chord-bn": 'stroke="#9a9a9a" stroke-width="{line}"',
+    "construction construction-am": 'stroke="#3c8c3c" stroke-width="{accent}"',
+    "construction construction-dn": 'stroke="#3c8c3c" stroke-width="{accent}"',
+    "point-marker": 'r="{marker}" fill="#111111"',
+    "point-marker clipped": 'fill="#111111"',
+    "point-label": 'font-family="Helvetica, Arial, sans-serif" font-size="{font}" fill="#111111"',
+    "caption": 'font-family="Helvetica, Arial, sans-serif" font-size="{font}" fill="#333333"',
 }
 
 
@@ -237,16 +236,8 @@ class _Emitter:
     def __init__(self, viewport: Viewport):
         self.rect = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
-        px = self.px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
-        self.paint = {}
-        for cls, (color, key) in _STYLES.items():
-            if key is None:
-                self.paint[cls] = f'fill="{color}"'
-            elif key == "font":
-                self.paint[cls] = f'font-family="{_FONT}" font-size="{px[key]}" fill="{color}"'
-            else:
-                self.paint[cls] = f'stroke="{color}" stroke-width="{px[key]}"'
-        self.paint["radical-axis"] += f' stroke-dasharray="{px["dash-on"]} {px["dash-off"]}"'
+        px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        self.paint = {cls: style.format_map(px) for cls, style in _STYLES.items()}
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
@@ -284,7 +275,7 @@ def render_svg(spec: RenderSpec) -> str:
 
     _, d, a, r1, r2 = _frame(scene.cfg)
     for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
-        em.add("circle", cls, f'{_place((x, 0, d), "cx", "cy")} r="{decimal6(r, d)}" fill="none"')
+        em.add("circle", cls, f'{_place((x, 0, d), "cx", "cy")} r="{decimal6(r, d)}"')
     em.full_line("axis", _AXIS)
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).
@@ -323,7 +314,7 @@ def render_svg(spec: RenderSpec) -> str:
     center = lx * hw + hx * lw, ly * hw + hy * lw, 2 * lw * hw
     for name, point in named:
         if min(_octant(point, low)) >= 0 and max(_octant(point, high)) <= 0:
-            em.add("circle", "point-marker", f'{_place(point, "cx", "cy")} r="{em.px["marker"]}"', name)
+            em.add("circle", "point-marker", _place(point, "cx", "cy"), name)
             anchor = em.offset(point, _LABEL_DX, _LABEL_DY)
         else:
             # Outside the canvas (possible only with clipping): mark the spot

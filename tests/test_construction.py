@@ -353,6 +353,16 @@ class TestSeededTrials:
             with pytest.raises(ValueError, match="seed must be at least 0"):
                 run_oracle_fuzz(trials=trials, seed=-5)
 
+    def test_bool_seed_rejected(self):
+        # bool subclasses int: trial_rng(True, False) would replay trial_rng(1, 0).
+        with pytest.raises(TypeError, match="seed and index must be ints, got True and False"):
+            trial_rng(True, False)
+
+    def test_bool_trials_rejected(self):
+        # run_oracle_fuzz(True, 360) would run one trial and report trials=True.
+        with pytest.raises(TypeError, match="trials and seed must be ints, got True and 360"):
+            run_oracle_fuzz(True, 360)
+
     def test_trial_streams_are_independent(self):
         assert trial_rng(360, 0).random() != trial_rng(360, 1).random()
 

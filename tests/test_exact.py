@@ -357,6 +357,11 @@ class TestExtendedPoint:
         with pytest.raises(TypeError):
             ExtendedPoint(0.5, 1, 0)
 
+    def test_bool_triple_rejected(self):
+        # bool subclasses int: ExtendedPoint(True, False, True) would be the point (1, 0).
+        with pytest.raises(TypeError, match=r"x, y and w must be ints, got \(True, False, True\)"):
+            ExtendedPoint(True, False, True)
+
     @given(triples, nonzero_integers)
     def test_scaled_triple_is_the_same_point(self, triple, k):
         value = ExtendedPoint(*triple)

@@ -1,6 +1,7 @@
 """SVG rendering: determinism, element presence, exact coordinate round-trips."""
 
 import random
+import string
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -19,7 +20,7 @@ from bicircle import (
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
-from bicircle.figures import Viewport, _clip
+from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip
 from reference import circles
 
 WORKED = ScenarioConfig(2, 3, 2)
@@ -278,6 +279,12 @@ class TestRenderedElements:
     def test_chords_drawn(self):
         svg = render_svg(FIG_GENERIC)
         assert find(svg, cls="chord-cm") and find(svg, cls="chord-bn")
+
+    def test_styles_use_every_pixel_length(self):
+        # A misspelt {key} would fail only when a document is rendered, and a
+        # length no style names would go stale unnoticed.
+        keys = {key for style in _STYLES.values() for _, key, _, _ in string.Formatter().parse(style)}
+        assert keys - {None} == set(_PIXELS)
 
 
 class TestDegenerateFigures:

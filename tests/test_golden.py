@@ -12,13 +12,16 @@ change, rewrite the corpus with
 """
 
 import doctest
+import hashlib
 import importlib.util
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -30,8 +33,14 @@ from bicircle import (
     FuzzReport,
     Point2,
     ProbePoint,
+    RenderSpec,
     ScenarioConfig,
     cli,
+    construct_image,
+    derive,
+    random_probe,
+    random_scenario,
+    render_svg,
 )
 from reference import child_env
 
@@ -189,6 +198,31 @@ def test_demo_figures_match_committed_svgs():
     for name, cfg, p, q, options in demo.FIGURES:
         svg = demo.figure(cfg, p, q, **options).encode("utf-8")
         assert svg == (DEMOS / "output" / f"{name}.svg").read_bytes(), name
+
+
+# SHA-256 of render_svg under all 8 combinations of show_radical_axis, labels
+# and clip, at 800x600 and at 64x1001, joined in loop order: the six demo
+# figures' scenes and probes (the q = 0 caption, tangent circles, clipped
+# arrows) and 12 seeded ones. The golden files and the render-svg corpora
+# draw little but the default options and clip, so this pins the bytes of the
+# rest. Recorded at a0e1742.
+ALL_OPTIONS_DIGEST = "416684b92c1da8039f410965afcfc06de975468b3ac4934bc76736edb031fb56"
+
+
+def test_every_render_option_frozen():
+    inputs = [(cfg, ProbePoint(p, q)) for _, cfg, p, q, _ in load_demo_figures().FIGURES]
+    rng = random.Random("all-options")
+    for _ in range(12):
+        cfg = random_scenario(rng)
+        inputs.append((cfg, random_probe(rng, derive(cfg))))
+    digest = hashlib.sha256()
+    for cfg, probe in inputs:
+        scene = derive(cfg)
+        result = construct_image(scene, probe)
+        for (width, height), options in product(((800, 600), (64, 1001)), product((False, True), repeat=3)):
+            spec = RenderSpec(scene, probe, result, width, height, *options)
+            digest.update(render_svg(spec).encode())
+    assert digest.hexdigest() == ALL_OPTIONS_DIGEST
 
 
 def record() -> None:

@@ -16,6 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL_WRAPPERS = ["line_through", "meet", "second_intersection", "tangent_at"]
 # Builds an ExtendedPoint from a Point2's rationals, which the package itself never needs.
 UNREAD_MEMBERS = ["ExtendedPoint.finite"]
+# Public value-type members whose name another value type's field or member,
+# or a CLI option's dest, also carries: the read guard below matches names
+# only, so any read of that other name counts for these, and none of them
+# can ever show as unread.
+SHARED_MEMBERS = ["ExtendedPoint.point", "Line.a", "ProbePoint.point"]
 
 PUBLIC_NAMES = [
     "CaseFlag", "Circle", "CoincidentLines", "DEFAULT_Q_SAMPLES", "DEFAULT_SEED",
@@ -47,6 +52,12 @@ CLI_OPTIONS = {
 
 def option_strings(parser):
     return [option for action in parser._actions for option in action.option_strings]
+
+
+def subcommands(parser):
+    """The CLI's subparsers by command name, in the order they were added."""
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
 
 
 def exported():
@@ -101,10 +112,24 @@ def test_every_value_type_member_is_read():
     assert [member for member in value_type_members() if member.split(".")[1] not in read] == UNREAD_MEMBERS
 
 
+def test_members_the_read_guard_cannot_see():
+    members = [member.split(".") for member in value_type_members()]
+    owners = {}
+    for cls in value_types():
+        for name in inspect.get_annotations(cls):
+            owners.setdefault(name, set()).add(cls.__name__)
+    for owner, name in members:
+        owners.setdefault(name, set()).add(owner)
+    subs = subcommands(cli.build_parser()).values()
+    dests = {action.dest for sub in subs for action in sub._actions if action.option_strings}
+    shared = [f"{owner}.{name}" for owner, name in members if owners[name] != {owner} or name in dests]
+    assert shared == SHARED_MEMBERS
+
+
 def test_cli_commands_and_options():
     parser = cli.build_parser()
-    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    commands = subcommands(parser)
     found = {"bicircle": option_strings(parser)}
-    found.update((name, option_strings(sub)) for name, sub in commands.choices.items())
+    found.update((name, option_strings(sub)) for name, sub in commands.items())
     assert found == CLI_OPTIONS
-    assert list(commands.choices) == list(CLI_OPTIONS)[1:]
+    assert list(commands) == list(CLI_OPTIONS)[1:]
