@@ -34,7 +34,6 @@ from .errors import (
     DegenerateProbe,
     GeometryError,
     IdenticalPoints,
-    IndeterminateParam,
     InvalidScenario,
     ParseError,
     PointNotOnCircle,

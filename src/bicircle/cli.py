@@ -289,7 +289,3 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

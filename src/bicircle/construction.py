@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .errors import DegenerateProbe, IndeterminateParam, WrongOrdering
+from .errors import DegenerateProbe, WrongOrdering
 from .exact import (
     INFINITY,
     ExtendedPoint,
@@ -196,15 +196,14 @@ def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[Extende
     """Parameters (u, v) of M on k1 and N on k2: t names center + r·((1 - t²), 2t)/(1 + t²).
 
     INFINITY names the leftmost point. u = (C.x - p)/q and v = q/(p - B.x), with
-    the conventions that a nonzero numerator over zero is INFINITY and 0/0
-    (probe on C or B) is an error.
+    the convention that a nonzero numerator over zero is INFINITY. A probe on
+    C or B makes one of them 0/0 and raises DegenerateProbe, as in
+    image_closed_form.
     """
     d, _, _, _, u, v = _image_map(scene.cfg, probe.p)  # C.x - p = -u/d, p - B.x = -v/d
     q = probe.q
-    if q == 0 and u == 0:
-        raise IndeterminateParam("probe coincides with C: u = 0/0")
-    if q == 0 and v == 0:
-        raise IndeterminateParam("probe coincides with B: v = 0/0")
+    if q == 0 and not (u and v):
+        raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
     return (Fraction(-u, d) / q if q else INFINITY), (q * d / -v if v else INFINITY)
 
 

@@ -33,10 +33,6 @@ class WrongOrdering(GeometryError):
     """An operation requires a specific circle ordering the scenario lacks."""
 
 
-class IndeterminateParam(GeometryError):
-    """A tangent-half parameter is 0/0 (probe sits on a base point)."""
-
-
 class ParseError(GeometryError):
     """Text does not parse as an exact rational."""
 

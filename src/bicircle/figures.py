@@ -89,6 +89,9 @@ class RenderSpec(_Value):
         for name, value in (("width", width), ("height", height)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        for name, value in (("show_radical_axis", show_radical_axis), ("labels", labels), ("clip", clip)):
+            if type(value) is not bool:
+                raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
         if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64 pixels")
         self.__dict__.update(scene=scene, probe=probe, result=result, width=width, height=height,

@@ -18,7 +18,6 @@ from bicircle import (
     DegenerateProbe,
     ExtendedPoint,
     GeometryError,
-    IndeterminateParam,
     InvalidScenario,
     Line,
     Ordering,
@@ -271,11 +270,11 @@ class TestTangentHalfParams:
         assert u == 0
 
     def test_indeterminate_on_c(self):
-        with pytest.raises(IndeterminateParam):
+        with pytest.raises(DegenerateProbe):
             tangent_half_params(derive(WORKED), ProbePoint(1, 0))
 
     def test_indeterminate_on_b(self):
-        with pytest.raises(IndeterminateParam):
+        with pytest.raises(DegenerateProbe):
             tangent_half_params(derive(WORKED), ProbePoint(0, 0))
 
     @given(configs, rationals, rationals)
@@ -840,21 +839,26 @@ def encoded(value):
     return repr(value)
 
 
-def closed_form_corpus(seed, draws=6):
-    """The closed-form readers on seeded cases of every stratum and height, one line per case.
-
-    Each drawn probe is read as drawn and on the axis (q = 0), then come one
-    config with a nonpositive value and one with nested circles.
-    """
+def stratum_cases(seed, draws=6):
+    """Seeded scenes and probes of every stratum and height: each drawn probe, then its q = 0 twin."""
     rng = random.Random(seed)
-    cases = []
     for height in sorted(CLOSED_FORM_INPUTS):
         for stratum in STRATA:
             for _ in range(draws):
                 r1, r2, gap = (seeded_value(rng, height, True) for _ in range(3))
                 p, q = seeded_value(rng, height, False), seeded_value(rng, height, False)
                 scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
-                cases += [(scene.cfg, probe), (scene.cfg, ProbePoint(probe.p, 0))]
+                yield scene, probe
+                yield scene, ProbePoint(probe.p, 0)
+
+
+def closed_form_corpus(seed, draws=6):
+    """The closed-form readers on seeded cases of every stratum and height, one line per case.
+
+    The stratum cases come first, then one config with a nonpositive value
+    and one with nested circles.
+    """
+    cases = [(scene.cfg, probe) for scene, probe in stratum_cases(seed, draws)]
     cases += [(ScenarioConfig(0, 1, 1), ProbePoint(2, 1)), (ScenarioConfig(1, 5, 1), ProbePoint(2, 1))]
     return "\n".join(" | ".join(encoded(value) for value in (
         outcome(classify_case, cfg, probe),
@@ -866,16 +870,36 @@ def closed_form_corpus(seed, draws=6):
 
 # SHA-256 of closed_form_corpus(seed), recorded at a5fbbfb, before
 # image_closed_form, locus_x, classify_case and tangent_half_params read one
-# integer image map.
+# integer image map; re-recorded when tangent_half_params took
+# image_closed_form's DegenerateProbe for a probe on B or C, which changed
+# only its column.
 CLOSED_FORM_CORPUS = {
-    360: "98a923e228b8dc333fa5fa40bfdb0cc3bf1a23ef7b0228ff6a1d4d14ff365cba",
-    2408: "1419ca0015525b3fab710164278fddd975701f5deaf471364f614923fa9c7325",
+    360: "dda4159caa2904b7fb3f96bbf72b6aacb2db0ea937a30cba079145802826752a",
+    2408: "da831cce8206674ce83f810ea1279435f65b08999fb8284f2707eb48e48efbb2",
 }
 
 
 @pytest.mark.parametrize("seed", sorted(CLOSED_FORM_CORPUS))
 def test_closed_form_corpus_frozen(seed):
     assert hashlib.sha256(closed_form_corpus(seed)).hexdigest() == CLOSED_FORM_CORPUS[seed]
+
+
+def refusal(fn, *args):
+    """The type and message of the GeometryError that fn raises, or None."""
+    try:
+        fn(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", sorted(CLOSED_FORM_CORPUS))
+def test_tangent_half_params_refuses_as_closed_form(seed):
+    # Both read a probe on B or C from the same _image_map factors: one condition, one error.
+    cases = list(stratum_cases(seed))
+    closed = [refusal(image_closed_form, scene.cfg, probe) for scene, probe in cases]
+    assert [refusal(tangent_half_params, scene, probe) for scene, probe in cases] == closed
+    assert any(closed)
 
 
 def assert_matches_reference(scene, probe):

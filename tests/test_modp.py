@@ -11,7 +11,8 @@ random a, r1, r2, p and q, and three polynomial identities are checked there:
 
 Each side has degree at most 13, so by Schwartz–Zippel (J. T. Schwartz,
 JACM 27, 1980) a false identity passes one random point with probability at
-most 13/p < 2⁻⁵⁷.
+most 13/p < 2⁻⁵⁷. The chain here is a copy of construct_image's steps, so
+one more test runs it over ℤ and compares its P′ with construct_image's.
 
 The chain sees only the arithmetic it runs. Both circles are centred on the
 axis, so v = 0 in both conics and the v terms of _polar never show there. A
@@ -28,7 +29,17 @@ import random
 
 import pytest
 
-from bicircle import construction, exact, run_oracle_fuzz
+from bicircle import (
+    ExtendedPoint,
+    InvalidScenario,
+    ProbePoint,
+    ScenarioConfig,
+    construct_image,
+    construction,
+    derive,
+    exact,
+    run_oracle_fuzz,
+)
 
 MODULUS = 2**61 - 1
 
@@ -71,6 +82,20 @@ def image(a, r1, r2, p, q, second=exact._second):
     A, B, C, D = ((x, 0, 1) for x in (-a - r1, a - r2, r1 - a, a + r2))
     m, n = second(k1, C, (p, q, 1)), second(k2, B, (p, q, 1))
     return exact._cross(exact._cross(A, m), exact._cross(D, n))
+
+
+def integer_cases(rng, count):
+    """count seeded valid integer configs (a, r1, r2), each with an integer probe (p, q), q ≠ 0."""
+    cases = []
+    while len(cases) < count:
+        a, r1, r2 = (rng.randint(1, 40) for _ in range(3))
+        p, q = rng.randint(-80, 80), rng.choice((-1, 1)) * rng.randint(1, 80)
+        try:
+            scene = derive(ScenarioConfig(a, r1, r2))
+        except InvalidScenario:  # nested circles
+            continue
+        cases.append((scene, a, r1, r2, p, q))
+    return cases
 
 
 def identities_hold(rng, second=exact._second) -> bool:
@@ -144,6 +169,18 @@ class TestImageChainModP:
     def test_v_term_mutant_in_polar_is_caught(self, old, new):
         second, rng = mutant(old, new)["_second"], random.Random(2408)
         assert not any(second_point_holds(rng, second) for _ in range(self.POINTS))
+
+
+def test_chain_is_the_shipped_route():
+    # The identities above hold on this file's own chain; over ℤ it must give
+    # construct_image's P′, or a copy that drifted from the shipped route would pass.
+    compared = 0
+    for scene, a, r1, r2, p, q in integer_cases(random.Random(2408), 200):
+        triple = image(a, r1, r2, p, q)
+        if any(triple):  # zero only for tangent circles with the probe over B = C
+            assert ExtendedPoint(*triple) == construct_image(scene, ProbePoint(p, q)).p_prime
+            compared += 1
+    assert compared > 190
 
 
 def test_sign_flip_in_cross_is_caught_by_the_oracle(monkeypatch):

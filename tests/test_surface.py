@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "CaseFlag", "Circle", "CoincidentLines", "DEFAULT_Q_SAMPLES", "DEFAULT_SEED",
     "DEFAULT_TRIALS", "DegenerateProbe", "DerivedScene", "ExtendedPoint", "FuzzFailure",
     "FuzzReport", "GeometryError", "INFINITY", "IdenticalPoints", "ImageResult",
-    "IndeterminateParam", "InvalidScenario", "Line", "Ordering", "ParseError", "Point2",
+    "InvalidScenario", "Line", "Ordering", "ParseError", "Point2",
     "PointNotOnCircle", "ProbePoint", "RenderSpec", "ScenarioConfig", "WrongOrdering",
     "ZeroDenominator", "as_rational", "classify_case", "construct_image", "decimal6", "derive",
     "image_closed_form", "layout", "line_through", "locus_x", "meet", "parse_rational",
@@ -91,7 +91,7 @@ def package_nodes():
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(exported()) == PUBLIC_NAMES
 
 

@@ -174,6 +174,9 @@ class TestConstructors:
         ({"height": 63}, ValueError, "width and height must be at least 64 pixels"),
         ({"width": 800.0}, TypeError, "width must be an int, got float"),
         ({"height": True}, TypeError, "height must be an int, got bool"),
+        ({"clip": "false"}, TypeError, "clip must be a bool, got str"),
+        ({"labels": 0}, TypeError, "labels must be a bool, got int"),
+        ({"show_radical_axis": None}, TypeError, "show_radical_axis must be a bool, got NoneType"),
     ])
     def test_render_spec_checks_its_size(self, size, error, message):
         spec = worked_spec()
