@@ -9,8 +9,10 @@ Viewport. Geometry is written in model units inside a single translate+scale
 group; the y axis is flipped by negating y values at emission time, which
 keeps text upright without nested transforms. One emitter method writes
 every element, then the whole paint of its class from one style table
-(_STYLES) whose pixel lengths are formatted once per document, so identical
-specs yield byte-identical documents.
+(_STYLES), formatted in one pass per document. The canvas edges and each
+named point on the canvas are formatted once too: vertical and horizontal
+lines run edge to edge, and a point's marker and the unclipped chords that
+end on it share its text. Identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, _image_map
-from .exact import _cross, _triple, _Value
+from .exact import _cross, _Value
 from .scenario import DerivedScene, _frame
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
@@ -58,12 +60,15 @@ _STYLES = {
     "point-label": 'font-family="Helvetica, Arial, sans-serif" font-size="{font}" fill="#111111"',
     "caption": 'font-family="Helvetica, Arial, sans-serif" font-size="{font}" fill="#333333"',
 }
+_PAINT = "\n".join(_STYLES.values())  # the whole table, formatted in one pass
+_SEGMENT = 'x1="%s" y1="%s" x2="%s" y2="%s"'  # a line's ends as (x, y) texts, y negated
 
 
 def decimal6(n: int, d: int) -> str:
-    """n/d with exactly six fractional digits, rounded half to even; ValueError unless d > 0."""
-    if d <= 0:
-        raise ValueError(f"decimal6 needs a positive denominator, got {d}")
+    """n/d with exactly six fractional digits, rounded half to even, for ints n and d > 0."""
+    if not (type(n) is type(d) is int and d > 0):
+        error = ValueError if type(n) is type(d) is int else TypeError
+        raise error(f"decimal6 needs ints n and d, d a positive denominator, got {n!r} and {d!r}")
     q, r = divmod(n * 1_000_000, d)
     if 2 * r > d or (2 * r == d and q & 1):
         q += 1
@@ -228,19 +233,20 @@ def _octant(p, q) -> tuple[int, int]:
     return (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
 
 
-def _place(t, x: str = "x", y: str = "y") -> str:
-    """SVG attributes x="..." y="..." for the point of a triple (x, y, w), y negated."""
-    return f'{x}="{decimal6(t[0], t[2])}" {y}="{decimal6(-t[1], t[2])}"'
+def _coords(t) -> tuple[str, str]:
+    """The texts of x/w and -y/w for a triple (x, y, w): the point's SVG coordinates."""
+    return decimal6(t[0], t[2]), decimal6(-t[1], t[2])
 
 
 class _Emitter:
     """Accumulates SVG elements in model coordinates (y negated on output)."""
 
     def __init__(self, viewport: Viewport):
-        self.rect = viewport._rect()
+        self.rect = (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
         px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
-        self.paint = {cls: style.format_map(px) for cls, style in _STYLES.items()}
+        self.paint = dict(zip(_STYLES, _PAINT.format_map(px).split("\n")))
+        self.edges = decimal6(xn, xd), decimal6(Xn, Xd), decimal6(-yn, yd), decimal6(-Yn, Yd)
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
@@ -255,9 +261,19 @@ class _Emitter:
         self.parts.append(f'<{tag} class="{cls}"{data} {attrs} {self.paint[cls]}{end}')
 
     def full_line(self, cls: str, line: tuple[int, int, int]) -> None:
-        span = _clip(line, self.rect)
-        if span is not None and any(_octant(*span)):
-            self.add("line", cls, f'{_place(span[0], "x1", "y1")} {_place(span[1], "x2", "y2")}')
+        """The line a*x + b*y + c = 0 as _clip cuts it, unless only a corner of the canvas is left."""
+        a, b, c = line
+        if a and b:  # slanted: its ends differ exactly when their x do
+            span = _clip(line, self.rect)
+            if span and span[0][0] * span[1][2] != span[1][0] * span[0][2]:
+                self.add("line", cls, _SEGMENT % (*_coords(span[0]), *_coords(span[1])))
+            return
+        n, d = (-c, a or b) if a + b > 0 else (c, -a - b)  # the line is x = n/d or y = n/d
+        (lo, lw), (hi, hw) = self.rect[:2] if a else self.rect[2:]
+        if lo * d <= n * lw and n * hw <= hi * d:
+            left, right, bottom, top = self.edges  # texts of the x and, negated, the y of the edges
+            v = decimal6(n if a else -n, d)
+            self.add("line", cls, _SEGMENT % ((v, bottom, v, top) if a else (left, v, right, v)))
 
     def arrow(self, name: str, tip, direction: tuple[int, int]) -> None:
         """Clipped-marker arrow: a small triangle pointing out of the canvas."""
@@ -274,11 +290,11 @@ def render_svg(spec: RenderSpec) -> str:
     viewport = layout(spec)
     scene = spec.scene
     em = _Emitter(viewport)
-    rect = xmin, xmax, ymin, ymax = em.rect
+    rect = xmin, xmax, ymin, ymax = (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = em.rect
 
     _, d, a, r1, r2 = _frame(scene.cfg)
     for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
-        em.add("circle", cls, f'{_place((x, 0, d), "cx", "cy")} r="{decimal6(r, d)}"')
+        em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), decimal6(r, d)))
     em.full_line("axis", _AXIS)
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).
@@ -292,12 +308,16 @@ def render_svg(spec: RenderSpec) -> str:
     if image_w:
         em.full_line("image-line", (image_w, 0, -image_x))
 
-    m, n, image = result.m, result.n, result.p_prime
-    named = [*zip("ABCD", scene._triples), ("P", _triple(probe.point)),
+    m, n, image, p, q = result.m, result.n, result.p_prime, probe.p, probe.q
+    named = [*zip("ABCD", scene._triples),
+             ("P", (p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator)),
              ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
     if image.w:
         named.append(("P′", (image.x, image.y, image.w)))
     points = dict(named)
+    # The coordinate texts of each point on the canvas, for its marker and unclipped chords.
+    text = {(x, y, w): _coords((x, y, w)) for _, (x, y, w) in named
+            if xn * w <= x * xd and x * Xd <= Xn * w and yn * w <= y * yd and y * Yd <= Yn * w}
     for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
         first = last = points[chord[0]]
         for t in (points[chord[1]], points[chord[2]]):
@@ -306,18 +326,18 @@ def render_svg(spec: RenderSpec) -> str:
             elif _octant(t, last) > (0, 0):
                 last = t
         if any(_octant(first, last)):
-            span = _clip(_cross(first, last), rect, (first, last)) if spec.clip else (first, last)
-            if span is not None:
-                em.add("line", cls, f'{_place(span[0], "x1", "y1")} {_place(span[1], "x2", "y2")}')
+            if not spec.clip:
+                em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
+            elif span := _clip(_cross(first, last), rect, (first, last)):
+                em.add("line", cls, _SEGMENT % (*_coords(span[0]), *_coords(span[1])))
     em.full_line("construction construction-am", result.line_am.coefficients)
     em.full_line("construction construction-dn", result.line_dn.coefficients)
 
-    low, high = _at(xmin, ymin), _at(xmax, ymax)
-    (lx, ly, lw), (hx, hy, hw) = low, high
+    (lx, ly, lw), (hx, hy, hw) = _at(xmin, ymin), _at(xmax, ymax)
     center = lx * hw + hx * lw, ly * hw + hy * lw, 2 * lw * hw
     for name, point in named:
-        if min(_octant(point, low)) >= 0 and max(_octant(point, high)) <= 0:
-            em.add("circle", "point-marker", _place(point, "cx", "cy"), name)
+        if point in text:
+            em.add("circle", "point-marker", 'cx="%s" cy="%s"' % text[point], name)
             anchor = em.offset(point, _LABEL_DX, _LABEL_DY)
         else:
             # Outside the canvas (possible only with clipping): mark the spot
@@ -331,11 +351,11 @@ def render_svg(spec: RenderSpec) -> str:
             ox, oy = direction
             anchor = em.offset(tip, (1 - 4 * (ox > 0)) * _LABEL_DX, (1 - 3 * (oy > 0)) * _LABEL_DY)
         if spec.labels:
-            em.add("text", "point-label", _place(anchor), name, name)
+            em.add("text", "point-label", 'x="%s" y="%s"' % _coords(anchor), name, name)
 
     if not result.p_prime.is_finite:
         caption_at = em.offset(_at(xmin, ymax), 2 * _LABEL_DX, -3 * _LABEL_DY)
-        em.add("text", "caption", _place(caption_at), text="P′ at infinity")
+        em.add("text", "caption", 'x="%s" y="%s"' % _coords(caption_at), text="P′ at infinity")
 
     transform = viewport.tx, viewport.ty, viewport.scale
     tx, ty, scale = (decimal6(v.numerator, v.denominator) for v in transform)

@@ -584,7 +584,7 @@ class TestWorkCount:
     def test_render_svg_reads_the_kernel_form(self, clip):
         spec = worked_spec(clip)
         assert calls_made(exact._conic, render_svg, spec) == 0
-        assert calls_made(exact._triple, render_svg, spec) == 1  # P
+        assert calls_made(exact._triple, render_svg, spec) == 0  # P's triple comes from p and q
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(2, 3, 2), ScenarioConfig(2, 2, 2)])

@@ -20,8 +20,8 @@ from bicircle import (
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
-from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip
-from reference import circles
+from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip, _Emitter, _octant
+from reference import calls_made, circles
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
@@ -78,6 +78,12 @@ class TestDecimal6:
         # decimal6(1, -2) read "-0.499999" before this check.
         with pytest.raises(ValueError, match="positive denominator"):
             decimal6(1, d)
+
+    def test_refuses_floats_and_bools(self):
+        # These read "0.100000", "0.750000" and "1.000000" before the check.
+        for n, d in [(0.1, 1), (1.5, 2), (1, True), (True, 1), (2, 4.0), (F(1, 2), 1), (1, -2.0)]:
+            with pytest.raises(TypeError, match="ints"):
+                decimal6(n, d)
 
 
 class TestLayout:
@@ -539,3 +545,75 @@ class TestClipCases:
         # x - y = 4 touches (4, 0) only: an end there keeps it, an end short of it drops it.
         assert self.clip((1, -1, -4), ((3, -1), (4, 0))) == (Point2(4, 0), Point2(4, 0))
         assert self.clip((1, -1, -4), ((2, -2), (3, -1))) is None
+
+
+# The six figures of demos/render_figures.py, then each again with clipping on.
+DEMO_FIGURES = [
+    (WORKED, derive(WORKED).radical_axis_x, 1, {}),
+    (WORKED, 2, 1, {"clip": True}),
+    (WORKED, 3, 0, {}),
+    (WORKED, 0, 2, {}),
+    (TANGENT, 1, 1, {}),
+    (WORKED, 2, 1, {}),
+]
+DEMO_SPECS = [spec_with_probe(cfg, p, q, **options) for cfg, p, q, options in DEMO_FIGURES]
+DEMO_SPECS += [spec_with_probe(cfg, p, q, clip=True) for cfg, p, q, _ in DEMO_FIGURES]
+
+
+class TestWorkCounts:
+    """How often render_svg formats a coordinate and clips a line, per document."""
+
+    def test_pinned_calls(self):
+        counts = {f.__name__: [calls_made(f, render_svg, spec) for spec in DEMO_SPECS] for f in (decimal6, _clip)}
+        assert counts == {
+            "decimal6": [64, 75, 55, 61, 61, 64, 72, 75, 63, 69, 69, 75],
+            "_clip": [2, 5, 0, 1, 2, 2, 4, 5, 2, 3, 4, 5],
+        }
+        # Drawing every full line through _clip and formatting each point once
+        # per use made 936 decimal6 and 87 _clip calls over these documents.
+        assert sum(counts["decimal6"]) < 936
+        assert sum(counts["_clip"]) < 87
+
+
+def near(pair):
+    """The rational of an (n, d) pair and the two 10**-9/d either side of it, as (n, d) pairs."""
+    n, d = pair
+    return [(n, d), (n * 10**9 - 1, d * 10**9), (n * 10**9 + 1, d * 10**9)]
+
+
+class TestAxisParallelLines:
+    """full_line draws vertical and horizontal lines edge to edge as the _clip route would."""
+
+    @staticmethod
+    def clip_route(em, cls, line):
+        """The element that clipping the line by the canvas writes, unless only a corner is left."""
+        span = _clip(line, em.rect)
+        if span is not None and any(_octant(*span)):
+            (x1, y1, w1), (x2, y2, w2) = span
+            ends = decimal6(x1, w1), decimal6(-y1, w1), decimal6(x2, w2), decimal6(-y2, w2)
+            em.add("line", cls, 'x1="%s" y1="%s" x2="%s" y2="%s"' % ends)
+        return span
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_matches_clip(self, clip):
+        viewport = layout(spec_with_probe(WORKED, 2, 1, clip=clip))
+        xmin, xmax, ymin, ymax = _Emitter(viewport).rect
+        mid_x = (xmin[0] * xmax[1] + xmax[0] * xmin[1], 2 * xmin[1] * xmax[1])
+        mid_y = (ymin[0] * ymax[1] + ymax[0] * ymin[1], 2 * ymin[1] * ymax[1])
+        lines = []
+        for n, d in [mid_x, *near(xmin), *near(xmax)]:  # verticals x = n/d
+            lines += [(d, 0, -n), (-3 * d, 0, 3 * n)]
+        for n, d in [mid_y, (0, 1), *near(ymin), *near(ymax)]:  # horizontals y = n/d
+            lines += [(0, d, -n), (0, -2 * d, 2 * n)]
+        drawn = missed = 0
+        for line in lines:
+            em, ref = _Emitter(viewport), _Emitter(viewport)
+            em.full_line("axis", line)
+            if self.clip_route(ref, "axis", line) is None:
+                assert em.parts == []
+                missed += 1
+            else:
+                assert em.parts == ref.parts and len(em.parts) == 1
+                drawn += 1
+        # Drawn: inside, and on and just inside each edge; missed: just outside each edge.
+        assert (drawn, missed) == (22, 8)
