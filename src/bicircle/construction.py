@@ -214,8 +214,11 @@ def verify_concurrency(scene: DerivedScene, q_samples) -> bool:
     radical axis is the common-chord line). For each q sample the probe
     (radical_axis_x, q) is pushed through the synthetic construction and the
     image must land exactly back on the radical axis. ValueError unless
-    there is at least one sample and every sample is nonzero.
+    there is at least one sample and every sample is nonzero; TypeError for
+    a str, bytes or bytearray, which would be read one item at a time.
     """
+    if isinstance(q_samples, (str, bytes, bytearray)):
+        raise TypeError(f"q_samples must be a collection of rationals, not {type(q_samples).__name__}")
     if scene.ordering is not Ordering.INTERSECTING_ABCD:
         raise WrongOrdering("concurrency check needs properly intersecting circles")
     samples = [as_rational(q) for q in q_samples]

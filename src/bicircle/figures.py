@@ -1,18 +1,20 @@
 """Deterministic SVG rendering of scenes, probes, and construction results.
 
-The geometry model stays exact all the way to serialization: everything
-drawn is an integer triple (x, y, w) with w > 0, and each emitted coordinate
-x/w is rounded to exactly six decimal places (half to even) at the last
-moment. layout finds the bounds and the scale on integer (numerator,
-denominator) pairs too; Fractions remain only in the scale, tx and ty of its
-Viewport. Geometry is written in model units inside a single translate+scale
-group; the y axis is flipped by negating y values at emission time, which
-keeps text upright without nested transforms. One emitter method writes
-every element, then the whole paint of its class from one style table
-(_STYLES), formatted in one pass per document. The canvas edges and each
-named point on the canvas are formatted once too: vertical and horizontal
-lines run edge to edge, and a point's marker and the unclipped chords that
-end on it share its text. Identical specs yield byte-identical documents.
+The geometry model stays exact all the way to serialization: everything drawn
+is an integer triple (x, y, w) with w > 0, and each emitted coordinate x/w is
+rounded to exactly six decimal places (half to even) at the last moment, by
+_decimal6 on the ints the emitter built; the public decimal6 checks its
+arguments, then calls it. Chords order their points by cross-multiplication.
+layout finds the bounds and the scale on integer (numerator, denominator)
+pairs too; Fractions remain only in the scale, tx and ty of its Viewport.
+Geometry is written in model units inside a single translate+scale group; the
+y axis is flipped by negating y values at emission time, which keeps text
+upright without nested transforms. One emitter method writes every element,
+then the whole paint of its class from one style table (_STYLES), formatted
+in one pass per document. The canvas edges and each named point on the canvas
+are formatted once too: vertical and horizontal lines run edge to edge, and a
+point's marker and the unclipped chords that end on it share its text.
+Identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -69,9 +71,16 @@ def decimal6(n: int, d: int) -> str:
     if not (type(n) is type(d) is int and d > 0):
         error = ValueError if type(n) is type(d) is int else TypeError
         raise error(f"decimal6 needs ints n and d, d a positive denominator, got {n!r} and {d!r}")
-    q, r = divmod(n * 1_000_000, d)
-    if 2 * r > d or (2 * r == d and q & 1):
-        q += 1
+    return _decimal6(n, d)
+
+
+def _decimal6(n: int, d: int) -> str:
+    """decimal6 without its checks, for ints n and d > 0 that the renderer built."""
+    if not n:
+        return "0.000000"
+    q, r = divmod(2_000_000 * n + d, 2 * d)  # n/d * 10**6 + 1/2, floored
+    if not r and q & 1:  # a tie rounded up to an odd q: round it down to even
+        q -= 1
     if q < 0:
         return "-%d.%06d" % divmod(-q, 1_000_000)
     return "%d.%06d" % divmod(q, 1_000_000)
@@ -233,9 +242,15 @@ def _octant(p, q) -> tuple[int, int]:
     return (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
 
 
+def _before(p, q) -> bool:
+    """p comes before q in (x, y) order, for triples p and q with w > 0."""
+    dx = p[0] * q[2] - q[0] * p[2]
+    return dx < 0 or not dx and p[1] * q[2] < q[1] * p[2]
+
+
 def _coords(t) -> tuple[str, str]:
     """The texts of x/w and -y/w for a triple (x, y, w): the point's SVG coordinates."""
-    return decimal6(t[0], t[2]), decimal6(-t[1], t[2])
+    return _decimal6(t[0], t[2]), _decimal6(-t[1], t[2])
 
 
 class _Emitter:
@@ -244,9 +259,9 @@ class _Emitter:
     def __init__(self, viewport: Viewport):
         self.rect = (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
-        px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        px = {key: _decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
         self.paint = dict(zip(_STYLES, _PAINT.format_map(px).split("\n")))
-        self.edges = decimal6(xn, xd), decimal6(Xn, Xd), decimal6(-yn, yd), decimal6(-Yn, Yd)
+        self.edges = _decimal6(xn, xd), _decimal6(Xn, Xd), _decimal6(-yn, yd), _decimal6(-Yn, Yd)
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
@@ -272,7 +287,7 @@ class _Emitter:
         (lo, lw), (hi, hw) = self.rect[:2] if a else self.rect[2:]
         if lo * d <= n * lw and n * hw <= hi * d:
             left, right, bottom, top = self.edges  # texts of the x and, negated, the y of the edges
-            v = decimal6(n if a else -n, d)
+            v = _decimal6(n if a else -n, d)
             self.add("line", cls, _SEGMENT % ((v, bottom, v, top) if a else (left, v, right, v)))
 
     def arrow(self, name: str, tip, direction: tuple[int, int]) -> None:
@@ -281,7 +296,7 @@ class _Emitter:
         base = self.offset(tip, -ux * _ARROW_LEN, -uy * _ARROW_LEN)
         left = self.offset(base, -uy * _ARROW_HALF, ux * _ARROW_HALF)
         right = self.offset(base, uy * _ARROW_HALF, -ux * _ARROW_HALF)
-        points = " ".join(f"{decimal6(x, w)},{decimal6(-y, w)}" for x, y, w in (tip, left, right))
+        points = " ".join(f"{_decimal6(x, w)},{_decimal6(-y, w)}" for x, y, w in (tip, left, right))
         self.add("polygon", "point-marker clipped", f'points="{points}"', name)
 
 
@@ -294,7 +309,7 @@ def render_svg(spec: RenderSpec) -> str:
 
     _, d, a, r1, r2 = _frame(scene.cfg)
     for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
-        em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), decimal6(r, d)))
+        em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), _decimal6(r, d)))
     em.full_line("axis", _AXIS)
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).
@@ -321,11 +336,11 @@ def render_svg(spec: RenderSpec) -> str:
     for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
         first = last = points[chord[0]]
         for t in (points[chord[1]], points[chord[2]]):
-            if _octant(t, first) < (0, 0):
+            if _before(t, first):
                 first = t
-            elif _octant(t, last) > (0, 0):
+            elif _before(last, t):
                 last = t
-        if any(_octant(first, last)):
+        if _before(first, last):  # else the chord has zero length
             if not spec.clip:
                 em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
             elif span := _clip(_cross(first, last), rect, (first, last)):

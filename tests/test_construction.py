@@ -314,6 +314,16 @@ class TestVerifyConcurrency:
         with pytest.raises(ValueError):
             verify_concurrency(derive(WORKED), [0])
 
+    @pytest.mark.parametrize("samples", ["12", b"12", bytearray(b"12"), "1/2"],
+                             ids=["str", "bytes", "bytearray", "fraction-str"])
+    def test_text_samples_rejected(self, samples):
+        # "12" passed as one q = 1 and one q = 2, and b"12" as q = 49 and q = 50.
+        with pytest.raises(TypeError, match="q_samples"):
+            verify_concurrency(derive(WORKED), samples)
+
+    def test_rational_strings_accepted(self):
+        assert verify_concurrency(derive(WORKED), ["1", "-3", "1/7"])
+
     def test_image_off_the_radical_axis_fails(self, monkeypatch):
         # P' one unit right of the radical axis for the last sample only:
         # every sample's image is read, not just the first.

@@ -20,7 +20,7 @@ from bicircle import (
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
-from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip, _Emitter, _octant
+from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip, _decimal6, _Emitter, _octant
 from reference import calls_made, circles
 
 WORKED = ScenarioConfig(2, 3, 2)
@@ -84,6 +84,26 @@ class TestDecimal6:
         for n, d in [(0.1, 1), (1.5, 2), (1, True), (True, 1), (2, 4.0), (F(1, 2), 1), (1, -2.0)]:
             with pytest.raises(TypeError, match="ints"):
                 decimal6(n, d)
+
+    def test_matches_fraction_rounding(self):
+        # round() on a Fraction rounds half to even; the checked and the
+        # unchecked formatter must both write its result.
+        rng = random.Random(6)
+        pairs = []
+        for digits in (1, 7, 100):
+            top = 10**digits
+            for _ in range(200):
+                n, d = rng.randrange(-top, top), rng.randrange(1, top)
+                k, s = rng.randrange(-top, top), rng.randrange(1, top)
+                # n/d, n/d near the sixth digit, zero over d, and a tie:
+                # 2 * 10**6 * n an odd multiple of d.
+                pairs += [(n, d), (n, d * 10**6), (0, d), ((2 * k + 1) * s, 2_000_000 * s)]
+        ties = [n for n, d in pairs if 2_000_000 * n % d == 0 and 2_000_000 * n // d % 2]
+        assert len(ties) >= 600 and min(ties) < 0 < max(ties)
+        for n, d in pairs:
+            k = round(F(n, d) * 10**6)
+            expected = "-" * (k < 0) + "%d.%06d" % divmod(abs(k), 10**6)
+            assert decimal6(n, d) == _decimal6(n, d) == expected, (n, d)
 
 
 class TestLayout:
@@ -561,17 +581,20 @@ DEMO_SPECS += [spec_with_probe(cfg, p, q, clip=True) for cfg, p, q, _ in DEMO_FI
 
 
 class TestWorkCounts:
-    """How often render_svg formats a coordinate and clips a line, per document."""
+    """How often render_svg formats a coordinate, clips a line and signs a direction, per document."""
 
     def test_pinned_calls(self):
-        counts = {f.__name__: [calls_made(f, render_svg, spec) for spec in DEMO_SPECS] for f in (decimal6, _clip)}
+        targets = (_decimal6, decimal6, _clip, _octant)
+        counts = {f.__name__: [calls_made(f, render_svg, spec) for spec in DEMO_SPECS] for f in targets}
         assert counts == {
-            "decimal6": [64, 75, 55, 61, 61, 64, 72, 75, 63, 69, 69, 75],
+            "_decimal6": [64, 75, 55, 61, 61, 64, 72, 75, 63, 69, 69, 75],
+            "decimal6": [3] * 12,  # only the transform's three values go through the checks
             "_clip": [2, 5, 0, 1, 2, 2, 4, 5, 2, 3, 4, 5],
+            "_octant": [0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1],  # one per clipped-marker arrow
         }
         # Drawing every full line through _clip and formatting each point once
         # per use made 936 decimal6 and 87 _clip calls over these documents.
-        assert sum(counts["decimal6"]) < 936
+        assert sum(counts["_decimal6"]) < 936
         assert sum(counts["_clip"]) < 87
 
 
