@@ -53,7 +53,7 @@ from .exact import (
     second_intersection,
     tangent_at,
 )
-from .figures import RenderSpec, decimal6, layout, render_svg
+from .figures import RenderSpec, layout, render_svg
 from .scenario import (
     DerivedScene,
     Ordering,

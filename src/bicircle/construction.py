@@ -145,6 +145,10 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     line is the tangent at A or D, the limiting position of the moving
     chord line. This route uses only kernel constructions and never the
     closed form, so it is the independent oracle for image_closed_form.
+    AM and DN coincide only for tangent circles with the probe on the
+    vertical through B = C: both chords are tangent there, so both lines
+    join A and D, the axis by construction, and the image escapes along
+    its direction (1 : 0 : 0), which takes no formula of the closed form.
     """
     p, q = probe.p, probe.q
     xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
@@ -158,11 +162,8 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     line_am = _axis_join(a, m) or Line(*_polar(k1, a))
     line_dn = _axis_join(d, n) or Line(*_polar(k2, d))
     x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
-    if not (x or y or w):
-        # Only reachable for tangent circles with the probe on the vertical
-        # through B = C: both chords are tangent there and AM, DN collapse
-        # onto the axis. The image escapes along that common direction.
-        x, y = line_am.coefficients[1], -line_am.coefficients[0]
+    if not (x or y or w):  # AM = DN, the axis: see above
+        x, y = 1, 0
     return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w))
 
 

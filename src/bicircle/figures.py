@@ -3,8 +3,8 @@
 The geometry model stays exact all the way to serialization: everything drawn
 is an integer triple (x, y, w) with w > 0, and each emitted coordinate x/w is
 rounded to exactly six decimal places (half to even) at the last moment, by
-_decimal6 on the ints the emitter built; the public decimal6 checks its
-arguments, then calls it. Chords order their points by cross-multiplication.
+decimal6 on the ints the emitter built. Chords order their points by
+cross-multiplication.
 layout finds the bounds and the scale on integer (numerator, denominator)
 pairs too; Fractions remain only in the scale, tx and ty of its Viewport.
 Geometry is written in model units inside a single translate+scale group; the
@@ -67,15 +67,11 @@ _SEGMENT = 'x1="%s" y1="%s" x2="%s" y2="%s"'  # a line's ends as (x, y) texts, y
 
 
 def decimal6(n: int, d: int) -> str:
-    """n/d with exactly six fractional digits, rounded half to even, for ints n and d > 0."""
-    if not (type(n) is type(d) is int and d > 0):
-        error = ValueError if type(n) is type(d) is int else TypeError
-        raise error(f"decimal6 needs ints n and d, d a positive denominator, got {n!r} and {d!r}")
-    return _decimal6(n, d)
+    """n/d with exactly six fractional digits, rounded half to even.
 
-
-def _decimal6(n: int, d: int) -> str:
-    """decimal6 without its checks, for ints n and d > 0 that the renderer built."""
+    The renderer's internal rounding, for ints n and d > 0 that the renderer
+    built itself: unchecked, and not exported.
+    """
     if not n:
         return "0.000000"
     q, r = divmod(2_000_000 * n + d, 2 * d)  # n/d * 10**6 + 1/2, floored
@@ -250,7 +246,7 @@ def _before(p, q) -> bool:
 
 def _coords(t) -> tuple[str, str]:
     """The texts of x/w and -y/w for a triple (x, y, w): the point's SVG coordinates."""
-    return _decimal6(t[0], t[2]), _decimal6(-t[1], t[2])
+    return decimal6(t[0], t[2]), decimal6(-t[1], t[2])
 
 
 class _Emitter:
@@ -259,9 +255,9 @@ class _Emitter:
     def __init__(self, viewport: Viewport):
         self.rect = (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = viewport._rect()
         self.sn, self.sd = viewport.scale.numerator, viewport.scale.denominator
-        px = {key: _decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
+        px = {key: decimal6(n * self.sd, d * self.sn) for key, (n, d) in _PIXELS.items()}
         self.paint = dict(zip(_STYLES, _PAINT.format_map(px).split("\n")))
-        self.edges = _decimal6(xn, xd), _decimal6(Xn, Xd), _decimal6(-yn, yd), _decimal6(-Yn, Yd)
+        self.edges = decimal6(xn, xd), decimal6(Xn, Xd), decimal6(-yn, yd), decimal6(-Yn, Yd)
         self.parts: list[str] = []
 
     def offset(self, t, dx: int, dy: int) -> tuple[int, int, int]:
@@ -287,7 +283,7 @@ class _Emitter:
         (lo, lw), (hi, hw) = self.rect[:2] if a else self.rect[2:]
         if lo * d <= n * lw and n * hw <= hi * d:
             left, right, bottom, top = self.edges  # texts of the x and, negated, the y of the edges
-            v = _decimal6(n if a else -n, d)
+            v = decimal6(n if a else -n, d)
             self.add("line", cls, _SEGMENT % ((v, bottom, v, top) if a else (left, v, right, v)))
 
     def arrow(self, name: str, tip, direction: tuple[int, int]) -> None:
@@ -296,7 +292,7 @@ class _Emitter:
         base = self.offset(tip, -ux * _ARROW_LEN, -uy * _ARROW_LEN)
         left = self.offset(base, -uy * _ARROW_HALF, ux * _ARROW_HALF)
         right = self.offset(base, uy * _ARROW_HALF, -ux * _ARROW_HALF)
-        points = " ".join(f"{_decimal6(x, w)},{_decimal6(-y, w)}" for x, y, w in (tip, left, right))
+        points = " ".join(f"{decimal6(x, w)},{decimal6(-y, w)}" for x, y, w in (tip, left, right))
         self.add("polygon", "point-marker clipped", f'points="{points}"', name)
 
 
@@ -309,7 +305,7 @@ def render_svg(spec: RenderSpec) -> str:
 
     _, d, a, r1, r2 = _frame(scene.cfg)
     for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
-        em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), _decimal6(r, d)))
+        em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), decimal6(r, d)))
     em.full_line("axis", _AXIS)
     # The radical axis, the probe line and the image line are verticals
     # x = n/w, drawn as the triples (w, 0, -n).

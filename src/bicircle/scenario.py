@@ -53,7 +53,8 @@ class ScenarioConfig(_Value):
         self.__dict__.update(a=a, r1=r1, r2=r2)
         ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
         a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-        ordering = _order(a, r1, r2) if a > 0 and r1 > 0 and r2 > 0 else None
+        # _order refuses a <= 0 itself, because then 2a <= 0 <= |r1 - r2|.
+        ordering = _order(a, r1, r2) if r1 > 0 and r2 > 0 else None
         self.__dict__["_frame"] = (ordering, ad * r1d * r2d, a, r1, r2)
 
 
@@ -89,7 +90,7 @@ class DerivedScene(_Value):
 
 
 def _order(a: int, r1: int, r2: int) -> Ordering | None:
-    """The ordering of positive a, r1 and r2, written over one denominator.
+    """The ordering of a and positive r1 and r2, written over one denominator.
 
     None when one circle contains or internally touches the other (2a <= |r1 - r2|).
     """

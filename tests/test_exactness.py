@@ -71,8 +71,8 @@ def test_checks_catch_what_they_forbid():
 def test_one_draw_and_one_writer():
     # Seeded draws call rng.getrandbits and redraw until in range, as randint does for a
     # random.Random: in random_rational, which random_probe calls, and inline in
-    # random_scenario; no generic helper sits beside them. decimal6(n, d) and its core
-    # _decimal6 write every coordinate.
+    # random_scenario; no generic helper sits beside them. figures.decimal6(n, d), the
+    # renderer's one rounding function, writes every coordinate.
     assert violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "randint") == []
     assert violations(
         lambda node: {"_dec6", "_randint"} & {getattr(node, "id", None), getattr(node, "name", None)}

@@ -49,6 +49,23 @@ def test_tracer_installs_and_uninstalls():
     assert "scenario.derive" in {span[tracer.NAME] for span in spans.spans}
 
 
+def test_traced_decimal6_counts_every_coordinate():
+    # figures.decimal6.calls is the benchmark's rounding work count: the
+    # traced counter must see each coordinate the renderer formats.
+    workload = workloads.RenderSvg(SEED)
+    rounding = bicircle.figures.decimal6
+    made = calls_made(rounding, lambda: [workload.op(i) for i in range(OPS)])
+    counter = tracer.Tracer()
+    counter.install()
+    try:
+        for i in range(OPS):
+            workload.op(i)
+    finally:
+        counter.uninstall()
+    assert bicircle.figures.decimal6 is rounding
+    assert counter.counts["figures.decimal6"] == made > 50 * OPS
+
+
 def cycle_calls(workload, target):
     """Calls of the Python function target made over one cycle of the workload's ops."""
     return calls_made(target, lambda: [workload.op(i) for i in range(workload.cycle)])

@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "FuzzReport", "GeometryError", "INFINITY", "IdenticalPoints", "ImageResult",
     "InvalidScenario", "Line", "Ordering", "ParseError", "Point2",
     "PointNotOnCircle", "ProbePoint", "RenderSpec", "ScenarioConfig", "WrongOrdering",
-    "ZeroDenominator", "as_rational", "classify_case", "construct_image", "decimal6", "derive",
+    "ZeroDenominator", "as_rational", "classify_case", "construct_image", "derive",
     "image_closed_form", "layout", "line_through", "locus_x", "meet", "parse_rational",
     "parse_scenario", "random_probe", "random_rational", "random_scenario", "render_svg",
     "run_oracle_fuzz", "second_intersection", "tangent_at", "tangent_half_params", "trial_rng",
@@ -91,7 +91,7 @@ def package_nodes():
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert sorted(exported()) == PUBLIC_NAMES
 
 
