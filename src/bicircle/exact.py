@@ -1,7 +1,8 @@
 """Exact rational values and the four kernel operations of the construction.
 
 Point2 and Circle hold arbitrary-precision rationals (``fractions.Fraction``).
-ExtendedPoint, Line and a circle's conic are primitive integer tuples. The
+ExtendedPoint, Line and a circle's conic are primitive integer tuples, and
+ExtendedPoint and Line are built from the three ints they store only. The
 kernel, line_through, meet, second_intersection and tangent_at, computes on
 those integers with +, - and * and divides by a gcd only where it stores a
 value. No floating point enters this module, and no square root is ever
@@ -18,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 
 from .errors import (
@@ -136,8 +137,8 @@ class ExtendedPoint(_Value):
     w > 0 is the finite point (x/w, y/w), w = 0 the point at infinity in
     direction (x, y), which all parallels share. The triple is divided by its
     gcd and signed so the first nonzero of (w, x, y) is positive: each point
-    has one triple, so equal points compare and hash equal. ``point`` and
-    ``direction`` are Fraction views, built on first read.
+    has one triple, so equal points compare and hash equal. It is built from
+    ints only. ``point`` and ``direction`` are Fraction views, built on first read.
     """
 
     x: int
@@ -155,10 +156,6 @@ class ExtendedPoint(_Value):
         if g != 1:
             x, y, w = x // g, y // g, w // g
         self.__dict__.update(x=x, y=y, w=w)
-
-    @classmethod
-    def finite(cls, point: Point2) -> "ExtendedPoint":
-        return cls(*_triple(point))
 
     @property
     def is_finite(self) -> bool:
@@ -185,18 +182,16 @@ class Line(_Value):
     """Locus of a*x + b*y + c = 0 as a primitive integer triple ``coefficients``.
 
     The triple is divided by its gcd and signed so the first nonzero of
-    (a, b) is positive: equal lines compare and hash equal. ``a``, ``b`` and
-    ``c`` are Fraction views, scaled so that first nonzero is 1 and built on
-    first read.
+    (a, b) is positive: equal lines compare and hash equal. It is built from
+    ints only. ``a``, ``b`` and ``c`` are Fraction views, scaled so that first
+    nonzero is 1 and built on first read.
     """
 
     coefficients: tuple[int, int, int]
 
-    def __init__(self, a, b, c):
-        if not (type(a) is type(b) is type(c) is int):
-            a, b, c = as_rational(a), as_rational(b), as_rational(c)
-            m = lcm(a.denominator, b.denominator, c.denominator)
-            a, b, c = (v.numerator * (m // v.denominator) for v in (a, b, c))
+    def __init__(self, a: int, b: int, c: int):
+        if not (type(a) is type(b) is type(c) is int):  # a bool is refused too
+            raise TypeError(f"a, b and c must be ints, got {(a, b, c)!r}")
         if not (a or b):
             raise ValueError("degenerate line: a and b are both zero")
         g = gcd(a, b, c)
@@ -225,6 +220,8 @@ class Circle(_Value):
     radius: Fraction
 
     def __init__(self, center: Point2, radius):
+        if type(center) is not Point2:
+            raise TypeError(f"center must be a Point2, got {type(center).__name__}")
         radius = as_rational(radius)
         if radius.numerator <= 0:
             raise ValueError(f"circle radius must be positive, got {radius}")

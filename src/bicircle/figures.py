@@ -13,8 +13,9 @@ upright without nested transforms. One emitter method writes every element,
 then the whole paint of its class from one style table (_STYLES), formatted
 in one pass per document. The canvas edges and each named point on the canvas
 are formatted once too: vertical and horizontal lines run edge to edge, and a
-point's marker and the unclipped chords that end on it share its text.
-Identical specs yield byte-identical documents.
+point's marker and the chords that end on it share its text. A chord with both
+ends on the canvas is drawn whole and any other is cut by the canvas, so only
+layout reads RenderSpec.clip. Identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -326,7 +327,7 @@ def render_svg(spec: RenderSpec) -> str:
     if image.w:
         named.append(("P′", (image.x, image.y, image.w)))
     points = dict(named)
-    # The coordinate texts of each point on the canvas, for its marker and unclipped chords.
+    # The coordinate texts of each point on the canvas, for its marker and the chords ending on it.
     text = {(x, y, w): _coords((x, y, w)) for _, (x, y, w) in named
             if xn * w <= x * xd and x * Xd <= Xn * w and yn * w <= y * yd and y * Yd <= Yn * w}
     for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
@@ -337,7 +338,7 @@ def render_svg(spec: RenderSpec) -> str:
             elif _before(last, t):
                 last = t
         if _before(first, last):  # else the chord has zero length
-            if not spec.clip:
+            if first in text and last in text:  # both ends on the canvas: nothing to cut
                 em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
             elif span := _clip(_cross(first, last), rect, (first, last)):
                 em.add("line", cls, _SEGMENT % (*_coords(span[0]), *_coords(span[1])))

@@ -1,13 +1,16 @@
 """Helpers the tests share: the Fraction kernel formulas that the integer
 kernel replaced, against which the shipped kernel and construct_image are
 checked; Fraction formulas for circles and lines that the package does not
-ship, against which its circles, scenes and kernel are checked; a call
-counter, and the environment of a child interpreter. Not a test module, so
-pytest does not collect it.
+ship, against which its circles, scenes and kernel are checked; the integer
+values of a rational point and line, which the package builds from ints
+only; a call counter, and the environment of a child interpreter. Not a
+test module, so pytest does not collect it.
 """
 
 import os
 import sys
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import bicircle
@@ -46,8 +49,22 @@ def calls_made(target, fn, *args, caller=None):
     return calls
 
 
+def finite(point):
+    """The ExtendedPoint of a Point2: its coordinates over their least common denominator."""
+    x, y = point.x, point.y
+    m = lcm(x.denominator, y.denominator)
+    return ExtendedPoint(int(x * m), int(y * m), m)
+
+
+def line(a, b, c):
+    """The Line a*x + b*y + c = 0 of three rationals: each over their least common denominator."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    return Line(int(a * m), int(b * m), int(c * m))
+
+
 def ref_line_through(p1, p2):
-    return Line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
+    return line(p2.y - p1.y, p1.x - p2.x, p2.x * p1.y - p1.x * p2.y)
 
 
 def ref_meet(l1, l2):
@@ -56,7 +73,7 @@ def ref_meet(l1, l2):
         return at_infinity(l1.b, -l1.a)
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l1.c * l2.a - l2.c * l1.a) / det
-    return ExtendedPoint.finite(Point2(x, y))
+    return finite(Point2(x, y))
 
 
 def ref_second_intersection(k, base, through):
@@ -68,7 +85,7 @@ def ref_second_intersection(k, base, through):
 
 def ref_tangent_at(k, point):
     a, b = point.x - k.center.x, point.y - k.center.y
-    return Line(a, b, -(a * point.x + b * point.y))
+    return line(a, b, -(a * point.x + b * point.y))
 
 
 def at_infinity(dx, dy):
@@ -111,11 +128,11 @@ def param_point(k, t):
 def radical_axis(k1, k2):
     """The line of equal power: the difference of the two circles' power functions.
 
-    For concentric circles its x and y terms vanish, and Line raises ValueError.
+    For concentric circles its x and y terms vanish, and line raises ValueError.
     """
     (x1, y1), r1 = (k1.center.x, k1.center.y), k1.radius
     (x2, y2), r2 = (k2.center.x, k2.center.y), k2.radius
-    return Line(2 * (x2 - x1), 2 * (y2 - y1), x1 * x1 + y1 * y1 - r1 * r1 - x2 * x2 - y2 * y2 + r2 * r2)
+    return line(2 * (x2 - x1), 2 * (y2 - y1), x1 * x1 + y1 * y1 - r1 * r1 - x2 * x2 - y2 * y2 + r2 * r2)
 
 
 def point_on_line(line, t):

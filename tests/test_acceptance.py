@@ -22,7 +22,6 @@ from bicircle import (
     Circle,
     ExtendedPoint,
     InvalidScenario,
-    Line,
     Ordering,
     Point2,
     ProbePoint,
@@ -47,6 +46,8 @@ from reference import (
     circle_contains,
     circles,
     collinear_det,
+    finite,
+    line,
     line_direction,
     param_point,
     point_on_line,
@@ -104,7 +105,7 @@ def test_criterion_1_worked_case():
     elapsed = time.perf_counter() - started
     assert result.M == Point2(-2, -3)
     assert result.N == Point2(F(16, 5), F(8, 5))
-    assert result.p_prime == ExtendedPoint.finite(Point2(13, -18))
+    assert result.p_prime == finite(Point2(13, -18))
     assert elapsed < 1.0
 
 
@@ -170,8 +171,8 @@ class TestCriterion6SpecialCases:
             scene = derive(cfg)
             result = construct_image(scene, ProbePoint(p, 0))
             assert result.p_prime == ExtendedPoint(0, 1, 0)
-            assert result.line_am == Line(1, 0, -scene.A.x)
-            assert result.line_dn == Line(1, 0, -scene.D.x)
+            assert result.line_am == line(1, 0, -scene.A.x)
+            assert result.line_dn == line(1, 0, -scene.D.x)
             assert image_closed_form(cfg, ProbePoint(p, 0)) == result.p_prime
 
     @criterion("6ii", "probe lines through B and C collapse the image to A and D")
@@ -185,10 +186,10 @@ class TestCriterion6SpecialCases:
                 q = random_rational(rng)
             to_a = ProbePoint(scene.B.x, q)
             to_d = ProbePoint(scene.C.x, q)
-            assert construct_image(scene, to_a).p_prime == ExtendedPoint.finite(scene.A)
-            assert image_closed_form(cfg, to_a) == ExtendedPoint.finite(scene.A)
-            assert construct_image(scene, to_d).p_prime == ExtendedPoint.finite(scene.D)
-            assert image_closed_form(cfg, to_d) == ExtendedPoint.finite(scene.D)
+            assert construct_image(scene, to_a).p_prime == finite(scene.A)
+            assert image_closed_form(cfg, to_a) == finite(scene.A)
+            assert construct_image(scene, to_d).p_prime == finite(scene.D)
+            assert image_closed_form(cfg, to_d) == finite(scene.D)
 
     @criterion("6iii", "touching circles keep AM and DN parallel, 50 probes")
     def test_touching_parallel(self):

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from bicircle import ExtendedPoint, Point2, ScenarioConfig, cli, construction, derive
+from bicircle import Point2, ScenarioConfig, cli, construction, derive
 from bicircle.cli import main
-from reference import child_env
+from reference import child_env, finite
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -150,7 +150,7 @@ class TestVerify:
 
         def moved(scene, probe):  # P' one unit right of the radical axis
             point = construct(scene, probe).p_prime.point
-            return SimpleNamespace(p_prime=ExtendedPoint.finite(Point2(point.x + 1, point.y)))
+            return SimpleNamespace(p_prime=finite(Point2(point.x + 1, point.y)))
 
         monkeypatch.setattr(construction, "construct_image", moved)
         code, out, err = run(capsys, ["verify", "--a", "2", "--r1", "3", "--r2", "2"])

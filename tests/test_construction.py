@@ -48,6 +48,7 @@ from reference import (
     calls_made,
     circles,
     collinear_det,
+    finite,
     line_direction,
     param_point,
     power_of_point,
@@ -106,7 +107,7 @@ class TestConstructImage:
         assert result.N == Point2(F(16, 5), F(8, 5))
         assert result.line_am == Line(1, 1, 5)
         assert result.line_dn == Line(2, 1, -8)
-        assert result.p_prime == ExtendedPoint.finite(Point2(13, -18))
+        assert result.p_prime == finite(Point2(13, -18))
 
     def test_probe_on_axis_goes_to_infinity(self):
         scene = derive(WORKED)
@@ -134,13 +135,13 @@ class TestConstructImage:
         scene = derive(WORKED)
         for q in (F(1), F(-7), F(2, 3)):
             result = construct_image(scene, ProbePoint(0, q))
-            assert result.p_prime == ExtendedPoint.finite(scene.A)
+            assert result.p_prime == finite(scene.A)
 
     def test_collapse_to_d(self):
         scene = derive(WORKED)
         for q in (F(1), F(-7), F(2, 3)):
             result = construct_image(scene, ProbePoint(1, q))
-            assert result.p_prime == ExtendedPoint.finite(scene.D)
+            assert result.p_prime == finite(scene.D)
 
     def test_degenerate_probe(self):
         with pytest.raises(DegenerateProbe):
@@ -149,15 +150,15 @@ class TestConstructImage:
 
 class TestClosedForm:
     def test_worked_case(self):
-        assert image_closed_form(WORKED, ProbePoint(2, 1)) == ExtendedPoint.finite(
+        assert image_closed_form(WORKED, ProbePoint(2, 1)) == finite(
             Point2(13, -18)
         )
 
     def test_collapse_cases(self):
-        assert image_closed_form(WORKED, ProbePoint(0, 5)) == ExtendedPoint.finite(
+        assert image_closed_form(WORKED, ProbePoint(0, 5)) == finite(
             Point2(-5, 0)
         )
-        assert image_closed_form(WORKED, ProbePoint(1, F(-3, 7))) == ExtendedPoint.finite(
+        assert image_closed_form(WORKED, ProbePoint(1, F(-3, 7))) == finite(
             Point2(4, 0)
         )
 
@@ -332,7 +333,7 @@ class TestVerifyConcurrency:
         def moved(scene, probe):
             point = construct(scene, probe).p_prime.point
             shift = probe.q == DEFAULT_Q_SAMPLES[-1]
-            return SimpleNamespace(p_prime=ExtendedPoint.finite(Point2(point.x + shift, point.y)))
+            return SimpleNamespace(p_prime=finite(Point2(point.x + shift, point.y)))
 
         monkeypatch.setattr(construction, "construct_image", moved)
         assert verify_concurrency(derive(WORKED), DEFAULT_Q_SAMPLES[:-1]) is True
@@ -696,7 +697,7 @@ def ref_image_closed_form(cfg, probe):
     den = r1 + r2 - 2 * a
     p_im = (r2 * r2 - r1 * r1 + p * (r1 + r2 + 2 * a)) / den
     q_im = ((r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p)) / (q * den)
-    return ExtendedPoint.finite(Point2(p_im, q_im))
+    return finite(Point2(p_im, q_im))
 
 
 def ref_locus_x(cfg, p):

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import random
 import sys
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -38,6 +39,8 @@ from reference import (
     at_infinity,
     circle_contains,
     collinear_det,
+    finite,
+    line,
     line_contains,
     param_point,
     point_on_line,
@@ -109,7 +112,7 @@ class TestRationalText:
     def test_library_strings_share_the_cli_grammar(self, text):
         # Fraction(text) would accept the first two; as_rational reads every str with parse_rational.
         for build in (as_rational, lambda t: Point2(t, 0), lambda t: ScenarioConfig(t, 3, 2),
-                      lambda t: Circle(Point2(0, 0), t), lambda t: Line(t, 1, 0)):
+                      lambda t: Circle(Point2(0, 0), t)):
             with pytest.raises(ParseError):
                 build(text)
         assert as_rational(" -5/8 ") == F(-5, 8)
@@ -155,7 +158,7 @@ class TestLineThrough:
 
 class TestMeet:
     def test_simple(self):
-        assert meet(Line(1, 0, -1), Line(1, -1, 0)) == ExtendedPoint.finite(Point2(1, 1))
+        assert meet(Line(1, 0, -1), Line(1, -1, 0)) == finite(Point2(1, 1))
 
     def test_parallel_verticals(self):
         result = meet(Line(1, 0, 5), Line(1, 0, -4))
@@ -163,7 +166,7 @@ class TestMeet:
 
     def test_worked_case_image(self):
         result = meet(Line(1, 1, 5), Line(2, 1, -8))
-        assert result == ExtendedPoint.finite(Point2(13, -18))
+        assert result == finite(Point2(13, -18))
 
     def test_coincident(self):
         with pytest.raises(CoincidentLines):
@@ -173,7 +176,7 @@ class TestMeet:
     def test_common_point(self, p1, p2, p3):
         assume(collinear_det(p1, p2, p3) != 0)
         joined = meet(line_through(p1, p2), line_through(p1, p3))
-        assert joined == ExtendedPoint.finite(p1)
+        assert joined == finite(p1)
 
 
 class TestCollinearDet:
@@ -293,7 +296,7 @@ class TestPowerAndRadicalAxis:
         assert power_of_point(K1, z) == power_of_point(K2, z) == F(-135, 64)
 
     def test_worked_case_axis(self):
-        assert radical_axis(K1, K2) == Line(1, 0, F(-5, 8))
+        assert radical_axis(K1, K2) == line(1, 0, F(-5, 8))
 
     def test_equal_circles(self):
         k1 = Circle(Point2(-3, 0), 2)
@@ -339,7 +342,7 @@ class TestExtendedPoint:
             at_infinity(F(0), F(0))
 
     def test_finite_vs_infinite(self):
-        assert ExtendedPoint.finite(Point2(0, 0)) != ExtendedPoint(1, 0, 0)
+        assert finite(Point2(0, 0)) != ExtendedPoint(1, 0, 0)
 
     def test_normalize_direction_integers(self):
         assert ExtendedPoint(6, -9, 0).direction == (2, -3)
@@ -380,7 +383,7 @@ class TestExtendedPoint:
 
     @given(points)
     def test_finite_round_trip(self, p):
-        value = ExtendedPoint.finite(p)
+        value = finite(p)
         assert value.is_finite and value.direction is None
         assert value.point == p
         assert type(value.point.x) is F and type(value.point.y) is F
@@ -397,7 +400,7 @@ class TestExtendedPoint:
     def test_parallel_lines_meet_at_their_direction(self, p1, p2, shift):
         assume(p1 != p2 and shift != 0)
         l1 = line_through(p1, p2)
-        l2 = Line(l1.a, l1.b, l1.c + shift)
+        l2 = line(l1.a, l1.b, l1.c + shift)
         assert meet(l1, l2) == at_infinity(p2.x - p1.x, p2.y - p1.y)
 
 
@@ -407,8 +410,11 @@ class TestLineTriple:
         assert line.coefficients == (2, 1, -8)
         assert (line.a, line.b, line.c) == (1, F(1, 2), -4)
 
-    def test_rational_input(self):
-        assert Line(F(1, 2), F(-1, 3), 0).coefficients == (3, -2, 0)
+    @pytest.mark.parametrize("value", [F(1, 2), "1", 1.0, True], ids=["Fraction", "str", "float", "bool"])
+    def test_ints_only(self, value):
+        # A rational line is built by scaling to ints first, as reference.line does.
+        with pytest.raises(TypeError, match="a, b and c must be ints, got"):
+            Line(value, 1, 0)
 
     @given(line_triples, nonzero_integers)
     def test_scaled_triple_is_the_same_line(self, triple, k):
@@ -437,6 +443,38 @@ class TestLineTriple:
     def test_meet_of_coincident_lines_raises(self, triple, k):
         with pytest.raises(CoincidentLines):
             meet(Line(*triple), Line(*(k * c for c in triple)))
+
+
+class TestReferenceHelpers:
+    """reference.line and reference.finite, which build expected values, agree with the kernel."""
+
+    @staticmethod
+    def seeded_rationals(rng, count):
+        """Rationals of small and ~40-digit heights, never zero."""
+        height = rng.choice((50, 10**40))
+        return [F(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height)) for _ in range(count)]
+
+    def test_line_is_line_through_two_of_its_points(self):
+        rng = random.Random("reference-line")
+        for _ in range(300):
+            a, b, c, t, u = self.seeded_rationals(rng, 5)
+            a, b = (v if rng.random() < 0.8 else F(0) for v in (a, b))  # horizontals and verticals too
+            if not (a or b) or t == u:
+                continue
+            if b:
+                p, q = Point2(t, -(c + a * t) / b), Point2(u, -(c + a * u) / b)
+            else:
+                p, q = Point2(-c / a, t), Point2(-c / a, u)
+            assert line(a, b, c) == line_through(p, q)
+
+    def test_finite_is_the_meet_of_two_lines_through_it(self):
+        rng = random.Random("reference-finite")
+        for _ in range(300):
+            x, y, a1, b1, a2, b2 = self.seeded_rationals(rng, 6)
+            if a1 * b2 == a2 * b1:
+                continue
+            l1, l2 = (line(a, b, -(a * x + b * y)) for a, b in ((a1, b1), (a2, b2)))
+            assert finite(Point2(x, y)) == meet(l1, l2)
 
 
 def ref_normalize_direction(dx, dy):
@@ -479,6 +517,11 @@ class TestValueDiscipline:
     def test_circle_needs_positive_radius(self):
         with pytest.raises(ValueError):
             Circle(Point2(0, 0), 0)
+
+    def test_circle_needs_a_point_center(self):
+        # Checked when the circle is built, not at the kernel's first read of center.x.
+        with pytest.raises(TypeError, match="center must be a Point2, got tuple"):
+            Circle((0, 0), 1)
 
     def test_line_normalization_is_canonical(self):
         assert Line(2, 4, 6) == Line(1, 2, 3)
@@ -528,7 +571,7 @@ class TestKernelMatchesReference:
         def check(p1, p2, p3, shift, parallel):
             assume(p1 != p2 and p1 != p3)
             l1 = line_through(p1, p2)
-            l2 = Line(l1.a, l1.b, l1.c + shift) if parallel else line_through(p1, p3)
+            l2 = line(l1.a, l1.b, l1.c + shift) if parallel else line_through(p1, p3)
             assume(l1 != l2)
             result = meet(l1, l2)
             assert result == ref_meet(l1, l2)

@@ -1,5 +1,7 @@
 """SVG rendering: determinism, element presence, exact coordinate round-trips."""
 
+import ast
+import inspect
 import random
 import string
 import xml.etree.ElementTree as ET
@@ -15,6 +17,7 @@ from bicircle import (
     ScenarioConfig,
     construct_image,
     derive,
+    figures,
     layout,
     render_svg,
 )
@@ -573,14 +576,26 @@ class TestWorkCounts:
         targets = (decimal6, _clip, _octant)
         counts = {f.__name__: [calls_made(f, render_svg, spec) for spec in DEMO_SPECS] for f in targets}
         assert counts == {
-            "decimal6": [64, 75, 55, 61, 61, 64, 72, 75, 63, 69, 69, 75],
-            "_clip": [2, 5, 0, 1, 2, 2, 4, 5, 2, 3, 4, 5],
+            "decimal6": [64, 67, 55, 61, 61, 64, 64, 67, 55, 61, 61, 67],
+            "_clip": [2, 3, 0, 1, 2, 2, 2, 3, 0, 1, 2, 3],
             "_octant": [0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1],  # one per clipped-marker arrow
         }
         # Drawing every full line through _clip and formatting each point once
-        # per use made 936 decimal6 and 87 _clip calls over these documents.
-        assert sum(counts["decimal6"]) < 936
-        assert sum(counts["_clip"]) < 87
+        # per use made 936 decimal6 and 87 _clip calls over these documents;
+        # cutting every chord of a clipped document by the canvas made 803 and 35.
+        assert sum(counts["decimal6"]) < 803
+        assert sum(counts["_clip"]) < 35
+
+
+def test_only_layout_reads_clip():
+    # render_svg draws a chord whole when both its ends are on the canvas and
+    # cuts any other by the canvas, so the option decides the viewport alone.
+    tree = ast.parse(inspect.getsource(figures))
+    readers = {
+        function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if isinstance(node, ast.Attribute) and node.attr == "clip"
+    }
+    assert readers == {"layout"}
 
 
 def near(pair):

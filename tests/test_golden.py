@@ -42,7 +42,7 @@ from bicircle import (
     random_scenario,
     render_svg,
 )
-from reference import child_env
+from reference import child_env, finite
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -123,7 +123,7 @@ def _fake_fuzz(trials, seed):
     return FuzzReport(trials, seed, (
         FuzzFailure(
             0, ScenarioConfig(2, 3, 2), ProbePoint(2, 1),
-            ExtendedPoint.finite(Point2(13, -18)), ExtendedPoint.finite(Point2(13, "18/5")),
+            finite(Point2(13, -18)), finite(Point2(13, "18/5")),
         ),
         FuzzFailure(
             1, ScenarioConfig(2, 2, 2), ProbePoint(1, "-1/2"),

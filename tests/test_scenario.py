@@ -26,7 +26,7 @@ from bicircle import (
 )
 from bicircle.exact import _conic, _triple
 from bicircle.scenario import _frame
-from reference import circle_contains, circles, line_contains, power_of_point, radical_axis
+from reference import circle_contains, circles, line, line_contains, power_of_point, radical_axis
 
 positives = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
 
@@ -142,7 +142,7 @@ class TestDerive:
     @given(admissible_configs())
     def test_radical_axis_agrees_with_kernel(self, cfg):
         scene, (k1, k2) = derive(cfg), circles(cfg)
-        assert radical_axis(k1, k2) == Line(1, 0, -scene.radical_axis_x)
+        assert radical_axis(k1, k2) == line(1, 0, -scene.radical_axis_x)
         z = Point2(scene.radical_axis_x, 0)
         assert power_of_point(k1, z) == power_of_point(k2, z)
 
