@@ -48,7 +48,6 @@ from .exact import (
     Point2,
     _axis_join,
     _cross,
-    _polar,
     _second,
     _Value,
     as_rational,
@@ -141,10 +140,11 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     by their gcd where they are stored, M and N only when read. A and D lie
     on the axis, so lines AM and DN take their content from one two-term
     gcd (exact._axis_join). When a chord degenerates (M = A or N = D,
-    exactly for probes on the axis) the join is the zero triple and the
-    line is the tangent at A or D, the limiting position of the moving
-    chord line. This route uses only kernel constructions and never the
-    closed form, so it is the independent oracle for image_closed_form.
+    exactly for probes on the axis) the join is the zero triple, which
+    _axis_join takes as the vertical through A or D: the tangent there,
+    the limiting position of the moving chord line. This route uses only
+    kernel constructions and never the closed form, so it is the
+    independent oracle for image_closed_form.
     AM and DN coincide only for tangent circles with the probe on the
     vertical through B = C: both chords are tangent there, so both lines
     join A and D, the axis by construction, and the image escapes along
@@ -159,8 +159,7 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     n = _second(k2, b, xyw)
     if not any(n):
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    line_am = _axis_join(a, m) or Line(*_polar(k1, a))
-    line_dn = _axis_join(d, n) or Line(*_polar(k2, d))
+    line_am, line_dn = _axis_join(a, m), _axis_join(d, n)
     x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
     if not (x or y or w):  # AM = DN, the axis: see above
         x, y = 1, 0

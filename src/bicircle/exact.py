@@ -264,16 +264,16 @@ def _cross(u, v) -> tuple[int, int, int]:
     return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
-def _axis_join(base, p) -> Line | None:
-    """Line(*_cross(base, p)) for base = (x, 0, w), w > 0 and gcd(x, w) = 1; None if p is base.
+def _axis_join(base, p) -> Line:
+    """Line(*_cross(base, p)) for base = (x, 0, w), w > 0 and gcd(x, w) = 1; (w, 0, -x) if p is base.
 
     That cross, (-w·p1, w·p0 - x·p2, x·p1), has the two-term content gcd(p1, w·p0 - x·p2).
     """
     x, _, w = base
     p1, t = p[1], w * p[0] - x * p[2]
     g = gcd(p1, t)
-    if not g:
-        return None
+    if not g:  # p is base: the vertical through it, the tangent there to any axis-centered circle
+        p1, g = -1, 1
     if (-p1, t) < (0, 0):  # Line's sign rule: the first nonzero of (-w·p1, t) is positive
         g = -g
     k = p1 // g

@@ -14,8 +14,9 @@ then the whole paint of its class from one style table (_STYLES), formatted
 in one pass per document. The canvas edges and each named point on the canvas
 are formatted once too: vertical and horizontal lines run edge to edge, and a
 point's marker and the chords that end on it share its text. A chord with both
-ends on the canvas is drawn whole and any other is cut by the canvas, so only
-layout reads RenderSpec.clip. Identical specs yield byte-identical documents.
+ends on the canvas is drawn whole; any other has only P off the canvas and is
+cut where its line leaves it on P's side, so only layout reads RenderSpec.clip.
+Identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -97,6 +98,10 @@ class RenderSpec(_Value):
 
     def __init__(self, scene, probe, result, width=800, height=600,
                  show_radical_axis=True, labels=True, clip=False):
+        for name, value, kind, article in (("scene", scene, DerivedScene, "a"), ("probe", probe, ProbePoint, "a"),
+                                           ("result", result, ImageResult, "an")):
+            if type(value) is not kind:
+                raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
         for name, value in (("width", width), ("height", height)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -185,43 +190,31 @@ def layout(spec: RenderSpec) -> Viewport:
     return Viewport(width, height, scale, tx, ty)
 
 
-def _clip(line, rect, ends=None) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
+def _clip(line, rect) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
     """Extreme points, in (x, y) order, of the line a*x + b*y + c = 0 in a rectangle.
 
-    rect is (xmin, xmax, ymin, ymax), each a (numerator, denominator) pair
-    with a positive denominator; the points are triples (x, y, w) with w > 0.
-    With ends, two triples of points of the line in (x, y) order, the span is
-    cut to the segment between them. None if nothing is left; a line that
-    only touches a corner gives that corner twice.
+    rect is (xmin, xmax, ymin, ymax) as (numerator, denominator) pairs with
+    positive denominators; the points are triples (x, y, w) with w > 0. None if
+    the line misses the rectangle; a line that only touches a corner gives it twice.
     """
     a, b, c = line
     vertical = not b
     xs, ys = rect[:2], rect[2:]
     if vertical:  # walked by y: swap the roles of x and y
         a, b, xs, ys = b, a, ys, xs
-        ends = ends and [(y, x, w) for x, y, w in ends]
     if b < 0:
         a, b, c = -a, -b, -c
     # On the line y = -(a*x + c)/b. Bound x below and above by (n, d) pairs.
-    lows, highs = [xs[0]], [xs[1]]
+    lo, hi = xs
     if a:  # x at y = n/d; y falls as x grows when a > 0
         cuts = [(b * n + c * d, -a * d) if a < 0 else (-b * n - c * d, a * d) for n, d in ys]
-        if a > 0:
-            cuts.reverse()
-        lows.append(cuts[0])
-        highs.append(cuts[1])
-    elif not (ys[0][0] * b <= -c * ys[0][1] and -c * ys[1][1] <= ys[1][0] * b):
-        return None
-    if ends:
-        lows.append(ends[0][::2])  # (x, w)
-        highs.append(ends[1][::2])
-    lo, hi = lows[0], highs[0]
-    for n, d in lows:
+        (n, d), (m, e) = reversed(cuts) if a > 0 else cuts
         if n * lo[1] > lo[0] * d:
             lo = n, d
-    for n, d in highs:
-        if n * hi[1] < hi[0] * d:
-            hi = n, d
+        if m * hi[1] < hi[0] * e:
+            hi = m, e
+    elif not (ys[0][0] * b <= -c * ys[0][1] and -c * ys[1][1] <= ys[1][0] * b):
+        return None
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     span = [(n * b, -(a * n + c * d), d * b) for n, d in (lo, hi)]
@@ -273,12 +266,14 @@ class _Emitter:
         self.parts.append(f'<{tag} class="{cls}"{data} {attrs} {self.paint[cls]}{end}')
 
     def full_line(self, cls: str, line: tuple[int, int, int]) -> None:
-        """The line a*x + b*y + c = 0 as _clip cuts it, unless only a corner of the canvas is left."""
+        """The line a*x + b*y + c = 0 as _clip cuts it, unless only a corner of the canvas is left.
+
+        The slanted lines drawn, AM and DN, pass through A and D, strictly inside the canvas.
+        """
         a, b, c = line
-        if a and b:  # slanted: its ends differ exactly when their x do
-            span = _clip(line, self.rect)
-            if span and span[0][0] * span[1][2] != span[1][0] * span[0][2]:
-                self.add("line", cls, _SEGMENT % (*_coords(span[0]), *_coords(span[1])))
+        if a and b:  # so _clip's span is never empty or a corner
+            lo, hi = _clip(line, self.rect)
+            self.add("line", cls, _SEGMENT % (*_coords(lo), *_coords(hi)))
             return
         n, d = (-c, a or b) if a + b > 0 else (c, -a - b)  # the line is x = n/d or y = n/d
         (lo, lw), (hi, hw) = self.rect[:2] if a else self.rect[2:]
@@ -340,8 +335,10 @@ def render_svg(spec: RenderSpec) -> str:
         if _before(first, last):  # else the chord has zero length
             if first in text and last in text:  # both ends on the canvas: nothing to cut
                 em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
-            elif span := _clip(_cross(first, last), rect, (first, last)):
-                em.add("line", cls, _SEGMENT % (*_coords(span[0]), *_coords(span[1])))
+            else:  # only P, an end, is off the canvas: cut where the line leaves it on P's side
+                lo, hi = _clip(_cross(first, last), rect)
+                ends = (*text[first], *_coords(hi)) if first in text else (*_coords(lo), *text[last])
+                em.add("line", cls, _SEGMENT % ends)
     em.full_line("construction construction-am", result.line_am.coefficients)
     em.full_line("construction construction-dn", result.line_dn.coefficients)
 

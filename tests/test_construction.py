@@ -522,8 +522,10 @@ class TestWorkCount:
 
     construct_image joins A and D to the raw triples of M and N and builds
     one ExtendedPoint, P′; m and n are built when read. It calls
-    Line.__init__ 0 times off the axis: AM and DN take their content from
-    one two-term gcd (exact._axis_join). random_scenario orders each
+    Line.__init__ 0 times: AM and DN take their content from one two-term
+    gcd (exact._axis_join), which also gives the vertical tangents at A and
+    D for a probe on the axis, so construct_image calls _polar only in the
+    two _second calls. random_scenario orders each
     attempt with scenario._order on its integers and calls _frame 0 times;
     the config it returns orders itself once more, in its constructor.
     """
@@ -560,8 +562,12 @@ class TestWorkCount:
         assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 20
 
     def test_construct_image_builds_no_line(self):
-        scene, probe = derive(WORKED), ProbePoint(2, 1)
-        assert calls_made(Line.__init__, construct_image, scene, probe) == 0
+        for probe in ProbePoint(2, 1), ProbePoint(3, 0):  # off and on the axis
+            assert calls_made(Line.__init__, construct_image, derive(WORKED), probe) == 0
+
+    def test_construct_image_polars_only_for_second_points(self):
+        # Two polars for M and N; the tangents at A and D of an axis probe take none.
+        assert calls_made(exact._polar, construct_image, derive(WORKED), ProbePoint(3, 0)) == 2
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
@@ -970,12 +976,13 @@ class TestConstructImageMatchesReference:
             (k1, k2), (a, b, c, d) = scene._conics, scene._triples
             assert a[0] < 0 < d[0]
             xyw = exact._triple(probe.point)
-            for base, point in ((a, exact._second(k1, c, xyw)), (d, exact._second(k2, b, xyw))):
+            for k, base, point in ((k1, a, exact._second(k1, c, xyw)), (k2, d, exact._second(k2, b, xyw))):
                 cross, line = exact._cross(base, point), exact._axis_join(base, point)
+                assert type(line) is Line
                 if any(cross):
-                    assert type(line) is Line and line.coefficients == Line(*cross).coefficients
-                else:  # the probe is on the axis, or is the chord's base
-                    assert line is None
+                    assert line.coefficients == Line(*cross).coefficients
+                else:  # the probe is on the axis, or is the chord's base: the tangent at base
+                    assert line.coefficients == Line(*exact._polar(k, base)).coefficients
 
         check()
 

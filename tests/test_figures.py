@@ -19,6 +19,8 @@ from bicircle import (
     derive,
     figures,
     layout,
+    random_probe,
+    random_scenario,
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
@@ -494,15 +496,33 @@ class TestClipAgainstReference:
         assert corners > 0
 
     def test_segments(self):
-        rng = random.Random("clip-segments")
-        outcomes = set()
-        for _ in range(self.CASES):
-            rect, p1, p2 = random_case(rng)
-            ends = (_triple(p1), _triple(p2))
-            span = points(_clip(_cross(*ends), pairs(rect), ends))
-            assert span == ref_clip_segment(p1, p2, rect)
-            outcomes.add("none" if span is None else "point" if span[0] == span[1] else "span")
-        assert outcomes == {"none", "point", "span"}
+        # render_svg's chords on 150 clipped documents whose P is pushed off
+        # the canvas (290 chords cut), against the segment between each
+        # chord's extreme points as the reference clips it, written as the
+        # renderer writes coordinates.
+        rng = random.Random("clip-chords")
+        cut = 0
+        for _ in range(150):
+            scene = derive(random_scenario(rng))
+            probe = random_probe(rng, scene)
+            x, y = rng.choice(((40, 1), (1, 40), (25, 25), (40, 0)))
+            probe = ProbePoint(probe.p * x, probe.q * y)
+            try:
+                spec = RenderSpec(scene, probe, construct_image(scene, probe), clip=True)
+            except DegenerateProbe:  # pushed onto B or C along the axis
+                continue
+            svg, rect = render_svg(spec), ref_visible_rect(layout(spec))
+            for cls, base, other in (("chord-cm", scene.C, spec.result.M), ("chord-bn", scene.B, spec.result.N)):
+                ends = sorted({base, probe.point, other}, key=lambda p: (p.x, p.y))
+                drawn = [[line.get(k) for k in ("x1", "y1", "x2", "y2")] for line in find(svg, "line", cls)]
+                if len(ends) == 1:  # a chord of zero length is not drawn
+                    assert drawn == []
+                    continue
+                segment = ref_clip_segment(ends[0], ends[-1], rect)
+                texts = [decimal6(v.numerator, v.denominator) for p in segment for v in (p.x, -p.y)]
+                assert drawn == [texts]
+                cut += segment != (ends[0], ends[-1])
+        assert cut >= 200
 
 
 class TestClipCases:
@@ -510,8 +530,8 @@ class TestClipCases:
 
     RECT = pairs((F(0), F(4), F(0), F(3)))
 
-    def clip(self, line, ends=None):
-        return points(_clip(line, self.RECT, ends and tuple(_triple(Point2(*p)) for p in ends)))
+    def clip(self, line):
+        return points(_clip(line, self.RECT))
 
     @pytest.mark.parametrize("line, first, last", [
         ((0, 1, 0), (0, 0), (4, 0)),  # y = 0
@@ -529,31 +549,10 @@ class TestClipCases:
     def test_line_missing_the_rectangle(self, line):
         assert self.clip(line) is None
 
-    def test_vertical_chord_cut_by_ends(self):
-        # x = 1 from (1, -5) to (1, 2): the rectangle cuts the low end, the end the high one.
-        assert self.clip((1, 0, -1), ((1, -5), (1, 2))) == (Point2(1, 0), Point2(1, 2))
-        assert self.clip((1, 0, -1), ((1, F(1, 2)), (1, 9))) == (Point2(1, F(1, 2)), Point2(1, 3))
-
-    @pytest.mark.parametrize("line, ends", [
-        ((1, -1, 0), ((5, 5), (6, 6))),  # y = x, beyond the top right corner
-        ((1, -1, 0), ((-2, -2), (-1, -1))),  # y = x, before the bottom left corner
-        ((1, 0, -2), ((2, 4), (2, 7))),  # x = 2, above the top edge
-        ((0, 1, -1), ((-3, 1), (-1, 1))),  # y = 1, left of the left edge
-    ])
-    def test_ends_wholly_outside(self, line, ends):
-        assert self.clip(line) is not None
-        assert self.clip(line, ends) is None
-
     def test_corner_only_touch_with_ends(self):
         # x + y = 0 meets the rectangle only at its corner (0, 0).
         corner = (Point2(0, 0), Point2(0, 0))
         assert self.clip((1, 1, 0)) == corner
-        assert self.clip((1, 1, 0), ((-1, 1), (1, -1))) == corner
-        assert self.clip((1, 1, 0), ((0, 0), (2, -2))) == corner
-        assert self.clip((1, 1, 0), ((1, -1), (2, -2))) is None
-        # x - y = 4 touches (4, 0) only: an end there keeps it, an end short of it drops it.
-        assert self.clip((1, -1, -4), ((3, -1), (4, 0))) == (Point2(4, 0), Point2(4, 0))
-        assert self.clip((1, -1, -4), ((2, -2), (3, -1))) is None
 
 
 # The six figures of demos/render_figures.py, then each again with clipping on.
@@ -585,6 +584,13 @@ class TestWorkCounts:
         # cutting every chord of a clipped document by the canvas made 803 and 35.
         assert sum(counts["decimal6"]) < 803
         assert sum(counts["_clip"]) < 35
+
+    def test_cut_chords_format_only_p_end(self):
+        # P = (2, 40) is off the clipped canvas, so both chords are cut. Each
+        # keeps the text of its end on the canvas, formatted once for that
+        # point's marker; cutting each chord to the segment between its ends made 79.
+        spec = spec_with_probe(WORKED, 2, 40, clip=True)
+        assert [calls_made(f, render_svg, spec) for f in (decimal6, _clip)] == [75, 6]
 
 
 def test_only_layout_reads_clip():

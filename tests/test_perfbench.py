@@ -77,12 +77,12 @@ def test_sweep_tall_cycle_computes_no_frames():
     assert cycle_calls(workloads.SweepTall(SEED), bicircle.scenario._order) == 0
 
 
-def test_sweep_tall_cycle_builds_lines_only_for_tangents():
-    # AM and DN take their content from one two-term gcd, without Line.__init__.
-    # Only a probe on the axis, q = 0, builds both lines as tangents.
+def test_sweep_tall_cycle_builds_no_line():
+    # AM and DN take their content from one two-term gcd, without Line.__init__,
+    # and so do the tangents at A and D of the cycle's 23 probes on the axis.
     workload = workloads.SweepTall(SEED)
-    on_axis = sum(probe.q == 0 for _, _, probe in workload.ops)
-    assert cycle_calls(workload, bicircle.Line.__init__) == 2 * on_axis == 46
+    assert sum(probe.q == 0 for _, _, probe in workload.ops) == 23
+    assert cycle_calls(workload, bicircle.Line.__init__) == 0
 
 
 @pytest.mark.parametrize("seed", [360, 2408])

@@ -184,6 +184,20 @@ class TestConstructors:
             RenderSpec(spec.scene, spec.probe, spec.result, **size)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("field, wrong, message", [
+        ("scene", lambda spec: spec.scene.cfg, "scene must be a DerivedScene, got ScenarioConfig"),
+        ("probe", lambda spec: spec.probe.point, "probe must be a ProbePoint, got Point2"),
+        ("result", lambda spec: spec.result.p_prime, "result must be an ImageResult, got ExtendedPoint"),
+        ("result", lambda spec: None, "result must be an ImageResult, got NoneType"),
+    ], ids=["config", "point", "extended-point", "none"])
+    def test_render_spec_checks_its_parts(self, field, wrong, message):
+        # Checked when the spec is built, not later as an AttributeError in render_svg.
+        spec = worked_spec()
+        parts = {"scene": spec.scene, "probe": spec.probe, "result": spec.result, field: wrong(spec)}
+        with pytest.raises(TypeError) as caught:
+            RenderSpec(**parts)
+        assert str(caught.value) == message
+
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
     # A fresh interpreter, so modules the tests import do not hide the cost.
