@@ -3,20 +3,22 @@
 The geometry model stays exact all the way to serialization: everything drawn
 is an integer triple (x, y, w) with w > 0, and each emitted coordinate x/w is
 rounded to exactly six decimal places (half to even) at the last moment, by
-decimal6 on the ints the emitter built. Chords order their points by
-cross-multiplication.
-layout finds the bounds and the scale on integer (numerator, denominator)
-pairs too; Fractions remain only in the scale, tx and ty of its Viewport.
-Geometry is written in model units inside a single translate+scale group; the
-y axis is flipped by negating y values at emission time, which keeps text
-upright without nested transforms. One emitter method writes every element,
-then the whole paint of its class from one style table (_STYLES), formatted
-in one pass per document. The canvas edges and each named point on the canvas
-are formatted once too: vertical and horizontal lines run edge to edge, and a
-point's marker and the chords that end on it share its text. A chord with both
-ends on the canvas is drawn whole; any other has only P off the canvas and is
-cut where its line leaves it on P's side, so only layout reads RenderSpec.clip.
-Identical specs yield byte-identical documents.
+decimal6 on the ints the emitter built. layout finds the bounds and the scale
+on integer (numerator, denominator) pairs too; Fractions remain only in the
+scale, tx and ty of its Viewport. Geometry is written in model units inside a
+single translate+scale group; the y axis is flipped by negating y values at
+emission time, which keeps text upright without nested transforms. One emitter
+method writes every element, then the whole paint of its class from one style
+table (_STYLES), formatted in one pass per document. The canvas edges and each
+named point on the canvas are formatted once too: vertical and horizontal
+lines run edge to edge, and a point's marker and the chords that end on it
+share its text. RenderSpec checks once that its result is construct_image's
+for its scene and probe, so P is neither B nor C: each chord, its points
+ordered by cross-multiplication, has positive length, and every line cut by
+_clip passes through A, B, C, D or the canvas center, strictly inside the
+canvas. A chord with both ends on the canvas is drawn whole; any other has
+only P off the canvas and is cut where its line leaves it on P's side, so only
+layout reads RenderSpec.clip. Identical specs yield byte-identical documents.
 
 A point at infinity is never drawn as a far-away marker: the two parallel
 (or tangent) lines are drawn instead and a caption notes that the image is
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .construction import ImageResult, ProbePoint, _image_map
+from .construction import ImageResult, ProbePoint, _image_map, construct_image
 from .exact import _cross, _Value
 from .scenario import DerivedScene, _frame
 
@@ -85,7 +87,10 @@ def decimal6(n: int, d: int) -> str:
 
 
 class RenderSpec(_Value):
-    """What to draw: a scene, a probe and its construction result. width/height are pixels."""
+    """What to draw: a scene, a probe and its construction result. width/height are pixels.
+
+    ValueError unless result == construct_image(scene, probe), whose DegenerateProbe refuses a probe on B or C.
+    """
 
     scene: DerivedScene
     probe: ProbePoint
@@ -110,6 +115,8 @@ class RenderSpec(_Value):
                 raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
         if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64 pixels")
+        if result != construct_image(scene, probe):
+            raise ValueError("result must be construct_image(scene, probe)")
         self.__dict__.update(scene=scene, probe=probe, result=result, width=width, height=height,
                              show_radical_axis=show_radical_axis, labels=labels, clip=clip)
 
@@ -190,12 +197,12 @@ def layout(spec: RenderSpec) -> Viewport:
     return Viewport(width, height, scale, tx, ty)
 
 
-def _clip(line, rect) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
+def _clip(line, rect) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Extreme points, in (x, y) order, of the line a*x + b*y + c = 0 in a rectangle.
 
     rect is (xmin, xmax, ymin, ymax) as (numerator, denominator) pairs with
-    positive denominators; the points are triples (x, y, w) with w > 0. None if
-    the line misses the rectangle; a line that only touches a corner gives it twice.
+    positive denominators; the points are triples (x, y, w) with w > 0. The line
+    passes through a point strictly inside the rectangle, as every line render_svg clips.
     """
     a, b, c = line
     vertical = not b
@@ -213,10 +220,6 @@ def _clip(line, rect) -> tuple[tuple[int, int, int], tuple[int, int, int]] | Non
             lo = n, d
         if m * hi[1] < hi[0] * e:
             hi = m, e
-    elif not (ys[0][0] * b <= -c * ys[0][1] and -c * ys[1][1] <= ys[1][0] * b):
-        return None
-    if lo[0] * hi[1] > hi[0] * lo[1]:
-        return None
     span = [(n * b, -(a * n + c * d), d * b) for n, d in (lo, hi)]
     return tuple((y, x, w) for x, y, w in span) if vertical else tuple(span)
 
@@ -266,12 +269,9 @@ class _Emitter:
         self.parts.append(f'<{tag} class="{cls}"{data} {attrs} {self.paint[cls]}{end}')
 
     def full_line(self, cls: str, line: tuple[int, int, int]) -> None:
-        """The line a*x + b*y + c = 0 as _clip cuts it, unless only a corner of the canvas is left.
-
-        The slanted lines drawn, AM and DN, pass through A and D, strictly inside the canvas.
-        """
+        """The line a*x + b*y + c = 0 across the canvas, or nothing if it misses the canvas."""
         a, b, c = line
-        if a and b:  # so _clip's span is never empty or a corner
+        if a and b:  # AM or DN, through A or D strictly inside the canvas, as _clip needs
             lo, hi = _clip(line, self.rect)
             self.add("line", cls, _SEGMENT % (*_coords(lo), *_coords(hi)))
             return
@@ -332,13 +332,12 @@ def render_svg(spec: RenderSpec) -> str:
                 first = t
             elif _before(last, t):
                 last = t
-        if _before(first, last):  # else the chord has zero length
-            if first in text and last in text:  # both ends on the canvas: nothing to cut
-                em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
-            else:  # only P, an end, is off the canvas: cut where the line leaves it on P's side
-                lo, hi = _clip(_cross(first, last), rect)
-                ends = (*text[first], *_coords(hi)) if first in text else (*_coords(lo), *text[last])
-                em.add("line", cls, _SEGMENT % ends)
+        if first in text and last in text:  # both ends on the canvas: nothing to cut
+            em.add("line", cls, _SEGMENT % (*text[first], *text[last]))
+        else:  # only P, an end, is off the canvas: cut where the line leaves it on P's side
+            lo, hi = _clip(_cross(first, last), rect)
+            ends = (*text[first], *_coords(hi)) if first in text else (*_coords(lo), *text[last])
+            em.add("line", cls, _SEGMENT % ends)
     em.full_line("construction construction-am", result.line_am.coefficients)
     em.full_line("construction construction-dn", result.line_dn.coefficients)
 

@@ -1,11 +1,13 @@
 """SVG rendering: determinism, element presence, exact coordinate round-trips."""
 
 import ast
+import importlib.util
 import inspect
 import random
 import string
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from reference import calls_made, circles
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
 TOLERANCE = F(1, 10**6)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def spec_with_probe(cfg, p, q, **kwargs):
@@ -471,46 +474,57 @@ def pairs(rect):
 
 def points(span):
     """_clip's triples (x, y, w) as Point2s."""
-    return span and tuple(Point2(F(x, w), F(y, w)) for x, y, w in span)
+    return tuple(Point2(F(x, w), F(y, w)) for x, y, w in span)
+
+
+def far_probe_specs():
+    """Clipped specs of 150 seeded scenes whose probe is pushed out, less those pushed onto B or C."""
+    rng = random.Random("clip-chords")
+    specs = []
+    for _ in range(150):
+        scene = derive(random_scenario(rng))
+        probe = random_probe(rng, scene)
+        x, y = rng.choice(((40, 1), (1, 40), (25, 25), (40, 0)))
+        probe = ProbePoint(probe.p * x, probe.q * y)
+        try:
+            specs.append(RenderSpec(scene, probe, construct_image(scene, probe), clip=True))
+        except DegenerateProbe:  # pushed onto B or C along the axis
+            continue
+    return specs
 
 
 class TestClipAgainstReference:
     CASES = 3000
 
     def test_full_lines(self):
+        # _clip takes a line through the rectangle's inside, so the lines here
+        # that miss the rectangle are skipped; one that only touches a corner
+        # still gives that corner twice.
         rng = random.Random("clip-lines")
-        corners = 0
+        drawn = corners = 0
         for _ in range(self.CASES):
             rect, p1, p2 = random_case(rng)
             line = Line(*_cross(_triple(p1), _triple(p2)))
-            span = points(_clip(line.coefficients, pairs(rect)))
+            a, b, c = line.coefficients
             expected = ref_line_in_rect(line, rect)
-            if span is not None and span[0] == span[1]:
-                # A line that only touches a corner: full_line draws nothing.
-                corner = span[0]
-                assert corner.x in rect[:2] and corner.y in rect[2:]
-                assert expected is None
+            if expected is None:
+                touched = [Point2(x, y) for x in rect[:2] for y in rect[2:] if a * x + b * y + c == 0]
+                if not touched:  # the line misses the rectangle
+                    continue
+                expected = touched * 2
                 corners += 1
-            else:
-                assert span == expected
-        assert corners > 0
+            assert points(_clip(line.coefficients, pairs(rect))) == tuple(expected)
+            drawn += 1
+        assert corners > 0 and drawn > corners
 
     def test_segments(self):
         # render_svg's chords on 150 clipped documents whose P is pushed off
         # the canvas (290 chords cut), against the segment between each
         # chord's extreme points as the reference clips it, written as the
         # renderer writes coordinates.
-        rng = random.Random("clip-chords")
         cut = 0
-        for _ in range(150):
-            scene = derive(random_scenario(rng))
-            probe = random_probe(rng, scene)
-            x, y = rng.choice(((40, 1), (1, 40), (25, 25), (40, 0)))
-            probe = ProbePoint(probe.p * x, probe.q * y)
-            try:
-                spec = RenderSpec(scene, probe, construct_image(scene, probe), clip=True)
-            except DegenerateProbe:  # pushed onto B or C along the axis
-                continue
+        for spec in far_probe_specs():
+            scene, probe = spec.scene, spec.probe
             svg, rect = render_svg(spec), ref_visible_rect(layout(spec))
             for cls, base, other in (("chord-cm", scene.C, spec.result.M), ("chord-bn", scene.B, spec.result.N)):
                 ends = sorted({base, probe.point, other}, key=lambda p: (p.x, p.y))
@@ -523,6 +537,36 @@ class TestClipAgainstReference:
                 assert drawn == [texts]
                 cut += segment != (ends[0], ends[-1])
         assert cut >= 200
+
+
+def render_svg_cycle(seed):
+    """The specs of the benchmark's render-svg cycle at seed, from perfbench/workloads.py."""
+    source = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(source)
+    source.loader.exec_module(workloads)
+    return workloads.RenderSvg(seed).specs
+
+
+def test_every_clipped_line_leaves_two_ends_on_the_canvas(monkeypatch):
+    # RenderSpec takes only construct_image's result, so every line render_svg
+    # clips passes through A, B, C, D or the canvas center, strictly inside
+    # the canvas: each _clip call gives two distinct ends on the canvas.
+    spans = []
+
+    def clip(line, rect):
+        span = _clip(line, rect)
+        spans.append((span, [F(n, d) for n, d in rect]))
+        return span
+
+    specs = render_svg_cycle(360) + render_svg_cycle(2408) + far_probe_specs()
+    monkeypatch.setattr(figures, "_clip", clip)
+    for spec in specs:
+        render_svg(spec)
+    for span, (xmin, xmax, ymin, ymax) in spans:
+        lo, hi = points(span)
+        assert lo != hi
+        assert all(xmin <= end.x <= xmax and ymin <= end.y <= ymax for end in (lo, hi))
+    assert len(specs) == 350 and len(spans) > 1200
 
 
 class TestClipCases:
@@ -544,10 +588,14 @@ class TestClipCases:
 
     @pytest.mark.parametrize("line", [
         (0, 1, -4), (0, 1, 1), (1, 0, -5), (1, 0, 1),  # y = 4, y = -1, x = 5, x = -1
-        (1, 1, 1),  # x + y = -1, below the corner (0, 0)
     ])
     def test_line_missing_the_rectangle(self, line):
-        assert self.clip(line) is None
+        # Only a vertical or horizontal line can miss the canvas, and full_line
+        # draws nothing for it without calling _clip.
+        em = _Emitter(Viewport(400, 300, F(100), F(0), F(300)))
+        assert [F(n, d) for n, d in em.rect] == [0, 4, 0, 3]
+        em.full_line("axis", line)
+        assert em.parts == []
 
     def test_corner_only_touch_with_ends(self):
         # x + y = 0 meets the rectangle only at its corner (0, 0).
@@ -615,13 +663,10 @@ class TestAxisParallelLines:
 
     @staticmethod
     def clip_route(em, cls, line):
-        """The element that clipping the line by the canvas writes, unless only a corner is left."""
-        span = _clip(line, em.rect)
-        if span is not None and any(_octant(*span)):
-            (x1, y1, w1), (x2, y2, w2) = span
-            ends = decimal6(x1, w1), decimal6(-y1, w1), decimal6(x2, w2), decimal6(-y2, w2)
-            em.add("line", cls, 'x1="%s" y1="%s" x2="%s" y2="%s"' % ends)
-        return span
+        """The element that clipping the line by the canvas writes."""
+        (x1, y1, w1), (x2, y2, w2) = _clip(line, em.rect)
+        ends = decimal6(x1, w1), decimal6(-y1, w1), decimal6(x2, w2), decimal6(-y2, w2)
+        em.add("line", cls, 'x1="%s" y1="%s" x2="%s" y2="%s"' % ends)
 
     @pytest.mark.parametrize("clip", [False, True])
     def test_matches_clip(self, clip):
@@ -634,14 +679,16 @@ class TestAxisParallelLines:
             lines += [(d, 0, -n), (-3 * d, 0, 3 * n)]
         for n, d in [mid_y, (0, 1), *near(ymin), *near(ymax)]:  # horizontals y = n/d
             lines += [(0, d, -n), (0, -2 * d, 2 * n)]
+        rect = tuple(F(n, d) for n, d in (xmin, xmax, ymin, ymax))
         drawn = missed = 0
         for line in lines:
             em, ref = _Emitter(viewport), _Emitter(viewport)
             em.full_line("axis", line)
-            if self.clip_route(ref, "axis", line) is None:
+            if ref_line_in_rect(Line(*line), rect) is None:
                 assert em.parts == []
                 missed += 1
             else:
+                self.clip_route(ref, "axis", line)
                 assert em.parts == ref.parts and len(em.parts) == 1
                 drawn += 1
         # Drawn: inside, and on and just inside each edge; missed: just outside each edge.

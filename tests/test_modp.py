@@ -3,11 +3,13 @@
 _polar, _second and _cross use only +, -, * and integer literals, so they run
 unchanged over any commutative ring. Here they run over ℤ/pℤ, p = 2⁶¹ − 1,
 from the probe P through M, N and the lines AM and DN to P′ = (X : Y : W), at
-random a, r1, r2, p and q, and three polynomial identities are checked there:
+random a, r1, r2, p and q, and four polynomial identities are checked there:
 
 - q-independence: X(q₁)·W(q₂) = X(q₂)·W(q₁);
 - the closed form: X·(r1 + r2 − 2a) = W·(r2² − r1² + s·p), s = r1 + r2 + 2a;
-- q·q′ = κ(p): Y·q·(r1 + r2 − 2a) = W·s·(a − r1 + p)(a − r2 − p).
+- q·q′ = κ(p): Y·q·(r1 + r2 − 2a) = W·s·(a − r1 + p)(a − r2 − p);
+- the raw triple: (X, Y, W) = 16·r1·r2·q²·((r2² − r1² + s·p)·q,
+  s·(a − r1 + p)(a − r2 − p), (r1 + r2 − 2a)·q), the scale as well as the point.
 
 Each side has degree at most 13, so by Schwartz–Zippel (J. T. Schwartz,
 JACM 27, 1980) a false identity passes one random point with probability at
@@ -18,10 +20,12 @@ The chain sees only the arithmetic it runs. Both circles are centred on the
 axis, so v = 0 in both conics and the v terms of _polar never show there. A
 second check covers them: on a random conic with v ≠ 0, _second's point from
 a point of the conic through another lies on the conic and on their line.
-Flipping the sign of _cross's middle component passes too: the chain joins A
-and D to M and N with _cross, and the mutant's three crosses compose to −P′,
-the same point. construct_image joins A and D with exact._axis_join instead,
-so the two-route oracle catches that mutant; the last test here runs it.
+Flipping the sign of _cross's middle component passes the first three
+identities: the chain joins A and D to M and N with _cross, and the mutant's
+three crosses compose to −P′, the same point. The raw triple fixes the sign
+as well, so the fourth catches it. construct_image joins A and D with
+exact._axis_join instead, so the two-route oracle catches that mutant too;
+the last test here runs it.
 """
 
 import inspect
@@ -75,13 +79,13 @@ class ModP:
     __rmul__ = __mul__
 
 
-def image(a, r1, r2, p, q, second=exact._second):
+def image(a, r1, r2, p, q, second=exact._second, cross=exact._cross):
     """P′ = AM × DN from the kernel; k1 is centred at (−a, 0) with radius r1, k2 at (a, 0) with r2."""
     k1 = (1, 2 * a, 0, a * a - r1 * r1)  # (s, u, v, t): s(x² + y²) + u·x + v·y + t
     k2 = (1, -2 * a, 0, a * a - r2 * r2)
     A, B, C, D = ((x, 0, 1) for x in (-a - r1, a - r2, r1 - a, a + r2))
     m, n = second(k1, C, (p, q, 1)), second(k2, B, (p, q, 1))
-    return exact._cross(exact._cross(A, m), exact._cross(D, n))
+    return cross(cross(A, m), cross(D, n))
 
 
 def integer_cases(rng, count):
@@ -109,6 +113,19 @@ def identities_hold(rng, second=exact._second) -> bool:
         and x1 * gap == w1 * (r2 * r2 - r1 * r1 + s * p)
         and y1 * q1 * gap == w1 * s * (a - r1 + p) * (a - r2 - p)
     )
+
+
+def raw_image_holds(rng, cross=exact._cross) -> bool:
+    """The chain's raw triple is the closed form scaled by 16·r1·r2·q², not only the same point."""
+    a, r1, r2, p, q = (ModP(rng.randrange(MODULUS)) for _ in range(5))
+    s, gap = r1 + r2 + 2 * a, r1 + r2 - 2 * a
+    scale = 16 * r1 * r2 * q * q
+    expected = (
+        scale * (r2 * r2 - r1 * r1 + s * p) * q,
+        scale * s * (a - r1 + p) * (a - r2 - p),
+        scale * gap * q,
+    )
+    return all(u == v for u, v in zip(image(a, r1, r2, p, q, cross=cross), expected))
 
 
 def second_point_holds(rng, second=exact._second) -> bool:
@@ -158,6 +175,14 @@ class TestImageChainModP:
         second, rng = mutant(old, new)["_second"], random.Random(2408)
         assert not any(identities_hold(rng, second) for _ in range(self.POINTS))
 
+    def test_raw_image_is_the_scaled_closed_form(self):
+        rng = random.Random(2408)
+        assert all(raw_image_holds(rng) for _ in range(self.POINTS))
+
+    def test_sign_flip_in_cross_is_caught(self):
+        cross, rng = mutant("u2 * v0 - u0 * v2", "u0 * v2 - u2 * v0")["_cross"], random.Random(2408)
+        assert not any(raw_image_holds(rng, cross) for _ in range(self.POINTS))
+
     def test_second_point_on_a_conic_off_the_axis(self):
         rng = random.Random(2408)
         assert all(second_point_holds(rng) for _ in range(self.POINTS))
@@ -184,9 +209,9 @@ def test_chain_is_the_shipped_route():
 
 
 def test_sign_flip_in_cross_is_caught_by_the_oracle(monkeypatch):
-    # Invisible over ℤ/pℤ above. The shipped route joins A and D with
-    # _axis_join, so only its last cross, AM × DN, is the mutant's: 198 of
-    # the 200 trials fail.
+    # The projective identities above cannot see it, only the raw triple. The
+    # shipped route joins A and D with _axis_join, so only its last cross,
+    # AM × DN, is the mutant's: 198 of the 200 trials fail.
     cross = mutant("u2 * v0 - u0 * v2", "u0 * v2 - u2 * v0")["_cross"]
     monkeypatch.setattr(construction, "_cross", cross)
     assert len(run_oracle_fuzz(200, 360).failures) > 190

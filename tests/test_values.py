@@ -9,6 +9,7 @@ import pytest
 
 from bicircle import (
     Circle,
+    DegenerateProbe,
     DerivedScene,
     ExtendedPoint,
     FuzzFailure,
@@ -197,6 +198,28 @@ class TestConstructors:
         with pytest.raises(TypeError) as caught:
             RenderSpec(**parts)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("cfg, built_on, built_for, clip", [
+        (ScenarioConfig(2, 3, 2), ScenarioConfig(2, 3, 2), ProbePoint(0, 2), False),
+        (ScenarioConfig(2, 2, 2), ScenarioConfig(2, 3, 2), ProbePoint(2, 1), False),
+        (ScenarioConfig(2, 3, 2), ScenarioConfig(100, 3, 2), ProbePoint(2, 1), True),
+    ], ids=["other-probe", "other-scene-tangent", "other-scene-clipped"])
+    def test_render_spec_refuses_a_foreign_result(self, cfg, built_on, built_for, clip):
+        # The probe is (2, 1); a result built for another probe or on another
+        # scene was drawn as this one's, and the clipped case raised a
+        # TypeError inside render_svg's clipper.
+        foreign = construct_image(derive(built_on), built_for)
+        with pytest.raises(ValueError) as caught:
+            RenderSpec(derive(cfg), ProbePoint(2, 1), foreign, clip=clip)
+        assert str(caught.value) == "result must be construct_image(scene, probe)"
+
+    @pytest.mark.parametrize("base", ["B", "C"])
+    def test_render_spec_refuses_a_probe_on_a_chord_base(self, base):
+        # construct_image has no result there, so no result can belong to it.
+        spec = worked_spec()
+        probe = ProbePoint(getattr(spec.scene, base).x, 0)
+        with pytest.raises(DegenerateProbe, match=f"probe coincides with {base}"):
+            RenderSpec(spec.scene, probe, spec.result)
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
