@@ -49,10 +49,11 @@ from .exact import (
     _axis_join,
     _cross,
     _second,
+    _triple,
     _Value,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _order, derive
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, derive
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -150,8 +151,7 @@ def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     join A and D, the axis by construction, and the image escapes along
     its direction (1 : 0 : 0), which takes no formula of the closed form.
     """
-    p, q = probe.p, probe.q
-    xyw = p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
+    xyw = _triple(probe.p, probe.q)
     (k1, k2), (a, b, c, d) = scene._conics, scene._triples
     m = _second(k1, c, xyw)
     if not any(m):  # zero exactly when the probe is the base
@@ -266,10 +266,9 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     order: a numerator is getrandbits(7) redrawn until below 101, minus 50,
     and a denominator getrandbits(5) redrawn until below 20, plus 1, as
     random_rational draws but without a Python call per draw. An attempt
-    with a nonpositive numerator is rejected at once. The rest are ordered by
-    scenario._order on their integers over the denominator ad·r1d·r2d, as
-    validate orders them. Only the attempt returned builds a ScenarioConfig,
-    of Fractions shared from _rationals, whose constructor writes its frame.
+    with a nonpositive numerator is rejected at once. Each other attempt
+    builds a ScenarioConfig of Fractions shared from _rationals, whose
+    constructor orders it; the first with an ordering is returned.
     """
     getrandbits, rationals = rng.getrandbits, _rationals()
     while True:
@@ -285,11 +284,10 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
             pass
         while (r2d := getrandbits(5)) > 19:
             pass
-        if a <= 50 or r1 <= 50 or r2 <= 50:  # a nonpositive numerator
-            continue
-        if _order((a - 50) * (r1d + 1) * (r2d + 1), (r1 - 50) * (ad + 1) * (r2d + 1),
-                  (r2 - 50) * (ad + 1) * (r1d + 1)) is not None:
-            return ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
+        if a > 50 and r1 > 50 and r2 > 50:  # three positive numerators
+            cfg = ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
+            if cfg._frame[0] is not None:
+                return cfg
 
 
 def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:

@@ -237,16 +237,15 @@ class Circle(_Value):
 # products and the tangent is a polar. _cross, _polar and _second use +, - and * alone,
 # so they run over any commutative ring; _circle_conic and _axis_join divide by a gcd.
 
-def _triple(p: Point2) -> tuple[int, int, int]:
-    """Integers (x, y, w) with p = (x/w, y/w), w the product of p's denominators."""
-    x, y = p.x, p.y
+def _triple(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """Integers (X, Y, w) with (x, y) = (X/w, Y/w), w the product of x's and y's denominators."""
     xd, yd = x.denominator, y.denominator
     return x.numerator * yd, y.numerator * xd, xd * yd
 
 
 def _conic(k: Circle) -> tuple[int, int, int, int]:
     """(s, u, v, t) of k: _circle_conic of its center and radius over one denominator."""
-    (x, y, w), rn, rd = _triple(k.center), k.radius.numerator, k.radius.denominator
+    (x, y, w), rn, rd = _triple(k.center.x, k.center.y), k.radius.numerator, k.radius.denominator
     return _circle_conic(x * rd, y * rd, rn * w, w * rd)
 
 
@@ -304,7 +303,7 @@ def _second(k, base, through) -> tuple[int, int, int]:
 
 def _on_circle(k: Circle, point: Point2) -> tuple[tuple, tuple, tuple]:
     """k's conic, the point's triple and its polar; PointNotOnCircle off k, where p·polar ≠ 0."""
-    conic, p = _conic(k), _triple(point)
+    conic, p = _conic(k), _triple(point.x, point.y)
     polar = _polar(conic, p)
     if p[0] * polar[0] + p[1] * polar[1] + p[2] * polar[2]:
         raise PointNotOnCircle(f"{point} is not on {k}")
@@ -315,7 +314,7 @@ def line_through(p1: Point2, p2: Point2) -> Line:
     """The unique line containing two distinct points."""
     if p1 == p2:
         raise IdenticalPoints(f"cannot join a point to itself: {p1}")
-    return Line(*_cross(_triple(p1), _triple(p2)))
+    return Line(*_cross(_triple(p1.x, p1.y), _triple(p2.x, p2.y)))
 
 
 def meet(l1: Line, l2: Line) -> ExtendedPoint:
@@ -334,7 +333,7 @@ def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
     conic, b, _ = _on_circle(k, base)
     if base == through:
         raise IdenticalPoints("chord direction undefined: points coincide")
-    x, y, w = _second(conic, b, _triple(through))
+    x, y, w = _second(conic, b, _triple(through.x, through.y))
     return Point2(Fraction(x, w), Fraction(y, w))
 
 

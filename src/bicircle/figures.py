@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, _image_map, construct_image
-from .exact import _cross, _Value
+from .exact import _cross, _triple, _Value
 from .scenario import DerivedScene, _frame
 
 _AXIS = (0, 1, 0)  # the common center line y = 0, as a triple (a, b, c)
@@ -315,9 +315,8 @@ def render_svg(spec: RenderSpec) -> str:
     if image_w:
         em.full_line("image-line", (image_w, 0, -image_x))
 
-    m, n, image, p, q = result.m, result.n, result.p_prime, probe.p, probe.q
-    named = [*zip("ABCD", scene._triples),
-             ("P", (p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator)),
+    m, n, image = result.m, result.n, result.p_prime
+    named = [*zip("ABCD", scene._triples), ("P", _triple(probe.p, probe.q)),
              ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
     if image.w:
         named.append(("P′", (image.x, image.y, image.w)))

@@ -486,9 +486,8 @@ def fractions_built(fn, *args):
 def frames_computed(fn, *args, caller=None):
     """Count scenario._order calls made while fn runs, or only those caller makes.
 
-    ScenarioConfig's constructor orders its values once, to write its frame;
-    random_scenario also orders each draw it admits or rejects. Nothing
-    else orders a scenario.
+    ScenarioConfig's constructor orders its values once, to write its frame.
+    Nothing else orders a scenario.
     """
     return calls_made(scenario._order, fn, *args, caller=caller)
 
@@ -510,24 +509,25 @@ class TestWorkCount:
 
     The scene's conics and axis-point triples are built once, by derive,
     straight from _frame's integers: derive calls Point2.__init__ and
-    Circle.__init__ 0 times. construct_image calls _conic and _triple 0
-    times, and render_svg calls _triple once, for P. layout reads P from
-    probe.p and probe.q, not from the triple of a Point2, which would add
-    one. A config computes its frame once, in its constructor, and no later
-    call orders it again. A fuzz trial computes one frame, for the config
-    random_scenario returns, and derive, image_closed_form and, on a draw
-    with q = 0, random_probe's _image_map read it. classify_case builds 0
-    on probes on B, C and the radical axis, since it compares p with them
-    on the frame's integers.
+    Circle.__init__ 0 times. construct_image calls _conic 0 times, and
+    construct_image and render_svg each call _triple once, for P: on probe.p
+    and probe.q, building no Point2. layout reads P from probe.p and probe.q
+    too. A config computes its frame once, in its constructor, and no later
+    call orders it again. A fuzz trial computes one frame per config
+    random_scenario builds, and derive, image_closed_form and, on a draw
+    with q = 0, random_probe's _image_map read the one it returns.
+    classify_case builds 0 on probes on B, C and the radical axis, since it
+    compares p with them on the frame's integers.
 
     construct_image joins A and D to the raw triples of M and N and builds
     one ExtendedPoint, P′; m and n are built when read. It calls
     Line.__init__ 0 times: AM and DN take their content from one two-term
     gcd (exact._axis_join), which also gives the vertical tangents at A and
     D for a probe on the axis, so construct_image calls _polar only in the
-    two _second calls. random_scenario orders each
-    attempt with scenario._order on its integers and calls _frame 0 times;
-    the config it returns orders itself once more, in its constructor.
+    two _second calls. random_scenario calls _order and _frame 0 times
+    itself: it builds a ScenarioConfig for each attempt with three positive
+    numerators, whose constructor orders it, and returns the first with an
+    ordering.
     """
 
     def test_construct_image_worked_case(self):
@@ -556,10 +556,11 @@ class TestWorkCount:
         assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
 
     def test_oracle_fuzz_checks_each_scenario_once(self):
-        # Every _order call of a trial is made while sampling, and one per trial is the frame.
+        # Every _order call of a trial is made while sampling, by the constructor of a
+        # config random_scenario builds: the 20 it returns and 6 it rejects.
         sampled = sum(frames_computed(random_scenario, trial_rng(360, i)) for i in range(20))
-        assert frames_computed(run_oracle_fuzz, 20, 360) == sampled
-        assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 20
+        assert frames_computed(run_oracle_fuzz, 20, 360) == sampled == 26
+        assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 26
 
     def test_construct_image_builds_no_line(self):
         for probe in ProbePoint(2, 1), ProbePoint(3, 0):  # off and on the axis
@@ -574,13 +575,28 @@ class TestWorkCount:
         assert calls_made(ExtendedPoint.__init__, construct_image, scene, probe) == 1
 
     def test_random_scenario_admits_on_integers(self):
-        attempts = 0
+        def sign_passing(rng):
+            """How many attempts have three positive values, up to the first admissible one."""
+            passed = 0
+            while True:
+                values = random_rational(rng), random_rational(rng), random_rational(rng)
+                if min(values) > 0:
+                    passed += 1
+                    try:
+                        validate(ScenarioConfig(*values))
+                    except InvalidScenario:
+                        continue
+                    return passed
+
+        built = 0
         for seed in range(20):
             assert calls_made(scenario._frame, random_scenario, random.Random(seed)) == 0
-            assert calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed)) == 1
-            attempts += frames_computed(random_scenario, random.Random(seed), caller=random_scenario)
+            assert frames_computed(random_scenario, random.Random(seed), caller=random_scenario) == 0
+            configs = calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed))
+            assert configs == sign_passing(random.Random(seed))
+            built += configs
         # Some seeds reject a sign-passing attempt before the one returned.
-        assert attempts > 20
+        assert built > 20
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip):
@@ -592,16 +608,18 @@ class TestWorkCount:
         spec = worked_spec(clip)
         assert fractions_built(layout, spec) <= 3  # scale, tx and ty
 
-    @pytest.mark.parametrize("target", [exact._conic, exact._triple], ids=["conic", "triple"])
-    def test_construct_image_reads_the_kernel_form(self, target):
+    @pytest.mark.parametrize("target, calls", [(exact._conic, 0), (exact._triple, 1)], ids=["conic", "triple"])
+    def test_construct_image_reads_the_kernel_form(self, target, calls):
         scene, probe = derive(WORKED), ProbePoint(2, 1)
-        assert calls_made(target, construct_image, scene, probe) == 0
+        assert calls_made(target, construct_image, scene, probe) == calls  # P's triple, once
+        assert calls_made(Point2.__init__, construct_image, scene, probe) == 0  # from p and q
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_reads_the_kernel_form(self, clip):
         spec = worked_spec(clip)
         assert calls_made(exact._conic, render_svg, spec) == 0
-        assert calls_made(exact._triple, render_svg, spec) == 0  # P's triple comes from p and q
+        assert calls_made(exact._triple, render_svg, spec) == 1  # P's triple, once
+        assert calls_made(Point2.__init__, render_svg, spec) == 0  # from p and q
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(2, 3, 2), ScenarioConfig(2, 2, 2)])
@@ -955,7 +973,7 @@ class TestConstructImageMatchesReference:
             # Equality and hash read m and n like the other fields.
             assert first == second and hash(first) == hash(second)
             (k1, k2), (_, b, c, _) = scene._conics, scene._triples
-            xyw = exact._triple(probe.point)
+            xyw = exact._triple(probe.p, probe.q)
             assert first.m == ExtendedPoint(*exact._second(k1, c, xyw))
             assert first.n == ExtendedPoint(*exact._second(k2, b, xyw))
             assert first.m is first.m and first.n is first.n
@@ -975,7 +993,7 @@ class TestConstructImageMatchesReference:
             scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
             (k1, k2), (a, b, c, d) = scene._conics, scene._triples
             assert a[0] < 0 < d[0]
-            xyw = exact._triple(probe.point)
+            xyw = exact._triple(probe.p, probe.q)
             for k, base, point in ((k1, a, exact._second(k1, c, xyw)), (k2, d, exact._second(k2, b, xyw))):
                 cross, line = exact._cross(base, point), exact._axis_join(base, point)
                 assert type(line) is Line

@@ -84,3 +84,16 @@ def test_one_draw_and_one_writer():
         ("construction.py", "random_rational"),
         ("construction.py", "random_scenario"),
     }
+
+
+def test_one_orderer():
+    # A scenario is ordered on its integers by scenario._order alone, which only
+    # ScenarioConfig's constructor calls; random_scenario admits a draw through
+    # the config it builds, not through a second call of its own.
+    def names_order(node):
+        return "_order" in (getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None))
+
+    found = violations(names_order)
+    defined = violations(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_order")
+    assert [(module, where) for module, where, _ in defined] == [("scenario.py", "")]
+    assert [(module, where) for module, where, _ in found] == [("scenario.py", ""), ("scenario.py", "__init__")]

@@ -504,7 +504,7 @@ class TestClipAgainstReference:
         drawn = corners = 0
         for _ in range(self.CASES):
             rect, p1, p2 = random_case(rng)
-            line = Line(*_cross(_triple(p1), _triple(p2)))
+            line = Line(*_cross(_triple(p1.x, p1.y), _triple(p2.x, p2.y)))
             a, b, c = line.coefficients
             expected = ref_line_in_rect(line, rect)
             if expected is None:

@@ -313,7 +313,7 @@ class TestScenarioMatchesReference:
                 return
             expected = ref_derive(cfg)
             assert scene._conics == tuple(map(_conic, circles(cfg)))
-            assert scene._triples == tuple(_triple(expected[name]) for name in "ABCD")
+            assert scene._triples == tuple(_triple(expected[name].x, expected[name].y) for name in "ABCD")
             # The kernel form takes no part in repr, equality or hash.
             values = ", ".join(f"{name}={getattr(scene, name)!r}" for name in DERIVED_FIELDS)
             assert repr(scene) == f"DerivedScene({values})"
