@@ -107,18 +107,17 @@ _GENERIC = frozenset({CaseFlag.GENERIC})
 
 
 def _image_map(cfg: ScenarioConfig, p: Fraction) -> tuple:
-    """The closed form on the line x = p: integers (d, x, w, s, u, v), with a, r1, r2 and p over d > 0.
+    """The closed form on the line x = p: integers (e, x, w, s, u, v); the frame puts a, r1, r2 over d.
 
-    p' = x/w and q q' = s u v / (d w), where w = d(r1 + r2 - 2a) is zero
-    exactly for tangent circles, s = r1 + r2 + 2a, u = a - r1 + p (zero on
-    the line through C) and v = a - r2 - p (through B). The radical axis is
-    the fixed point x/w = p, or x = 0 where w = 0.
+    p' = x/w and q q' = s u v / (e w), where s = r1 + r2 + 2a and w = e(r1 + r2 - 2a) is
+    zero exactly for tangent circles. Only u and v take the common denominator e = d·pd:
+    u/e = (a - r1)/d + p is zero on the line through C, v/e = (a - r2)/d - p through B.
+    The radical axis is the fixed point x/w = p, or x = 0 where w = 0.
     """
     _, d, a, r1, r2 = _frame(cfg)
-    pd = p.denominator
-    d, a, r1, r2, p = d * pd, a * pd, r1 * pd, r2 * pd, p.numerator * d
-    s = r1 + r2 + 2 * a
-    return d, r2 * r2 - r1 * r1 + p * s, d * (r1 + r2 - 2 * a), s, a - r1 + p, a - r2 - p
+    pd, pn, s = p.denominator, p.numerator * d, r1 + r2 + 2 * a
+    x, e = (r2 - r1) * (r2 + r1) * pd + pn * s, d * pd
+    return e, x, e * (r1 + r2 - 2 * a), s, (a - r1) * pd + pn, (a - r2) * pd - pn
 
 
 def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:

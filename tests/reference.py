@@ -3,8 +3,9 @@ kernel replaced, against which the shipped kernel and construct_image are
 checked; Fraction formulas for circles and lines that the package does not
 ship, against which its circles, scenes and kernel are checked; the integer
 values of a rational point and line, which the package builds from ints
-only; a call counter, and the environment of a child interpreter. Not a
-test module, so pytest does not collect it.
+only; a call counter, the environment of a child interpreter, and the
+size of the closed form over a benchmark's ops. Not a test module, so
+pytest does not collect it.
 """
 
 import os
@@ -47,6 +48,16 @@ def calls_made(target, fn, *args, caller=None):
     finally:
         sys.setprofile(None)
     return calls
+
+
+def map_bits(ops) -> int:
+    """Bit lengths of _image_map's x, w and s, summed over (cfg, scene, probe) ops.
+
+    The closed form's work count on a benchmark workload: the tests pin it
+    for sweep-tall, and CI writes it per op to each run's summary.
+    """
+    image_map = bicircle.construction._image_map
+    return sum(sum(n.bit_length() for n in image_map(cfg, probe.p)[1:4]) for cfg, _, probe in ops)
 
 
 def finite(point):

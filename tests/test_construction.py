@@ -1081,6 +1081,32 @@ class TestImageMapIdentities:
 
         check()
 
+    def test_map_integers_at_the_line_scale(self, height):
+        # Only u and v take the common denominator e = d·pd; x, w and s stay at
+        # the frame's scale, so p' = x/w carries no spare factor of pd.
+        values, radius = CLOSED_FORM_INPUTS[height]
+        strata = MAP_STRATA + ("tangent", "tangent, p = B.x = C.x")
+
+        @given(st.sampled_from(strata), radius, radius, radius, values)
+        @settings(max_examples=200, deadline=None)
+        def check(stratum, r1, r2, gap, p):
+            scene, probe = stratum_case(stratum, r1, r2, gap, p, F(1))
+            cfg, p = scene.cfg, probe.p
+            _, d, a, r1, r2 = scenario._frame(cfg)
+            e, x, w, s, u, v = construction._image_map(cfg, p)
+            assert e == d * p.denominator
+            assert s == r1 + r2 + 2 * a and w == e * (r1 + r2 - 2 * a)
+            assert u == (a - r1) * p.denominator + p.numerator * d
+            assert v == (a - r2) * p.denominator - p.numerator * d
+            if w:
+                a, r1, r2 = cfg.a, cfg.r1, cfg.r2
+                kappa = (r1 + r2 + 2 * a) * (a - r1 + p) * (a - r2 - p) / (r1 + r2 - 2 * a)
+                assert F(x, w) == ref_locus_x(cfg, p) and F(s * u * v, e * w) == kappa
+            else:
+                assert (x == 0) == (p == scene.radical_axis_x)
+
+        check()
+
     def test_locus_x_dilates_about_the_radical_axis(self, height):
         values, radius = CLOSED_FORM_INPUTS[height]
 

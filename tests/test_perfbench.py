@@ -13,7 +13,7 @@ from xml.etree import ElementTree
 import pytest
 
 import bicircle
-from reference import calls_made, circles
+from reference import calls_made, circles, map_bits
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -93,6 +93,17 @@ def test_sweep_tall_conics_are_canonical(seed):
         for conic, circle in zip(scene._conics, circles(scene.cfg)):
             assert gcd(*conic) == 1 and conic[0] > 0
             assert bicircle.exact._conic(circle) == conic
+
+
+# The closed form's size on sweep-tall: bit lengths of _image_map's x, w and s
+# summed over a cycle (reference.map_bits). Unlike the timings it is exact on
+# any machine, and a spare factor of the probe line's denominator raises it.
+SWEEP_TALL_MAP_BITS = {360: 963_520, 2408: 994_577}
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_TALL_MAP_BITS))
+def test_sweep_tall_image_map_bits(seed):
+    assert map_bits(workloads.SweepTall(seed).ops) == SWEEP_TALL_MAP_BITS[seed]
 
 
 # SHA-256 of all RenderSvg(seed) documents joined in op order, recorded at
