@@ -3,8 +3,8 @@
 Given a valid scene and a probe point P = (p, q), the chord through C and P
 meets k1 again at M, the chord through B and P meets k2 again at N, and the
 lines AM and DN meet at the image P'. The synthetic route (construct_image)
-performs exactly those kernel steps, on integer triples (see exact.py). The
-closed-form route (image_closed_form) evaluates
+runs those steps once, as exact._chain on integer triples. The closed-form
+route (image_closed_form) evaluates
 
     p' = (r2^2 - r1^2 + p(r1 + r2 + 2a)) / (r1 + r2 - 2a)
     q' = (r1 + r2 + 2a)(a - r1 + p)(a - r2 - p) / (q(r1 + r2 - 2a))
@@ -46,9 +46,7 @@ from .exact import (
     ExtendedScalar,
     Line,
     Point2,
-    _axis_join,
-    _cross,
-    _second,
+    _chain,
     _triple,
     _Value,
     as_rational,
@@ -134,32 +132,18 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
 
 
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
-    """Synthetic route: M, N, lines AM and DN, and their intersection P'.
+    """Synthetic route: exact._chain from P once, with its two zero tests and one fallback.
 
-    The steps are chained on integer triples; the lines and P' are divided
-    by their gcd where they are stored, M and N only when read. A and D lie
-    on the axis, so lines AM and DN take their content from one two-term
-    gcd (exact._axis_join). When a chord degenerates (M = A or N = D,
-    exactly for probes on the axis) the join is the zero triple, which
-    _axis_join takes as the vertical through A or D: the tangent there,
-    the limiting position of the moving chord line. This route uses only
-    kernel constructions and never the closed form, so it is the
-    independent oracle for image_closed_form.
-    AM and DN coincide only for tangent circles with the probe on the
-    vertical through B = C: both chords are tangent there, so both lines
-    join A and D, the axis by construction, and the image escapes along
-    its direction (1 : 0 : 0), which takes no formula of the closed form.
+    M or N is zero exactly when the probe is C or B, which raises DegenerateProbe. AM and DN
+    coincide only for tangent circles with the probe over B = C: both chords are tangent there,
+    both lines are the axis, and the image escapes along it, (1 : 0 : 0), which no formula of
+    the closed form gives. The route never calls the closed form: it is image_closed_form's oracle.
     """
-    xyw = _triple(probe.p, probe.q)
-    (k1, k2), (a, b, c, d) = scene._conics, scene._triples
-    m = _second(k1, c, xyw)
-    if not any(m):  # zero exactly when the probe is the base
+    m, n, line_am, line_dn, (x, y, w) = _chain(scene._conics, scene._triples, _triple(probe.p, probe.q))
+    if not any(m):
         raise DegenerateProbe("probe coincides with C; chord CP is undefined")
-    n = _second(k2, b, xyw)
     if not any(n):
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    line_am, line_dn = _axis_join(a, m), _axis_join(d, n)
-    x, y, w = _cross(line_am.coefficients, line_dn.coefficients)
     if not (x or y or w):  # AM = DN, the axis: see above
         x, y = 1, 0
     return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w))

@@ -231,11 +231,11 @@ class Circle(_Value):
         return f"circle(center={self.center}, r={self.radius})"
 
 
-# The kernel core computes on integer triples: a point (x : y : w), a line (a : b : c)
-# through the points with a*x + b*y + c*w = 0, and a circle as the conic
-# s(x² + y²) + u*x*w + v*y*w + t*w² = 0, written (s, u, v, t). Join and meet are cross
-# products and the tangent is a polar. _cross, _polar and _second use +, - and * alone,
-# so they run over any commutative ring; _circle_conic and _axis_join divide by a gcd.
+# The kernel core computes on integer triples: a point (x : y : w), a line (a : b : c) through
+# the points with a*x + b*y + c*w = 0, and a circle as the conic s(x² + y²) + u*x*w + v*y*w +
+# t*w² = 0, written (s, u, v, t). Join and meet are cross products and the tangent is a polar.
+# _cross, _polar and _second use +, - and * alone, so they run over any commutative ring, and so
+# does _chain once _axis_join is replaced by _cross; _circle_conic and _axis_join divide by a gcd.
 
 def _triple(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """Integers (X, Y, w) with (x, y) = (X/w, Y/w), w the product of x's and y's denominators."""
@@ -299,6 +299,21 @@ def _second(k, base, through) -> tuple[int, int, int]:
     (b0, b1, b2), (t0, t1, t2) = base, through
     q, b = t0 * l0 + t1 * l1 + t2 * l2, 2 * (b0 * l0 + b1 * l1 + b2 * l2)
     return q * b0 - b * t0, q * b1 - b * t1, q * b2 - b * t2
+
+
+def _chain(conics, triples, p) -> tuple:
+    """The construction from the probe p: (m, n, line AM, line DN, AM × DN), on integer triples.
+
+    conics is (k1, k2) and triples (A, B, C, D), as derive stores them. The chord through C and p
+    meets k1 again at m, and the chord through B and p meets k2 again at n (_second), each zero
+    exactly when p is its base. A probe on the axis gives M = A and N = D, where _axis_join takes
+    the vertical tangents, the limits of the moving chord lines. Only the lines are divided, by
+    one two-term gcd each; the last value is P′ undivided, or zero when AM = DN.
+    """
+    (k1, k2), (a, b, c, d) = conics, triples
+    m, n = _second(k1, c, p), _second(k2, b, p)
+    am, dn = _axis_join(a, m), _axis_join(d, n)
+    return m, n, am, dn, _cross(am.coefficients, dn.coefficients)
 
 
 def _on_circle(k: Circle, point: Point2) -> tuple[tuple, tuple, tuple]:

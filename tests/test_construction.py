@@ -519,8 +519,10 @@ class TestWorkCount:
     classify_case builds 0 on probes on B, C and the radical axis, since it
     compares p with them on the frame's integers.
 
-    construct_image joins A and D to the raw triples of M and N and builds
-    one ExtendedPoint, P′; m and n are built when read. It calls
+    construct_image runs exact._chain once, on every probe and in every
+    fuzz trial, and _chain calls _second twice and _axis_join twice. The
+    chain joins A and D to the raw triples of M and N, and construct_image
+    builds one ExtendedPoint, P′; m and n are built when read. It calls
     Line.__init__ 0 times: AM and DN take their content from one two-term
     gcd (exact._axis_join), which also gives the vertical tangents at A and
     D for a probe on the axis, so construct_image calls _polar only in the
@@ -569,6 +571,16 @@ class TestWorkCount:
     def test_construct_image_polars_only_for_second_points(self):
         # Two polars for M and N; the tangents at A and D of an axis probe take none.
         assert calls_made(exact._polar, construct_image, derive(WORKED), ProbePoint(3, 0)) == 2
+
+    def test_construct_image_runs_the_chain_once(self):
+        # Off the axis, on it, and for tangent circles over B = C, where AM = DN.
+        for cfg, probe in (WORKED, ProbePoint(2, 1)), (WORKED, ProbePoint(3, 0)), (TANGENT, ProbePoint(0, 1)):
+            assert calls_made(exact._chain, construct_image, derive(cfg), probe) == 1
+        assert construct_image(derive(TANGENT), ProbePoint(0, 1)).p_prime == ExtendedPoint(1, 0, 0)
+        scene, probe = derive(WORKED), ProbePoint(2, 1)
+        for step in exact._second, exact._axis_join:
+            assert calls_made(step, construct_image, scene, probe, caller=exact._chain) == 2
+        assert calls_made(exact._chain, run_oracle_fuzz, 20, 360) == 20
 
     def test_construct_image_builds_one_extended_point(self):
         scene, probe = derive(WORKED), ProbePoint(2, 1)

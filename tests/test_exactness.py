@@ -97,3 +97,33 @@ def test_one_orderer():
     defined = violations(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_order")
     assert [(module, where) for module, where, _ in defined] == [("scenario.py", "")]
     assert [(module, where) for module, where, _ in found] == [("scenario.py", ""), ("scenario.py", "__init__")]
+
+
+def test_one_image_route():
+    # The construction from P to P′ is written once, as exact._chain, and only
+    # construct_image runs it. _chain and the three steps it is built from are the
+    # ring-only core: no division, remainder, comparison or branch, and no call but
+    # to each other and to _axis_join, the one step a ring run replaces by _cross.
+    def names(node):
+        return {getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None)}
+
+    steps = violations(lambda node: {"_second", "_polar", "_axis_join"} & names(node))
+    assert {module for module, _, _ in steps} == {"exact.py"}
+    defined = violations(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_chain")
+    assert [(module, where) for module, where, _ in defined] == [("exact.py", "")]
+    called = violations(lambda node: isinstance(node, ast.Call) and "_chain" in names(node.func))
+    assert [(module, where) for module, where, _ in called] == [("construction.py", "construct_image")]
+
+    ring_core = {"_cross", "_polar", "_second", "_chain"}
+
+    def breaks_ring(node):
+        if isinstance(node, ast.Call):
+            return not (isinstance(node.func, ast.Name) and node.func.id in ring_core | {"_axis_join"})
+        return isinstance(node, (ast.Compare, ast.If, ast.IfExp)) or isinstance(
+            getattr(node, "op", None), (ast.Div, ast.FloorDiv, ast.Mod)
+        )
+
+    tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    cores = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ring_core]
+    assert {node.name for node in cores} == ring_core
+    assert [(where, node.lineno) for core in cores for node, where in walk(core) if breaks_ring(node)] == []
