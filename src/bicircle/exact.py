@@ -153,9 +153,7 @@ class ExtendedPoint(_Value):
             raise ValueError("direction must be nonzero")
         if (w, x, y) < (0, 0, 0):
             g = -g
-        if g != 1:
-            x, y, w = x // g, y // g, w // g
-        self.__dict__.update(x=x, y=y, w=w)
+        self.__dict__.update(x=x // g, y=y // g, w=w // g)
 
     @property
     def is_finite(self) -> bool:
@@ -175,7 +173,7 @@ class ExtendedPoint(_Value):
         return f"at infinity, direction ({self.x}, {self.y})"
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 class Line(_Value):
@@ -183,8 +181,8 @@ class Line(_Value):
 
     The triple is divided by its gcd and signed so the first nonzero of
     (a, b) is positive: equal lines compare and hash equal. It is built from
-    ints only. ``a``, ``b`` and ``c`` are Fraction views, scaled so that first
-    nonzero is 1 and built on first read.
+    ints only. ``a``, ``b`` and ``c`` are Fraction views, each coefficient over
+    that first nonzero, built on first read.
     """
 
     coefficients: tuple[int, int, int]
@@ -197,15 +195,12 @@ class Line(_Value):
         g = gcd(a, b, c)
         if (a, b) < (0, 0):
             g = -g
-        if g != 1:
-            a, b, c = a // g, b // g, c // g
-        self.__dict__["coefficients"] = (a, b, c)
+        self.__dict__["coefficients"] = (a // g, b // g, c // g)
 
     @cached_property
     def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
         a, b, c = self.coefficients
-        c = Fraction(c, a or b) if c else _ZERO
-        return (_ONE, Fraction(b, a) if b else _ZERO, c) if a else (_ZERO, _ONE, c)
+        return Fraction(a, a or b), Fraction(b, a or b), Fraction(c, a or b)
 
     a = property(lambda self: self._fractions[0])
     b = property(lambda self: self._fractions[1])

@@ -3,9 +3,10 @@ kernel replaced, against which the shipped kernel and construct_image are
 checked; Fraction formulas for circles and lines that the package does not
 ship, against which its circles, scenes and kernel are checked; the integer
 values of a rational point and line, which the package builds from ints
-only; a call counter, the environment of a child interpreter, and the
-size of the closed form over a benchmark's ops. Not a test module, so
-pytest does not collect it.
+only; a figure's model, its named points and lines by those formulas,
+against which rendered documents are checked; a call counter, the
+environment of a child interpreter, and the size of the closed form over a
+benchmark's ops. Not a test module, so pytest does not collect it.
 """
 
 import os
@@ -144,6 +145,44 @@ def radical_axis(k1, k2):
     (x1, y1), r1 = (k1.center.x, k1.center.y), k1.radius
     (x2, y2), r2 = (k2.center.x, k2.center.y), k2.radius
     return line(2 * (x2 - x1), 2 * (y2 - y1), x1 * x1 + y1 * y1 - r1 * r1 - x2 * x2 - y2 * y2 + r2 * r2)
+
+
+def figure_model(cfg, p, q):
+    """A figure's named points and lines by the Fraction formulas above, never by construct_image.
+
+    Returns (points, lines). points maps "A" to "N" to Point2s, and "P′" to a
+    Point2, or to None at infinity. lines maps the class of each line the
+    figure can draw to its Line; "image-line" is the vertical through the
+    image of (p, 1), absent for tangent circles, whose images all lie at
+    infinity. For a probe on the axis M = A and N = D, and the lines AM and
+    DN are the vertical tangents there.
+    """
+    k1, k2 = circles(cfg)
+    A, C = Point2(k1.center.x - k1.radius, 0), Point2(k1.center.x + k1.radius, 0)
+    B, D = Point2(k2.center.x - k2.radius, 0), Point2(k2.center.x + k2.radius, 0)
+
+    def image(q):
+        P = Point2(p, q)
+        M, N = ref_second_intersection(k1, C, P), ref_second_intersection(k2, B, P)
+        am = ref_line_through(A, M) if M != A else line(1, 0, -A.x)
+        dn = ref_line_through(D, N) if N != D else line(1, 0, -D.x)
+        return P, M, N, am, dn, ref_meet(am, dn).point
+
+    P, M, N, am, dn, image_point = image(q)
+    points = {"A": A, "B": B, "C": C, "D": D, "P": P, "M": M, "N": N, "P′": image_point}
+    lines = {
+        "axis": line(0, 1, 0),
+        "radical-axis": radical_axis(k1, k2),
+        "probe-line": line(1, 0, -p),
+        "chord chord-cm": ref_line_through(C, P),
+        "chord chord-bn": ref_line_through(B, P),
+        "construction construction-am": am,
+        "construction construction-dn": dn,
+    }
+    on_line = image_point or image(1)[-1]  # P′ of (p, 1) when P′ is at infinity
+    if on_line is not None:
+        lines["image-line"] = line(1, 0, -on_line.x)
+    return points, lines
 
 
 def point_on_line(line, t):

@@ -351,6 +351,10 @@ class TestExtendedPoint:
         assert ExtendedPoint(4, 6, -2) == ExtendedPoint(-2, -3, 1)
         value = ExtendedPoint(0, -6, 0)
         assert (value.x, value.y, value.w) == (0, 1, 0)
+        # gcd 1 and gcd -1: the triple is kept, or only its sign flips.
+        for triple, stored in (((3, -5, 2), (3, -5, 2)), ((1, 2, -1), (-1, -2, 1))):
+            value = ExtendedPoint(*triple)
+            assert (value.x, value.y, value.w) == stored
 
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError, match="direction must be nonzero"):
@@ -409,6 +413,23 @@ class TestLineTriple:
         line = Line(2, 1, -8)
         assert line.coefficients == (2, 1, -8)
         assert (line.a, line.b, line.c) == (1, F(1, 2), -4)
+
+    @pytest.mark.parametrize("triple, views, text", [
+        ((0, 3, 0), (0, 1, 0), "[0]x + [1]y + [0] = 0"),
+        ((2, 0, 0), (1, 0, 0), "[1]x + [0]y + [0] = 0"),
+        ((-4, 6, 0), (1, F(-3, 2), 0), "[1]x + [-3/2]y + [0] = 0"),
+        ((0, -2, 8), (0, 1, -4), "[0]x + [1]y + [-4] = 0"),
+        ((-5, 0, 10), (1, 0, -2), "[1]x + [0]y + [-2] = 0"),
+        ((3, -6, 9), (1, -2, 3), "[1]x + [-2]y + [3] = 0"),
+        ((-2, -3, 5), (1, F(3, 2), F(-5, 2)), "[1]x + [3/2]y + [-5/2] = 0"),
+        ((0, 7, 3), (0, 1, F(3, 7)), "[0]x + [1]y + [3/7] = 0"),
+    ])
+    def test_views_on_every_zero_and_sign_pattern(self, triple, views, text):
+        # Each view is its coefficient over the first nonzero of (a, b), zeros included.
+        line = Line(*triple)
+        assert (line.a, line.b, line.c) == views
+        assert all(type(v) is F for v in (line.a, line.b, line.c))
+        assert str(line) == text
 
     @pytest.mark.parametrize("value", [F(1, 2), "1", 1.0, True], ids=["Fraction", "str", "float", "bool"])
     def test_ints_only(self, value):
@@ -526,6 +547,9 @@ class TestValueDiscipline:
     def test_line_normalization_is_canonical(self):
         assert Line(2, 4, 6) == Line(1, 2, 3)
         assert Line(0, -2, 8) == Line(0, 1, -4)
+        # gcd 1 and gcd -1: the triple is kept, or only its sign flips.
+        assert Line(3, -5, 7).coefficients == (3, -5, 7)
+        assert Line(-1, 2, 3).coefficients == (1, -2, -3)
 
 
 # --- the integer kernel against the Fraction formulas it replaced ----------
