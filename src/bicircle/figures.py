@@ -25,8 +25,6 @@ A point at infinity is never drawn as a far-away marker: the two parallel
 at infinity.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .construction import ImageResult, ProbePoint, _image_map, construct_image
@@ -89,6 +87,7 @@ def decimal6(n: int, d: int) -> str:
 class RenderSpec(_Value):
     """What to draw: a scene, a probe and its construction result. width/height are pixels.
 
+    TypeError unless each field's class is exactly its annotation, so no bool or IntEnum is a width.
     ValueError unless result == construct_image(scene, probe), whose DegenerateProbe refuses a probe on B or C.
     """
 
@@ -103,22 +102,16 @@ class RenderSpec(_Value):
 
     def __init__(self, scene, probe, result, width=800, height=600,
                  show_radical_axis=True, labels=True, clip=False):
-        for name, value, kind, article in (("scene", scene, DerivedScene, "a"), ("probe", probe, ProbePoint, "a"),
-                                           ("result", result, ImageResult, "an")):
+        values = scene, probe, result, width, height, show_radical_axis, labels, clip
+        for (name, kind), value in zip(RenderSpec.__annotations__.items(), values):
             if type(value) is not kind:
+                article = "an" if kind.__name__[0] in "aeiouAEIOU" else "a"
                 raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
-        for name, value in (("width", width), ("height", height)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        for name, value in (("show_radical_axis", show_radical_axis), ("labels", labels), ("clip", clip)):
-            if type(value) is not bool:
-                raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
         if width < 64 or height < 64:
             raise ValueError("width and height must be at least 64 pixels")
         if result != construct_image(scene, probe):
             raise ValueError("result must be construct_image(scene, probe)")
-        self.__dict__.update(scene=scene, probe=probe, result=result, width=width, height=height,
-                             show_radical_axis=show_radical_axis, labels=labels, clip=clip)
+        self.__dict__.update(zip(RenderSpec.__annotations__, values))
 
 
 class Viewport(_Value):
@@ -316,13 +309,12 @@ def render_svg(spec: RenderSpec) -> str:
         em.full_line("image-line", (image_w, 0, -image_x))
 
     m, n, image = result.m, result.n, result.p_prime
-    named = [*zip("ABCD", scene._triples), ("P", _triple(probe.p, probe.q)),
-             ("M", (m.x, m.y, m.w)), ("N", (n.x, n.y, n.w))]
+    points = dict(zip("ABCD", scene._triples), P=_triple(probe.p, probe.q),
+                  M=(m.x, m.y, m.w), N=(n.x, n.y, n.w))
     if image.w:
-        named.append(("P′", (image.x, image.y, image.w)))
-    points = dict(named)
+        points["P′"] = image.x, image.y, image.w
     # The coordinate texts of each point on the canvas, for its marker and the chords ending on it.
-    text = {(x, y, w): _coords((x, y, w)) for _, (x, y, w) in named
+    text = {(x, y, w): _coords((x, y, w)) for x, y, w in points.values()
             if xn * w <= x * xd and x * Xd <= Xn * w and yn * w <= y * yd and y * Yd <= Yn * w}
     for cls, chord in (("chord chord-cm", "CPM"), ("chord chord-bn", "BPN")):
         first = last = points[chord[0]]
@@ -342,7 +334,7 @@ def render_svg(spec: RenderSpec) -> str:
 
     (lx, ly, lw), (hx, hy, hw) = _at(xmin, ymin), _at(xmax, ymax)
     center = lx * hw + hx * lw, ly * hw + hy * lw, 2 * lw * hw
-    for name, point in named:
+    for name, point in points.items():
         if point in text:
             em.add("circle", "point-marker", 'cx="%s" cy="%s"' % text[point], name)
             anchor = em.offset(point, _LABEL_DX, _LABEL_DY)

@@ -6,17 +6,36 @@ values of a rational point and line, which the package builds from ints
 only; a figure's model, its named points and lines by those formulas,
 against which rendered documents are checked; a call counter, the
 environment of a child interpreter, and the size of the closed form over a
-benchmark's ops. Not a test module, so pytest does not collect it.
+benchmark's ops; and two sets of render specs that more than one test
+module draws, the benchmark's render-svg cycle and clipped specs whose
+probe lies far out. Not a test module, so pytest does not collect it.
 """
 
+import importlib.util
 import os
+import random
 import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 import bicircle
-from bicircle import INFINITY, Circle, ExtendedPoint, Line, Point2
+from bicircle import (
+    INFINITY,
+    Circle,
+    DegenerateProbe,
+    ExtendedPoint,
+    Line,
+    Point2,
+    ProbePoint,
+    RenderSpec,
+    construct_image,
+    derive,
+    random_probe,
+    random_scenario,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def child_env() -> dict:
@@ -199,3 +218,27 @@ def line_contains(line, point):
 def line_direction(line):
     """(b, -a): parallel lines share it, as Line scales a and b so the first nonzero is 1."""
     return line.b, -line.a
+
+
+def far_probe_specs():
+    """Clipped specs of 150 seeded scenes whose probe is pushed out, less those pushed onto B or C."""
+    rng = random.Random("clip-chords")
+    specs = []
+    for _ in range(150):
+        scene = derive(random_scenario(rng))
+        probe = random_probe(rng, scene)
+        x, y = rng.choice(((40, 1), (1, 40), (25, 25), (40, 0)))
+        probe = ProbePoint(probe.p * x, probe.q * y)
+        try:
+            specs.append(RenderSpec(scene, probe, construct_image(scene, probe), clip=True))
+        except DegenerateProbe:  # pushed onto B or C along the axis
+            continue
+    return specs
+
+
+def render_svg_cycle(seed):
+    """The specs of the benchmark's render-svg cycle at seed, from perfbench/workloads.py."""
+    source = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(source)
+    source.loader.exec_module(workloads)
+    return workloads.RenderSvg(seed).specs

@@ -1,13 +1,11 @@
 """SVG rendering: determinism, element presence, exact coordinate round-trips."""
 
 import ast
-import importlib.util
 import inspect
 import random
 import string
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -21,18 +19,15 @@ from bicircle import (
     derive,
     figures,
     layout,
-    random_probe,
-    random_scenario,
     render_svg,
 )
 from bicircle.exact import Line, Point2, _cross, _triple
 from bicircle.figures import _PIXELS, _STYLES, Viewport, _clip, _Emitter, _octant, decimal6
-from reference import calls_made, circles
+from reference import calls_made, circles, far_probe_specs, render_svg_cycle
 
 WORKED = ScenarioConfig(2, 3, 2)
 TANGENT = ScenarioConfig(2, 2, 2)
 TOLERANCE = F(1, 10**6)
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def spec_with_probe(cfg, p, q, **kwargs):
@@ -224,13 +219,16 @@ def seeded_specs(seed, count, digits=None):
     return specs
 
 
-class TestLayoutAgainstReference:
-    SMALL = seeded_specs("layout", 1500)
-    TALL = seeded_specs("layout-tall", 200, digits=100)
-    SPECS = SMALL + TALL
+@pytest.fixture(scope="module")
+def layout_specs():
+    """1,500 small seeded specs and 200 with ~100-digit rationals, built once, when first asked for."""
+    return seeded_specs("layout", 1500), seeded_specs("layout-tall", 200, digits=100)
 
-    def test_cases_cover_every_ordering_and_probe_line(self):
-        for specs in (self.SMALL, self.TALL):
+
+class TestLayoutAgainstReference:
+    def test_cases_cover_every_ordering_and_probe_line(self, layout_specs):
+        small, tall = layout_specs
+        for specs in (small, tall):
             assert {spec.scene.ordering for spec in specs} == set(Ordering)
             on = lambda line: sum(spec.probe.p == getattr(spec.scene, line).x for spec in specs)
             assert on("B") and on("C")
@@ -238,23 +236,23 @@ class TestLayoutAgainstReference:
             assert sum(spec.probe.q == 0 for spec in specs)
             assert {spec.clip for spec in specs} == {False, True}
             assert set(CANVASES) <= {(spec.width, spec.height) for spec in specs}
-        for spec in self.TALL:
+        for spec in tall:
             # Denominators of 100 digits, less the rare common factor.
             assert min(spec.scene.cfg.a.denominator, spec.scene.cfg.r1.denominator) > 10**90
             assert spec.probe.q == 0 or spec.probe.q.denominator > 10**90
 
-    def test_layout_matches_reference(self):
-        for spec in self.SPECS:
+    def test_layout_matches_reference(self, layout_specs):
+        for spec in sum(layout_specs, []):
             assert layout(spec) == ref_layout(spec)
 
-    def test_visible_rect_matches_reference(self):
-        for spec in self.SPECS:
+    def test_visible_rect_matches_reference(self, layout_specs):
+        for spec in sum(layout_specs, []):
             vp = layout(spec)
             assert tuple(F(n, d) for n, d in vp._rect()) == ref_visible_rect(vp)
             assert all(d > 0 for _, d in vp._rect())  # _clip needs positive denominators
 
-    def test_named_points_lie_in_the_circles_box(self):
-        for spec in self.SPECS:
+    def test_named_points_lie_in_the_circles_box(self, layout_specs):
+        for spec in sum(layout_specs, []):
             scene, result = spec.scene, spec.result
             r = max(scene.cfg.r1, scene.cfg.r2)
             assert scene.A.x < scene.radical_axis_x < scene.D.x
@@ -477,22 +475,6 @@ def points(span):
     return tuple(Point2(F(x, w), F(y, w)) for x, y, w in span)
 
 
-def far_probe_specs():
-    """Clipped specs of 150 seeded scenes whose probe is pushed out, less those pushed onto B or C."""
-    rng = random.Random("clip-chords")
-    specs = []
-    for _ in range(150):
-        scene = derive(random_scenario(rng))
-        probe = random_probe(rng, scene)
-        x, y = rng.choice(((40, 1), (1, 40), (25, 25), (40, 0)))
-        probe = ProbePoint(probe.p * x, probe.q * y)
-        try:
-            specs.append(RenderSpec(scene, probe, construct_image(scene, probe), clip=True))
-        except DegenerateProbe:  # pushed onto B or C along the axis
-            continue
-    return specs
-
-
 class TestClipAgainstReference:
     CASES = 3000
 
@@ -537,14 +519,6 @@ class TestClipAgainstReference:
                 assert drawn == [texts]
                 cut += segment != (ends[0], ends[-1])
         assert cut >= 200
-
-
-def render_svg_cycle(seed):
-    """The specs of the benchmark's render-svg cycle at seed, from perfbench/workloads.py."""
-    source = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(source)
-    source.loader.exec_module(workloads)
-    return workloads.RenderSvg(seed).specs
 
 
 def test_every_clipped_line_leaves_two_ends_on_the_canvas(monkeypatch):

@@ -45,8 +45,7 @@ from bicircle import (
     render_svg,
 )
 from bicircle.cli import build_parser
-from reference import circles, figure_model
-from test_figures import far_probe_specs, render_svg_cycle
+from reference import circles, far_probe_specs, figure_model, render_svg_cycle
 from test_golden import CASES, GOLDEN
 
 DELTA = F(1, 2 * 10**6)  # the largest rounding error of one six-decimal text

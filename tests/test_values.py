@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from bicircle.figures import Viewport
 from reference import child_env
 
 GUARD = Path(__file__).with_name("startup_guard.py")
+Pixels = IntEnum("Pixels", {"WIDE": 800})  # an int subclass, as bool is
 
 
 def worked_spec():
@@ -178,6 +180,7 @@ class TestConstructors:
         ({"clip": "false"}, TypeError, "clip must be a bool, got str"),
         ({"labels": 0}, TypeError, "labels must be a bool, got int"),
         ({"show_radical_axis": None}, TypeError, "show_radical_axis must be a bool, got NoneType"),
+        ({"width": Pixels.WIDE}, TypeError, "width must be an int, got Pixels"),
     ])
     def test_render_spec_checks_its_size(self, size, error, message):
         spec = worked_spec()
