@@ -21,8 +21,13 @@ exactly on every admissible input, including the degenerate ones:
   every probe and the image is at infinity, perpendicular to the chord
   through B = C.
 
+Each route is a private core on integer triples, _synthetic and
+_closed_form, and construct_image and image_closed_form only wrap its
+triples in value objects. The fuzz oracle calls the cores: a trial compares
+the two triples of P′ and builds value objects only for a failure.
+
 The closed form is written once, as the integers of _image_map, which
-image_closed_form, locus_x, classify_case, tangent_half_params,
+_closed_form, locus_x, classify_case, tangent_half_params,
 random_probe and the figure's image line read: each degenerate case above
 is a zero of one of its factors, and the radical axis is its fixed point.
 The synthetic route never calls it. Everything is a pure function over
@@ -47,6 +52,8 @@ from .exact import (
     Line,
     Point2,
     _chain,
+    _cross,
+    _line,
     _triple,
     _Value,
     as_rational,
@@ -131,26 +138,34 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     return flags or _GENERIC
 
 
-def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
+def _synthetic(scene: DerivedScene, probe: ProbePoint) -> tuple:
     """Synthetic route: exact._chain from P once, with its two zero tests and one fallback.
 
-    M or N is zero exactly when the probe is C or B, which raises DegenerateProbe. AM and DN
-    coincide only for tangent circles with the probe over B = C: both chords are tangent there,
-    both lines are the axis, and the image escapes along it, (1 : 0 : 0), which no formula of
-    the closed form gives. The route never calls the closed form: it is image_closed_form's oracle.
+    Returns _chain's five triples: M and N undivided, the primitive lines AM and DN, and P′
+    undivided. M or N is zero exactly when the probe is C or B, which raises DegenerateProbe.
+    AM and DN coincide only for tangent circles with the probe over B = C: both chords are
+    tangent there, both lines are the axis, and the image escapes along it, (1 : 0 : 0), which
+    no formula of the closed form gives. The route never calls the closed form: it is
+    _closed_form's oracle.
     """
-    m, n, line_am, line_dn, (x, y, w) = _chain(scene._conics, scene._triples, _triple(probe.p, probe.q))
+    m, n, am, dn, p_prime = _chain(scene._conics, scene._triples, _triple(probe.p, probe.q))
     if not any(m):
         raise DegenerateProbe("probe coincides with C; chord CP is undefined")
     if not any(n):
         raise DegenerateProbe("probe coincides with B; chord BP is undefined")
-    if not (x or y or w):  # AM = DN, the axis: see above
-        x, y = 1, 0
-    return ImageResult(m, n, line_am, line_dn, ExtendedPoint(x, y, w))
+    if not any(p_prime):  # AM = DN, the axis: see above
+        p_prime = 1, 0, 0
+    return m, n, am, dn, p_prime
 
 
-def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
-    """Closed-form route: the image (p' : q' : 1) from (a, r1, r2, p, q) as one triple.
+def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
+    """Synthetic route (_synthetic) as values: the lines AM and DN and the ExtendedPoint P′."""
+    m, n, am, dn, p_prime = _synthetic(scene, probe)
+    return ImageResult(m, n, _line(am), _line(dn), ExtendedPoint(*p_prime))
+
+
+def _closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[int, int, int]:
+    """Closed-form route: the image (p' : q' : 1) from (a, r1, r2, p, q) as one undivided triple.
 
     q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
     w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
@@ -162,7 +177,12 @@ def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     x, y, w = x * d * q_n, s * u * v * q_d, d * w * q_n
     # All zero for tangent circles with the probe line through B = C: AM and
     # DN both collapse onto the axis, so the image escapes along it.
-    return ExtendedPoint(x, y, w) if x or y or w else ExtendedPoint(1, 0, 0)
+    return (x, y, w) if x or y or w else (1, 0, 0)
+
+
+def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
+    """Closed-form route (_closed_form) as the ExtendedPoint of its triple."""
+    return ExtendedPoint(*_closed_form(cfg, probe))
 
 
 def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
@@ -327,7 +347,11 @@ class FuzzReport(_Value):
 
 
 def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> FuzzReport:
-    """Compare the synthetic and closed-form routes on random admissible inputs."""
+    """Compare the synthetic and closed-form routes on random admissible inputs.
+
+    A trial compares the two cores' triples of P′, which name one point exactly when their cross
+    product is zero, and builds value objects only for a trial that disagrees.
+    """
     if not (type(trials) is type(seed) is int):
         raise TypeError(f"trials and seed must be ints, got {trials!r} and {seed!r}")
     if trials < 0:
@@ -340,8 +364,8 @@ def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> F
         cfg = random_scenario(rng)
         scene = derive(cfg)
         probe = random_probe(rng, scene)
-        geometric = construct_image(scene, probe).p_prime
-        closed = image_closed_form(cfg, probe)
-        if geometric != closed:
+        geometric, closed = _synthetic(scene, probe)[4], _closed_form(cfg, probe)
+        if any(_cross(geometric, closed)):
+            geometric, closed = ExtendedPoint(*geometric), ExtendedPoint(*closed)
             failures.append(FuzzFailure(index, cfg, probe, geometric, closed))
     return FuzzReport(trials=trials, seed=seed, failures=tuple(failures))

@@ -210,6 +210,13 @@ class Line(_Value):
         return f"[{self.a}]x + [{self.b}]y + [{self.c}] = 0"
 
 
+def _line(coefficients: tuple[int, int, int]) -> Line:
+    """The Line of a triple already primitive and signed by Line's rule, as _axis_join's are."""
+    line = object.__new__(Line)
+    line.__dict__["coefficients"] = coefficients
+    return line
+
+
 class Circle(_Value):
     center: Point2
     radius: Fraction
@@ -258,10 +265,11 @@ def _cross(u, v) -> tuple[int, int, int]:
     return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
-def _axis_join(base, p) -> Line:
-    """Line(*_cross(base, p)) for base = (x, 0, w), w > 0 and gcd(x, w) = 1; (w, 0, -x) if p is base.
+def _axis_join(base, p) -> tuple[int, int, int]:
+    """The coefficients of Line(*_cross(base, p)), or (w, 0, -x) if p is base = (x, 0, w).
 
-    That cross, (-w·p1, w·p0 - x·p2, x·p1), has the two-term content gcd(p1, w·p0 - x·p2).
+    base has w > 0 and gcd(x, w) = 1. That cross, (-w·p1, w·p0 - x·p2, x·p1), has the two-term
+    content gcd(p1, w·p0 - x·p2).
     """
     x, _, w = base
     p1, t = p[1], w * p[0] - x * p[2]
@@ -271,9 +279,7 @@ def _axis_join(base, p) -> Line:
     if (-p1, t) < (0, 0):  # Line's sign rule: the first nonzero of (-w·p1, t) is positive
         g = -g
     k = p1 // g
-    line = object.__new__(Line)
-    line.__dict__["coefficients"] = (-w * k, t // g, x * k)
-    return line
+    return -w * k, t // g, x * k
 
 
 def _polar(k, p) -> tuple[int, int, int]:
@@ -297,7 +303,7 @@ def _second(k, base, through) -> tuple[int, int, int]:
 
 
 def _chain(conics, triples, p) -> tuple:
-    """The construction from the probe p: (m, n, line AM, line DN, AM × DN), on integer triples.
+    """The construction from the probe p: (m, n, line AM, line DN, AM × DN), all integer triples.
 
     conics is (k1, k2) and triples (A, B, C, D), as derive stores them. The chord through C and p
     meets k1 again at m, and the chord through B and p meets k2 again at n (_second), each zero
@@ -308,7 +314,7 @@ def _chain(conics, triples, p) -> tuple:
     (k1, k2), (a, b, c, d) = conics, triples
     m, n = _second(k1, c, p), _second(k2, b, p)
     am, dn = _axis_join(a, m), _axis_join(d, n)
-    return m, n, am, dn, _cross(am.coefficients, dn.coefficients)
+    return m, n, am, dn, _cross(am, dn)
 
 
 def _on_circle(k: Circle, point: Point2) -> tuple[tuple, tuple, tuple]:

@@ -525,11 +525,14 @@ class TestWorkCount:
     builds one ExtendedPoint, P′; m and n are built when read. It calls
     Line.__init__ 0 times: AM and DN take their content from one two-term
     gcd (exact._axis_join), which also gives the vertical tangents at A and
-    D for a probe on the axis, so construct_image calls _polar only in the
-    two _second calls. random_scenario calls _order and _frame 0 times
-    itself: it builds a ScenarioConfig for each attempt with three positive
-    numerators, whose constructor orders it, and returns the first with an
-    ordering.
+    D for a probe on the axis, and exact._line stores those primitive
+    triples as they are. So construct_image calls _polar only in the two
+    _second calls. A fuzz trial runs the two routes' integer cores and
+    compares their triples of P′, so a clean run_oracle_fuzz builds no
+    ExtendedPoint, ImageResult or Line. random_scenario calls _order and
+    _frame 0 times itself: it builds a ScenarioConfig for each attempt with
+    three positive numerators, whose constructor orders it, and returns the
+    first with an ordering.
     """
 
     def test_construct_image_worked_case(self):
@@ -580,6 +583,10 @@ class TestWorkCount:
         scene, probe = derive(WORKED), ProbePoint(2, 1)
         for step in exact._second, exact._axis_join:
             assert calls_made(step, construct_image, scene, probe, caller=exact._chain) == 2
+
+    def test_oracle_fuzz_builds_no_values(self):
+        for target in ExtendedPoint.__init__, construction.ImageResult.__init__, Line.__init__, exact._line:
+            assert calls_made(target, run_oracle_fuzz, 20, 360) == 0
         assert calls_made(exact._chain, run_oracle_fuzz, 20, 360) == 20
 
     def test_construct_image_builds_one_extended_point(self):
@@ -1008,11 +1015,11 @@ class TestConstructImageMatchesReference:
             xyw = exact._triple(probe.p, probe.q)
             for k, base, point in ((k1, a, exact._second(k1, c, xyw)), (k2, d, exact._second(k2, b, xyw))):
                 cross, line = exact._cross(base, point), exact._axis_join(base, point)
-                assert type(line) is Line
+                assert type(line) is tuple and all(type(c) is int for c in line)
                 if any(cross):
-                    assert line.coefficients == Line(*cross).coefficients
+                    assert line == Line(*cross).coefficients
                 else:  # the probe is on the axis, or is the chord's base: the tangent at base
-                    assert line.coefficients == Line(*exact._polar(k, base)).coefficients
+                    assert line == Line(*exact._polar(k, base)).coefficients
 
         check()
 

@@ -34,7 +34,7 @@ from bicircle import (
     tangent_at,
     verify_concurrency,
 )
-from bicircle.exact import _conic
+from bicircle.exact import _conic, _cross
 from reference import (
     at_infinity,
     circle_contains,
@@ -65,6 +65,14 @@ integers = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
 nonzero_integers = integers.filter(bool)
 triples = st.tuples(integers, integers, integers).filter(any)
 line_triples = st.tuples(integers, integers, integers).filter(lambda t: t[0] or t[1])
+# Nonzero triples, small and ~100-digit, finite (w ≠ 0) and at infinity (w = 0).
+wide_integers = st.one_of(
+    st.integers(-50, 50), st.integers(-10**100, -10**99), st.integers(10**99, 10**100)
+)
+wide_triples = st.one_of(
+    st.tuples(wide_integers, wide_integers, wide_integers.filter(bool)),
+    st.tuples(wide_integers, wide_integers, st.just(0)).filter(any),
+)
 
 
 class TestRationalText:
@@ -375,6 +383,12 @@ class TestExtendedPoint:
         scaled = ExtendedPoint(*(k * c for c in triple))
         assert scaled == value
         assert hash(scaled) == hash(value)
+
+    @given(wide_triples, wide_triples, wide_integers.filter(bool), st.booleans())
+    def test_zero_cross_is_equality(self, u, other, k, scaled):
+        # The fuzz oracle compares the routes' triples of P′ so: v = k·u, k of either sign, or another v.
+        v = tuple(k * c for c in u) if scaled else other
+        assert (not any(_cross(u, v))) == (ExtendedPoint(*u) == ExtendedPoint(*v))
 
     @given(triples)
     def test_views_are_cached(self, triple):

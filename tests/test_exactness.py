@@ -101,9 +101,11 @@ def test_one_orderer():
 
 def test_one_image_route():
     # The construction from P to P′ is written once, as exact._chain, and only
-    # construct_image runs it. _chain and the three steps it is built from are the
-    # ring-only core: no division, remainder, comparison or branch, and no call but
-    # to each other and to _axis_join, the one step a ring run replaces by _cross.
+    # construction._synthetic, the synthetic route's integer core, runs it; the
+    # public construct_image and the fuzz oracle call that core. _chain and the
+    # three steps it is built from are the ring-only core: no division, remainder,
+    # comparison or branch, and no call but to each other and to _axis_join, the
+    # one step a ring run replaces by _cross.
     def names(node):
         return {getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None)}
 
@@ -112,7 +114,7 @@ def test_one_image_route():
     defined = violations(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_chain")
     assert [(module, where) for module, where, _ in defined] == [("exact.py", "")]
     called = violations(lambda node: isinstance(node, ast.Call) and "_chain" in names(node.func))
-    assert [(module, where) for module, where, _ in called] == [("construction.py", "construct_image")]
+    assert [(module, where) for module, where, _ in called] == [("construction.py", "_synthetic")]
 
     ring_core = {"_cross", "_polar", "_second", "_chain"}
 

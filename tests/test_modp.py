@@ -33,7 +33,7 @@ catches that too; the last test here runs it.
 
 import inspect
 import random
-from types import FunctionType, SimpleNamespace
+from types import FunctionType
 
 import pytest
 
@@ -45,6 +45,7 @@ from bicircle import (
     construct_image,
     derive,
     exact,
+    image_closed_form,
     run_oracle_fuzz,
 )
 
@@ -85,10 +86,10 @@ class ModP:
 def over_ring(namespace: dict) -> dict:
     """namespace, with _chain's code run on its names and _axis_join the _cross join.
 
-    The _cross join's .coefficients is namespace's raw _cross of the two
-    points, so _chain uses +, - and * alone and runs over any ring.
+    The _cross join is namespace's raw _cross of the two points, looked up
+    at each call, so _chain uses +, - and * alone and runs over any ring.
     """
-    namespace["_axis_join"] = lambda base, p: SimpleNamespace(coefficients=namespace["_cross"](base, p))
+    namespace["_axis_join"] = lambda base, p: namespace["_cross"](base, p)
     namespace["_chain"] = FunctionType(exact._chain.__code__, namespace)
     return namespace
 
@@ -231,4 +232,10 @@ def test_sign_flip_in_cross_is_caught_by_the_oracle(monkeypatch):
     # AM × DN, is the mutant's: 198 of the 200 trials fail.
     cross = mutant("u2 * v0 - u0 * v2", "u0 * v2 - u2 * v0")["_cross"]
     monkeypatch.setattr(exact, "_cross", cross)
-    assert len(run_oracle_fuzz(200, 360).failures) > 190
+    failures = run_oracle_fuzz(200, 360).failures
+    assert len(failures) > 190
+    # The oracle compares triples; a failure reports both routes' P′ as the public wrappers give it.
+    for failure in failures:
+        assert failure.closed_form == image_closed_form(failure.config, failure.probe)
+        assert failure.geometric == construct_image(derive(failure.config), failure.probe).p_prime
+        assert failure.geometric != failure.closed_form
