@@ -50,7 +50,6 @@ from .exact import (
     ExtendedPoint,
     ExtendedScalar,
     Line,
-    Point2,
     _chain,
     _cross,
     _line,
@@ -83,10 +82,6 @@ class ProbePoint(_Value):
     def __init__(self, p, q):
         self.__dict__.update(p=as_rational(p), q=as_rational(q))
 
-    @property
-    def point(self) -> Point2:
-        return Point2(self.p, self.q)
-
 
 class ImageResult(_Value):
     """Everything the synthetic construction produces for one probe.
@@ -106,9 +101,6 @@ class ImageResult(_Value):
 
     def __init__(self, m, n, line_am, line_dn, p_prime):
         self.__dict__.update(_m=m, _n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
-
-
-_GENERIC = frozenset({CaseFlag.GENERIC})
 
 
 def _image_map(cfg: ScenarioConfig, p: Fraction) -> tuple:
@@ -135,7 +127,7 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
         (CaseFlag.TOUCHING_CIRCLES, w == 0),
         (CaseFlag.ON_RADICAL_AXIS, x * probe.p.denominator == probe.p.numerator * w),
     ) if holds)
-    return flags or _GENERIC
+    return flags or frozenset({CaseFlag.GENERIC})
 
 
 def _synthetic(scene: DerivedScene, probe: ProbePoint) -> tuple:
@@ -173,7 +165,7 @@ def _closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[int, int, int]
     d, x, w, s, u, v = _image_map(cfg, probe.p)
     q_n, q_d = probe.q.numerator, probe.q.denominator
     if q_n == 0 and not (u and v):
-        raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
+        raise DegenerateProbe(f"probe ({probe.p}, {probe.q}) coincides with a chord base point")
     x, y, w = x * d * q_n, s * u * v * q_d, d * w * q_n
     # All zero for tangent circles with the probe line through B = C: AM and
     # DN both collapse onto the axis, so the image escapes along it.
@@ -206,7 +198,7 @@ def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[Extende
     d, _, _, _, u, v = _image_map(scene.cfg, probe.p)  # C.x - p = -u/d, p - B.x = -v/d
     q = probe.q
     if q == 0 and not (u and v):
-        raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
+        raise DegenerateProbe(f"probe ({probe.p}, {probe.q}) coincides with a chord base point")
     return (Fraction(-u, d) / q if q else INFINITY), (q * d / -v if v else INFINITY)
 
 

@@ -349,8 +349,7 @@ def second_intersection(k: Circle, base: Point2, through: Point2) -> Point2:
     conic, b, _ = _on_circle(k, base)
     if base == through:
         raise IdenticalPoints("chord direction undefined: points coincide")
-    x, y, w = _second(conic, b, _triple(through.x, through.y))
-    return Point2(Fraction(x, w), Fraction(y, w))
+    return ExtendedPoint(*_second(conic, b, _triple(through.x, through.y))).point
 
 
 def tangent_at(k: Circle, point: Point2) -> Line:

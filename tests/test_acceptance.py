@@ -288,7 +288,7 @@ def test_criterion_8_render():
     scene = spec.scene
     expected_markers = {
         "A": scene.A, "B": scene.B, "C": scene.C, "D": scene.D,
-        "P": spec.probe.point, "M": spec.result.M, "N": spec.result.N,
+        "P": Point2(spec.probe.p, spec.probe.q), "M": spec.result.M, "N": spec.result.N,
         "P′": spec.result.p_prime.point,
     }
     for cls, circle in zip(("circle-k1", "circle-k2"), circles(scene.cfg)):

@@ -71,7 +71,7 @@ configs = (
 
 def probe_for(scene, p, q):
     probe = ProbePoint(p, q)
-    assume(probe.point != scene.B and probe.point != scene.C)
+    assume(Point2(probe.p, probe.q) not in (scene.B, scene.C))
     return probe
 
 
@@ -206,8 +206,8 @@ class TestClosedForm:
         scene = derive(cfg)
         probe = probe_for(scene, p, q)
         result = construct_image(scene, probe)
-        assert collinear_det(probe.point, scene.C, result.M) == 0
-        assert collinear_det(probe.point, scene.B, result.N) == 0
+        assert collinear_det(Point2(probe.p, probe.q), scene.C, result.M) == 0
+        assert collinear_det(Point2(probe.p, probe.q), scene.B, result.N) == 0
         if result.p_prime.is_finite:
             image = result.p_prime.point
             assert collinear_det(image, scene.A, result.M) == 0
@@ -386,7 +386,7 @@ class TestSeededTrials:
         for _ in range(50):
             scene = derive(random_scenario(rng))
             probe = random_probe(rng, scene)
-            assert probe.point != scene.B and probe.point != scene.C
+            assert Point2(probe.p, probe.q) not in (scene.B, scene.C)
 
     def test_random_probe_rejects_base_points_on_integers(self):
         # Each draw pair (n, d) gives (n - 50)/(d + 1): the probes (0, 0) = B and
@@ -430,9 +430,10 @@ class TestSeededTrials:
         def reference(rng, scene):
             while True:
                 probe = ProbePoint(random_rational(rng), random_rational(rng))
-                if probe.point != scene.B and probe.point != scene.C:
+                point = Point2(probe.p, probe.q)
+                if point != scene.B and point != scene.C:
                     return probe
-                rejected.add((scene.ordering, probe.point == scene.B, probe.point == scene.C))
+                rejected.add((scene.ordering, point == scene.B, point == scene.C))
 
         scenes = [derive(WORKED), derive(TANGENT)]
         for seed in range(3000):
@@ -732,7 +733,7 @@ def ref_image_closed_form(cfg, probe):
     a, r1, r2 = cfg.a, cfg.r1, cfg.r2
     p, q = probe.p, probe.q
     if q == 0 and (p == a - r2 or p == r1 - a):
-        raise DegenerateProbe(f"probe {probe.point} coincides with a chord base point")
+        raise DegenerateProbe(f"probe {Point2(probe.p, probe.q)} coincides with a chord base point")
     if ordering is Ordering.EXTERNALLY_TANGENT:
         return at_infinity(q, (a - r2) - p)
     if q == 0:
@@ -835,7 +836,7 @@ def ref_classify(scene, probe):
 
 def ref_construct_image(scene, probe):
     """The fields (M, N, line_am, line_dn, p_prime, flags), by Fraction formulas."""
-    point = probe.point
+    point = Point2(probe.p, probe.q)
     if point == scene.C:
         raise DegenerateProbe("probe coincides with C; chord CP is undefined")
     k1, k2 = circles(scene.cfg)
@@ -986,7 +987,7 @@ class TestConstructImageMatchesReference:
         @settings(max_examples=200, deadline=None)
         def check(stratum, r1, r2, gap, p, q):
             scene, probe = stratum_case(stratum, r1, r2, gap, p, q)
-            assume(probe.point != scene.B and probe.point != scene.C)
+            assume(Point2(probe.p, probe.q) not in (scene.B, scene.C))
             first, second = construct_image(scene, probe), construct_image(scene, probe)
             assert "m" not in vars(first) and "n" not in vars(first)
             # Equality and hash read m and n like the other fields.

@@ -147,7 +147,7 @@ def ref_layout(spec):
     ys = [-r1, r1, -r2, r2]
     if not spec.clip:
         xs.append(scene.radical_axis_x)
-        named = [spec.probe.point, result.M, result.N]
+        named = [Point2(spec.probe.p, spec.probe.q), result.M, result.N]
         if result.p_prime.is_finite:
             named.append(result.p_prime.point)
         xs += [point.x for point in named]
@@ -360,7 +360,7 @@ class TestDeterminismAndRoundTrip:
         scene = FIG_GENERIC.scene
         expected = {
             "A": scene.A, "B": scene.B, "C": scene.C, "D": scene.D,
-            "P": FIG_GENERIC.probe.point,
+            "P": Point2(FIG_GENERIC.probe.p, FIG_GENERIC.probe.q),
             "M": FIG_GENERIC.result.M, "N": FIG_GENERIC.result.N,
             "P′": FIG_GENERIC.result.p_prime.point,
         }
@@ -509,7 +509,7 @@ class TestClipAgainstReference:
             scene, probe = spec.scene, spec.probe
             svg, rect = render_svg(spec), ref_visible_rect(layout(spec))
             for cls, base, other in (("chord-cm", scene.C, spec.result.M), ("chord-bn", scene.B, spec.result.N)):
-                ends = sorted({base, probe.point, other}, key=lambda p: (p.x, p.y))
+                ends = sorted({base, Point2(probe.p, probe.q), other}, key=lambda p: (p.x, p.y))
                 drawn = [[line.get(k) for k in ("x1", "y1", "x2", "y2")] for line in find(svg, "line", cls)]
                 if len(ends) == 1:  # a chord of zero length is not drawn
                     assert drawn == []

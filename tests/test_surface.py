@@ -3,9 +3,16 @@
 import argparse
 import ast
 import inspect
+import io
+import runpy
+import sys
 import types
+from collections import Counter
+from contextlib import redirect_stdout
 from functools import cached_property
 from pathlib import Path
+
+import pytest
 
 import bicircle
 from bicircle import cli, exact
@@ -15,10 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # which the package itself calls directly.
 KERNEL_WRAPPERS = ["line_through", "meet", "second_intersection", "tangent_at"]
 # Public value-type members whose name another value type's field or member,
-# or a CLI option's dest, also carries: the read guard below matches names
-# only, so any read of that other name counts for these, and none of them
-# can ever show as unread.
-SHARED_MEMBERS = ["ExtendedPoint.point", "Line.a", "ProbePoint.point"]
+# or a CLI option's dest, also carries: the static read guard below matches
+# names only, so any read of that other name counts for these, and none of
+# them can ever show as unread there. The traffic census counts their reads.
+SHARED_MEMBERS = ["Line.a"]
 
 PUBLIC_NAMES = [
     "CaseFlag", "Circle", "CoincidentLines", "DEFAULT_Q_SAMPLES", "DEFAULT_SEED",
@@ -65,6 +72,10 @@ def exported():
     }
 
 
+def exported_functions():
+    return sorted(name for name, value in exported().items() if inspect.isfunction(value))
+
+
 def value_types(cls=exact._Value):
     """Every subclass of the frozen value base, depth first."""
     for sub in cls.__subclasses__():
@@ -99,7 +110,7 @@ def test_every_exported_function_has_a_caller():
         getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         for node in package_nodes() if isinstance(node, ast.Call)
     }
-    functions = sorted(name for name, value in exported().items() if inspect.isfunction(value))
+    functions = exported_functions()
     assert set(KERNEL_WRAPPERS) <= set(functions)
     assert [name for name in functions if name not in called and name not in KERNEL_WRAPPERS] == []
 
@@ -107,8 +118,72 @@ def test_every_exported_function_has_a_caller():
 def test_every_value_type_member_is_read():
     # A member only the tests read belongs in the tests, as a helper of their own.
     read = {node.attr for node in package_nodes() if isinstance(node, ast.Attribute)}
-    assert len(value_type_members()) == 16
+    assert len(value_type_members()) == 15
     assert [member for member in value_type_members() if member.split(".")[1] not in read] == []
+
+
+def traffic_census(workdir) -> Counter:
+    """Reads of each value-type member and calls of each exported function in the real traffic.
+
+    The traffic is every golden CLI command through cli.main in workdir, the
+    three printing demos with their stdout captured, each demo figure, and one
+    cycle of each benchmark workload at seed 360, whose checks must all read 0.
+    A read is a call of the member's property getter or cached_property
+    function; a call is counted in every bicircle module that binds the
+    function, as perfbench/tracer.py rebinds names. All is restored on return.
+    """
+    import test_golden  # here, not at collection: no test module imports another there
+
+    used = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            used[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        classes = {cls.__name__: cls for cls in value_types()}
+        for member in value_type_members():
+            owner, name = member.split(".")
+            view = vars(classes[owner])[name]
+            if isinstance(view, cached_property):
+                view = cached_property(counted(member, view.func))
+                view.__set_name__(classes[owner], name)
+            else:
+                view = property(counted(member, view.fget))
+            patch.setattr(classes[owner], name, view)
+        modules = [module for name, module in list(sys.modules.items()) if name.split(".")[0] == "bicircle"]
+        for name in exported_functions():
+            original = getattr(bicircle, name)
+            wrapper = counted(name, original)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, wrapper)
+
+        patch.chdir(workdir)
+        for case in test_golden.CASES:
+            test_golden.run_case(case)
+        for script in test_golden.DEMO_SCRIPTS:
+            with redirect_stdout(io.StringIO()):
+                runpy.run_path(str(test_golden.DEMOS / f"{script}.py"), run_name="__main__")
+        demo = test_golden.load_demo_figures()
+        for _, cfg, p, q, options in demo.FIGURES:
+            demo.figure(cfg, p, q, **options)
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        for workload in workloads.WORKLOADS.values():
+            run = workload(360)
+            assert [run.check(i, run.op(i)) for i in range(run.cycle)] == [0] * run.cycle, run.name
+    return used
+
+
+def test_traffic_reads_every_member_and_calls_all_but_the_kernel_wrappers(tmp_path):
+    # The dynamic twin of the two static guards above, which it sees past: a
+    # member whose name another carries must be read itself.
+    used = traffic_census(tmp_path)
+    assert [member for member in value_type_members() if not used[member]] == []
+    assert [name for name in exported_functions() if not used[name]] == KERNEL_WRAPPERS
 
 
 def test_members_the_read_guard_cannot_see():

@@ -190,7 +190,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize("field, wrong, message", [
         ("scene", lambda spec: spec.scene.cfg, "scene must be a DerivedScene, got ScenarioConfig"),
-        ("probe", lambda spec: spec.probe.point, "probe must be a ProbePoint, got Point2"),
+        ("probe", lambda spec: Point2(spec.probe.p, spec.probe.q), "probe must be a ProbePoint, got Point2"),
         ("result", lambda spec: spec.result.p_prime, "result must be an ImageResult, got ExtendedPoint"),
         ("result", lambda spec: None, "result must be an ImageResult, got NoneType"),
     ], ids=["config", "point", "extended-point", "none"])
