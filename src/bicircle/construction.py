@@ -23,18 +23,22 @@ exactly on every admissible input, including the degenerate ones:
 
 Each route is a private core on integer triples, _synthetic and
 _closed_form, and construct_image and image_closed_form only wrap its
-triples in value objects. The fuzz oracle calls the cores: a trial compares
-the two triples of P′ and builds value objects only for a failure.
+triples in value objects. Each sampler is a private core too: _draw_scenario
+and _draw_probe behind random_scenario and random_probe, and scenario._scene
+behind derive. The fuzz oracle calls the cores, so a trial runs on integers
+from the draw to the verdict: it compares the two triples of P′ and builds
+value objects only for a failure.
 
 The closed form is written once, as the integers of _image_map, which
 _closed_form, locus_x, classify_case, tangent_half_params,
-random_probe and the figure's image line read: each degenerate case above
+_draw_probe and the figure's image line read: each degenerate case above
 is a zero of one of its factors, and the radical axis is its fixed point.
 The synthetic route never calls it. Everything is a pure function over
 immutable values. Each fuzz trial draws from its own deterministically
 derived stream, so trials could run concurrently without changing the
 report. A config writes its frame once, in its constructor
-(scenario._frame), and both routes read it.
+(scenario._frame_of), and both routes read it; a trial reads the frame of
+its draw, which no config holds.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .exact import (
     _Value,
     as_rational,
 )
-from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, derive
+from .scenario import DerivedScene, Ordering, ScenarioConfig, _frame, _frame_of, _scene
 
 DEFAULT_SEED = 360
 DEFAULT_TRIALS = 1000
@@ -103,15 +107,15 @@ class ImageResult(_Value):
         self.__dict__.update(_m=m, _n=n, line_am=line_am, line_dn=line_dn, p_prime=p_prime)
 
 
-def _image_map(cfg: ScenarioConfig, p: Fraction) -> tuple:
-    """The closed form on the line x = p: integers (e, x, w, s, u, v); the frame puts a, r1, r2 over d.
+def _image_map(frame: tuple, p: Fraction) -> tuple:
+    """The closed form on the line x = p: integers (e, x, w, s, u, v); a valid frame puts a, r1, r2 over d.
 
     p' = x/w and q q' = s u v / (e w), where s = r1 + r2 + 2a and w = e(r1 + r2 - 2a) is
     zero exactly for tangent circles. Only u and v take the common denominator e = d·pd:
     u/e = (a - r1)/d + p is zero on the line through C, v/e = (a - r2)/d - p through B.
     The radical axis is the fixed point x/w = p, or x = 0 where w = 0.
     """
-    _, d, a, r1, r2 = _frame(cfg)
+    _, d, a, r1, r2 = frame
     pd, pn, s = p.denominator, p.numerator * d, r1 + r2 + 2 * a
     x, e = (r2 - r1) * (r2 + r1) * pd + pn * s, d * pd
     return e, x, e * (r1 + r2 - 2 * a), s, (a - r1) * pd + pn, (a - r2) * pd - pn
@@ -119,7 +123,7 @@ def _image_map(cfg: ScenarioConfig, p: Fraction) -> tuple:
 
 def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     """Degeneracy flags, several at once: zeros of _image_map's factors, or its fixed point."""
-    _, x, w, _, u, v = _image_map(cfg, probe.p)
+    _, x, w, _, u, v = _image_map(_frame(cfg), probe.p)
     flags = frozenset(flag for flag, holds in (
         (CaseFlag.PROBE_ON_AXIS, probe.q == 0),
         (CaseFlag.COLLAPSES_TO_A, v == 0),
@@ -130,17 +134,18 @@ def classify_case(cfg: ScenarioConfig, probe: ProbePoint) -> frozenset:
     return flags or frozenset({CaseFlag.GENERIC})
 
 
-def _synthetic(scene: DerivedScene, probe: ProbePoint) -> tuple:
-    """Synthetic route: exact._chain from P once, with its two zero tests and one fallback.
+def _synthetic(conics: tuple, triples: tuple, p: Fraction, q: Fraction) -> tuple:
+    """Synthetic route: exact._chain from P = (p, q) once, with its two zero tests and one fallback.
 
-    Returns _chain's five triples: M and N undivided, the primitive lines AM and DN, and P′
-    undivided. M or N is zero exactly when the probe is C or B, which raises DegenerateProbe.
+    conics and triples are a scene's kernel form (scenario._scene). Returns _chain's five
+    triples: M and N undivided, the primitive lines AM and DN, and P′ undivided. M or N is
+    zero exactly when the probe is C or B, which raises DegenerateProbe.
     AM and DN coincide only for tangent circles with the probe over B = C: both chords are
     tangent there, both lines are the axis, and the image escapes along it, (1 : 0 : 0), which
     no formula of the closed form gives. The route never calls the closed form: it is
     _closed_form's oracle.
     """
-    m, n, am, dn, p_prime = _chain(scene._conics, scene._triples, _triple(probe.p, probe.q))
+    m, n, am, dn, p_prime = _chain(conics, triples, _triple(p, q))
     if not any(m):
         raise DegenerateProbe("probe coincides with C; chord CP is undefined")
     if not any(n):
@@ -152,20 +157,20 @@ def _synthetic(scene: DerivedScene, probe: ProbePoint) -> tuple:
 
 def construct_image(scene: DerivedScene, probe: ProbePoint) -> ImageResult:
     """Synthetic route (_synthetic) as values: the lines AM and DN and the ExtendedPoint P′."""
-    m, n, am, dn, p_prime = _synthetic(scene, probe)
+    m, n, am, dn, p_prime = _synthetic(scene._conics, scene._triples, probe.p, probe.q)
     return ImageResult(m, n, _line(am), _line(dn), ExtendedPoint(*p_prime))
 
 
-def _closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[int, int, int]:
-    """Closed-form route: the image (p' : q' : 1) from (a, r1, r2, p, q) as one undivided triple.
+def _closed_form(frame: tuple, p: Fraction, q: Fraction) -> tuple[int, int, int]:
+    """Closed-form route: the image (p' : q' : 1) from a valid frame and (p, q) as one undivided triple.
 
     q = 0 gives w = 0 and x = 0, the vertical direction; tangent circles give
     w = 0 and (x, y) along the normal (q, a - r2 - p) of the chord through B = C.
     """
-    d, x, w, s, u, v = _image_map(cfg, probe.p)
-    q_n, q_d = probe.q.numerator, probe.q.denominator
+    d, x, w, s, u, v = _image_map(frame, p)
+    q_n, q_d = q.numerator, q.denominator
     if q_n == 0 and not (u and v):
-        raise DegenerateProbe(f"probe ({probe.p}, {probe.q}) coincides with a chord base point")
+        raise DegenerateProbe(f"probe ({p}, {q}) coincides with a chord base point")
     x, y, w = x * d * q_n, s * u * v * q_d, d * w * q_n
     # All zero for tangent circles with the probe line through B = C: AM and
     # DN both collapse onto the axis, so the image escapes along it.
@@ -174,7 +179,7 @@ def _closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> tuple[int, int, int]
 
 def image_closed_form(cfg: ScenarioConfig, probe: ProbePoint) -> ExtendedPoint:
     """Closed-form route (_closed_form) as the ExtendedPoint of its triple."""
-    return ExtendedPoint(*_closed_form(cfg, probe))
+    return ExtendedPoint(*_closed_form(_frame(cfg), probe.p, probe.q))
 
 
 def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
@@ -183,7 +188,7 @@ def locus_x(cfg: ScenarioConfig, p) -> ExtendedScalar:
     Depends on (a, r1, r2, p) only, never on q: that is the fixed-line
     theorem this package verifies.
     """
-    _, x, w, *_ = _image_map(cfg, as_rational(p))
+    _, x, w, *_ = _image_map(_frame(cfg), as_rational(p))
     return Fraction(x, w) if w else INFINITY
 
 
@@ -195,7 +200,7 @@ def tangent_half_params(scene: DerivedScene, probe: ProbePoint) -> tuple[Extende
     C or B makes one of them 0/0 and raises DegenerateProbe, as in
     image_closed_form.
     """
-    d, _, _, _, u, v = _image_map(scene.cfg, probe.p)  # C.x - p = -u/d, p - B.x = -v/d
+    d, _, _, _, u, v = _image_map(_frame(scene.cfg), probe.p)  # C.x - p = -u/d, p - B.x = -v/d
     q = probe.q
     if q == 0 and not (u and v):
         raise DegenerateProbe(f"probe ({probe.p}, {probe.q}) coincides with a chord base point")
@@ -254,16 +259,17 @@ def random_rational(rng: random.Random) -> Fraction:
     return _rationals()[n][d]
 
 
-def random_scenario(rng: random.Random) -> ScenarioConfig:
-    """Rejection-sample (a, r1, r2) until the configuration is admissible.
+def _draw_scenario(rng: random.Random) -> tuple:
+    """Rejection-sample (a, r1, r2) until admissible: the three values and their frame.
 
     Each attempt draws what three random_rational(rng) calls draw, in the same
     order: a numerator is getrandbits(7) redrawn until below 101, minus 50,
     and a denominator getrandbits(5) redrawn until below 20, plus 1, as
     random_rational draws but without a Python call per draw. An attempt
     with a nonpositive numerator is rejected at once. Each other attempt
-    builds a ScenarioConfig of Fractions shared from _rationals, whose
-    constructor orders it; the first with an ordering is returned.
+    takes its three Fractions from _rationals and is ordered by
+    scenario._frame_of, the rule a config's constructor applies; the first
+    with an ordering is returned. No config is built.
     """
     getrandbits, rationals = rng.getrandbits, _rationals()
     while True:
@@ -280,21 +286,32 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
         while (r2d := getrandbits(5)) > 19:
             pass
         if a > 50 and r1 > 50 and r2 > 50:  # three positive numerators
-            cfg = ScenarioConfig(rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d])
-            if cfg._frame[0] is not None:
-                return cfg
+            values = rationals[a][ad], rationals[r1][r1d], rationals[r2][r2d]
+            frame = _frame_of(*values)
+            if frame[0] is not None:
+                return values, frame
 
 
-def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
-    """Random probe that does not sit on a chord base point (B or C).
+def random_scenario(rng: random.Random) -> ScenarioConfig:
+    """Rejection-sample (a, r1, r2) until the configuration is admissible (see _draw_scenario)."""
+    return ScenarioConfig(*_draw_scenario(rng)[0])
+
+
+def _draw_probe(rng: random.Random, frame: tuple) -> tuple:
+    """A probe (p, q) off the chord base points B and C of a valid frame.
 
     Draws what two random_rational(rng) calls draw, in the same order.
     """
     while True:
-        probe = ProbePoint(random_rational(rng), random_rational(rng))
+        p, q = random_rational(rng), random_rational(rng)
         # B and C lie on the axis: only a probe with q = 0 and u v = 0 (_image_map) is on one.
-        if probe.q or all(_image_map(scene.cfg, probe.p)[4:]):
-            return probe
+        if q or all(_image_map(frame, p)[4:]):
+            return p, q
+
+
+def random_probe(rng: random.Random, scene: DerivedScene) -> ProbePoint:
+    """Random probe that does not sit on a chord base point (B or C), as _draw_probe draws it."""
+    return ProbePoint(*_draw_probe(rng, _frame(scene.cfg)))
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -341,8 +358,9 @@ class FuzzReport(_Value):
 def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> FuzzReport:
     """Compare the synthetic and closed-form routes on random admissible inputs.
 
-    A trial compares the two cores' triples of P′, which name one point exactly when their cross
-    product is zero, and builds value objects only for a trial that disagrees.
+    A trial runs on integers from the draw to the verdict: the samplers' cores give the values,
+    frame and probe, and the two routes' cores give triples of P′, which name one point exactly
+    when their cross product is zero. Only a trial that disagrees builds value objects.
     """
     if not (type(trials) is type(seed) is int):
         raise TypeError(f"trials and seed must be ints, got {trials!r} and {seed!r}")
@@ -353,11 +371,11 @@ def run_oracle_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> F
     failures = []
     for index in range(trials):
         rng = trial_rng(seed, index)
-        cfg = random_scenario(rng)
-        scene = derive(cfg)
-        probe = random_probe(rng, scene)
-        geometric, closed = _synthetic(scene, probe)[4], _closed_form(cfg, probe)
+        values, frame = _draw_scenario(rng)
+        p, q = _draw_probe(rng, frame)
+        geometric, closed = _synthetic(*_scene(frame), p, q)[4], _closed_form(frame, p, q)
         if any(_cross(geometric, closed)):
             geometric, closed = ExtendedPoint(*geometric), ExtendedPoint(*closed)
+            cfg, probe = ScenarioConfig(*values), ProbePoint(p, q)
             failures.append(FuzzFailure(index, cfg, probe, geometric, closed))
     return FuzzReport(trials=trials, seed=seed, failures=tuple(failures))

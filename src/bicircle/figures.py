@@ -292,7 +292,7 @@ def render_svg(spec: RenderSpec) -> str:
     em = _Emitter(viewport)
     rect = xmin, xmax, ymin, ymax = (xn, xd), (Xn, Xd), (yn, yd), (Yn, Yd) = em.rect
 
-    _, d, a, r1, r2 = _frame(scene.cfg)
+    _, d, a, r1, r2 = frame = _frame(scene.cfg)
     for cls, x, r in (("circle-k1", -a, r1), ("circle-k2", a, r2)):
         em.add("circle", cls, 'cx="%s" cy="%s" r="%s"' % (*_coords((x, 0, d)), decimal6(r, d)))
     em.full_line("axis", _AXIS)
@@ -304,7 +304,7 @@ def render_svg(spec: RenderSpec) -> str:
     em.full_line("probe-line", (probe.p.denominator, 0, -probe.p.numerator))
     # The image line exists whenever the circles are not tangent, even if
     # this particular probe sends its image point to infinity along it.
-    _, image_x, image_w, *_ = _image_map(scene.cfg, probe.p)
+    _, image_x, image_w, *_ = _image_map(frame, probe.p)
     if image_w:
         em.full_line("image-line", (image_w, 0, -image_x))
 

@@ -11,7 +11,9 @@ ordering is decided on integers over one common denominator, by _order.
 A config is checked and converted once, by its constructor: it writes its
 frame, the three values over one denominator and their ordering, and
 _frame only reads it. A DerivedScene comes only from derive; its named
-points and radical axis are views built when read.
+points and radical axis are views built when read. The frame rule is
+_frame_of and the scene's integers are _scene, so the fuzz oracle orders
+a draw and builds its scene without either object.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ class Ordering(Enum):
 class ScenarioConfig(_Value):
     """Half center distance and the two radii, all exact rationals.
 
-    The constructor also writes the frame (ordering, d, a, r1, r2), which
-    _frame reads: a/d, r1/d and r2/d are the three values, d the product of
-    their denominators, and the ordering is None outside the two orderings.
+    The constructor also writes the frame (ordering, d, a, r1, r2), by
+    _frame_of, which _frame reads: a/d, r1/d and r2/d are the three values,
+    d the product of their denominators, and the ordering is None outside
+    the two orderings.
     The frame takes no part in equality, hash or repr.
     """
 
@@ -50,12 +53,7 @@ class ScenarioConfig(_Value):
 
     def __init__(self, a, r1, r2):
         a, r1, r2 = as_rational(a), as_rational(r1), as_rational(r2)
-        self.__dict__.update(a=a, r1=r1, r2=r2)
-        ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
-        a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
-        # _order refuses a <= 0 itself, because then 2a <= 0 <= |r1 - r2|.
-        ordering = _order(a, r1, r2) if r1 > 0 and r2 > 0 else None
-        self.__dict__["_frame"] = (ordering, ad * r1d * r2d, a, r1, r2)
+        self.__dict__.update(a=a, r1=r1, r2=r2, _frame=_frame_of(a, r1, r2))
 
 
 def _axis_point(i: int) -> cached_property:
@@ -102,6 +100,14 @@ def _order(a: int, r1: int, r2: int) -> Ordering | None:
     return Ordering.EXTERNALLY_TANGENT if gap == 0 else Ordering.DISJOINT_ACBD
 
 
+def _frame_of(a: Fraction, r1: Fraction, r2: Fraction) -> tuple:
+    """The frame (ordering, d, a, r1, r2) of three rationals; the ordering is None outside the two."""
+    ad, r1d, r2d = a.denominator, r1.denominator, r2.denominator
+    a, r1, r2 = a.numerator * r1d * r2d, r1.numerator * ad * r2d, r2.numerator * ad * r1d
+    # _order refuses a <= 0 itself, because then 2a <= 0 <= |r1 - r2|.
+    return _order(a, r1, r2) if r1 > 0 and r2 > 0 else None, ad * r1d * r2d, a, r1, r2
+
+
 def _frame(cfg: ScenarioConfig) -> tuple:
     """cfg's frame (ordering, d, a, r1, r2), written by its constructor.
 
@@ -133,12 +139,19 @@ def _axis_circle(c: int, r: int, d: int) -> tuple:
     return _circle_conic(c, 0, r, d), (left // g, 0, d // g), (right // h, 0, d // h)
 
 
+def _scene(frame: tuple) -> tuple:
+    """The kernel form of a valid frame: the conics (k1, k2) and the axis triples (A, B, C, D)."""
+    _, d, a, r1, r2 = frame
+    (k1, A, C), (k2, B, D) = _axis_circle(-a, r1, d), _axis_circle(a, r2, d)
+    return (k1, k2), (A, B, C, D)
+
+
 def derive(cfg: ScenarioConfig) -> DerivedScene:
     """Validate cfg and build the scene on its frame's integers; views are built when read."""
-    ordering, d, a, r1, r2 = _frame(cfg)
-    (k1, A, C), (k2, B, D) = _axis_circle(-a, r1, d), _axis_circle(a, r2, d)
+    frame = _frame(cfg)
+    conics, triples = _scene(frame)
     scene = object.__new__(DerivedScene)
-    scene.__dict__.update(cfg=cfg, ordering=ordering, _conics=(k1, k2), _triples=(A, B, C, D))
+    scene.__dict__.update(cfg=cfg, ordering=frame[0], _conics=conics, _triples=triples)
     return scene
 
 

@@ -76,8 +76,8 @@ def map_bits(ops) -> int:
     The closed form's work count on a benchmark workload: the tests pin it
     for sweep-tall, and CI writes it per op to each run's summary.
     """
-    image_map = bicircle.construction._image_map
-    return sum(sum(n.bit_length() for n in image_map(cfg, probe.p)[1:4]) for cfg, _, probe in ops)
+    image_map, frame = bicircle.construction._image_map, bicircle.scenario._frame
+    return sum(sum(n.bit_length() for n in image_map(frame(cfg), probe.p)[1:4]) for cfg, _, probe in ops)
 
 
 def finite(point):

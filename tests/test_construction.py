@@ -487,8 +487,9 @@ def fractions_built(fn, *args):
 def frames_computed(fn, *args, caller=None):
     """Count scenario._order calls made while fn runs, or only those caller makes.
 
-    ScenarioConfig's constructor orders its values once, to write its frame.
-    Nothing else orders a scenario.
+    scenario._frame_of alone orders a scenario: ScenarioConfig's constructor
+    calls it once, to write its frame, and _draw_scenario once per
+    sign-passing attempt.
     """
     return calls_made(scenario._order, fn, *args, caller=caller)
 
@@ -514,9 +515,9 @@ class TestWorkCount:
     construct_image and render_svg each call _triple once, for P: on probe.p
     and probe.q, building no Point2. layout reads P from probe.p and probe.q
     too. A config computes its frame once, in its constructor, and no later
-    call orders it again. A fuzz trial computes one frame per config
-    random_scenario builds, and derive, image_closed_form and, on a draw
-    with q = 0, random_probe's _image_map read the one it returns.
+    call orders it again. A fuzz trial computes one frame per sign-passing
+    attempt _draw_scenario makes, and _scene, _closed_form and, on a draw
+    with q = 0, _draw_probe's _image_map read the one it returns.
     classify_case builds 0 on probes on B, C and the radical axis, since it
     compares p with them on the frame's integers.
 
@@ -530,10 +531,12 @@ class TestWorkCount:
     triples as they are. So construct_image calls _polar only in the two
     _second calls. A fuzz trial runs the two routes' integer cores and
     compares their triples of P′, so a clean run_oracle_fuzz builds no
-    ExtendedPoint, ImageResult or Line. random_scenario calls _order and
-    _frame 0 times itself: it builds a ScenarioConfig for each attempt with
-    three positive numerators, whose constructor orders it, and returns the
-    first with an ordering.
+    ExtendedPoint, ImageResult or Line. Its samplers are integer cores too:
+    _draw_scenario orders each attempt with three positive numerators
+    through scenario._frame_of and returns the first with an ordering, so a
+    clean run builds no ScenarioConfig, ProbePoint or DerivedScene either.
+    random_scenario calls _order and _frame 0 times itself and builds one
+    ScenarioConfig, of the values _draw_scenario returns.
     """
 
     def test_construct_image_worked_case(self):
@@ -562,11 +565,12 @@ class TestWorkCount:
         assert fractions_built(classify_case, WORKED, ProbePoint(p, 0)) <= 0
 
     def test_oracle_fuzz_checks_each_scenario_once(self):
-        # Every _order call of a trial is made while sampling, by the constructor of a
-        # config random_scenario builds: the 20 it returns and 6 it rejects.
-        sampled = sum(frames_computed(random_scenario, trial_rng(360, i)) for i in range(20))
+        # Every _order call of a trial is made while sampling, through the frame rule, once
+        # for each sign-passing attempt _draw_scenario orders: the 20 it returns and 6 it rejects.
+        sampled = sum(frames_computed(construction._draw_scenario, trial_rng(360, i)) for i in range(20))
         assert frames_computed(run_oracle_fuzz, 20, 360) == sampled == 26
-        assert frames_computed(run_oracle_fuzz, 20, 360, caller=ScenarioConfig.__init__) == 26
+        assert frames_computed(run_oracle_fuzz, 20, 360, caller=scenario._frame_of) == 26
+        assert calls_made(scenario._frame_of, run_oracle_fuzz, 20, 360, caller=construction._draw_scenario) == 26
 
     def test_construct_image_builds_no_line(self):
         for probe in ProbePoint(2, 1), ProbePoint(3, 0):  # off and on the axis
@@ -586,7 +590,8 @@ class TestWorkCount:
             assert calls_made(step, construct_image, scene, probe, caller=exact._chain) == 2
 
     def test_oracle_fuzz_builds_no_values(self):
-        for target in ExtendedPoint.__init__, construction.ImageResult.__init__, Line.__init__, exact._line:
+        for target in (ExtendedPoint.__init__, construction.ImageResult.__init__, Line.__init__, exact._line,
+                       ScenarioConfig.__init__, ProbePoint.__init__, derive):
             assert calls_made(target, run_oracle_fuzz, 20, 360) == 0
         assert calls_made(exact._chain, run_oracle_fuzz, 20, 360) == 20
 
@@ -608,15 +613,17 @@ class TestWorkCount:
                         continue
                     return passed
 
-        built = 0
+        ordered = 0
         for seed in range(20):
             assert calls_made(scenario._frame, random_scenario, random.Random(seed)) == 0
             assert frames_computed(random_scenario, random.Random(seed), caller=random_scenario) == 0
-            configs = calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed))
-            assert configs == sign_passing(random.Random(seed))
-            built += configs
+            attempts = calls_made(scenario._frame_of, random_scenario, random.Random(seed),
+                                  caller=construction._draw_scenario)
+            assert attempts == sign_passing(random.Random(seed))
+            assert calls_made(ScenarioConfig.__init__, random_scenario, random.Random(seed)) == 1
+            ordered += attempts
         # Some seeds reject a sign-passing attempt before the one returned.
-        assert built > 20
+        assert ordered > 20
 
     @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
     def test_render_svg_worked_case(self, clip):
@@ -668,14 +675,16 @@ class TestOneCheckPerCall:
         probe = {"locus": ["--p", "2"], "verify": []}.get(command, ["--p", "2", "--q", "1"])
         argv = [command, *scenario_argv(cfg), *probe]
         assert frames_computed(cli.main, argv) == 1
-        assert frames_computed(cli.main, argv, caller=ScenarioConfig.__init__) == 1
+        assert frames_computed(cli.main, argv, caller=scenario._frame_of) == 1
+        assert calls_made(scenario._frame_of, cli.main, argv, caller=ScenarioConfig.__init__) == 1
 
     def test_cli_render(self, cfg, tmp_path):
         out = str(tmp_path / "figure.svg")
         argv = ["render", *scenario_argv(cfg), "--p", "2", "--q", "1", "--out", out]
         # render_svg draws the circles, radical axis and image line from the frame.
         assert frames_computed(cli.main, argv) == 1
-        assert frames_computed(cli.main, argv, caller=ScenarioConfig.__init__) == 1
+        assert frames_computed(cli.main, argv, caller=scenario._frame_of) == 1
+        assert calls_made(scenario._frame_of, cli.main, argv, caller=ScenarioConfig.__init__) == 1
 
 
 @pytest.mark.parametrize("sides, message", [
@@ -1113,7 +1122,7 @@ class TestImageMapIdentities:
             scene, probe = stratum_case(stratum, r1, r2, gap, p, F(1))
             cfg, p = scene.cfg, probe.p
             _, d, a, r1, r2 = scenario._frame(cfg)
-            e, x, w, s, u, v = construction._image_map(cfg, p)
+            e, x, w, s, u, v = construction._image_map(scenario._frame(cfg), p)
             assert e == d * p.denominator
             assert s == r1 + r2 + 2 * a and w == e * (r1 + r2 - 2 * a)
             assert u == (a - r1) * p.denominator + p.numerator * d

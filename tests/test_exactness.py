@@ -72,8 +72,8 @@ def test_checks_catch_what_they_forbid():
 
 def test_one_draw_and_one_writer():
     # Seeded draws call rng.getrandbits and redraw until in range, as randint does for a
-    # random.Random: in random_rational, which random_probe calls, and inline in
-    # random_scenario; no generic helper sits beside them. figures.decimal6(n, d), the
+    # random.Random: in random_rational, which the probe sampler calls, and inline in
+    # _draw_scenario, the scenario sampler's core; no generic helper sits beside them. figures.decimal6(n, d), the
     # renderer's one rounding function, writes every coordinate.
     assert violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "randint") == []
     assert violations(
@@ -82,21 +82,22 @@ def test_one_draw_and_one_writer():
     found = violations(lambda node: isinstance(node, ast.Attribute) and node.attr == "getrandbits")
     assert {(module, where) for module, where, _ in found} == {
         ("construction.py", "random_rational"),
-        ("construction.py", "random_scenario"),
+        ("construction.py", "_draw_scenario"),
     }
 
 
 def test_one_orderer():
     # A scenario is ordered on its integers by scenario._order alone, which only
-    # ScenarioConfig's constructor calls; random_scenario admits a draw through
-    # the config it builds, not through a second call of its own.
+    # scenario._frame_of, the frame rule, calls: ScenarioConfig's constructor writes
+    # its frame through it, and the scenario sampler admits a draw through it, not
+    # through a second call of its own.
     def names_order(node):
         return "_order" in (getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None))
 
     found = violations(names_order)
     defined = violations(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_order")
     assert [(module, where) for module, where, _ in defined] == [("scenario.py", "")]
-    assert [(module, where) for module, where, _ in found] == [("scenario.py", ""), ("scenario.py", "__init__")]
+    assert [(module, where) for module, where, _ in found] == [("scenario.py", ""), ("scenario.py", "_frame_of")]
 
 
 def test_one_image_route():

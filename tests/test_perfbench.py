@@ -42,7 +42,7 @@ def test_tracer_installs_and_uninstalls():
     spans.install()
     try:
         assert bicircle.scenario.derive is not original
-        bicircle.run_oracle_fuzz(2, SEED)
+        bicircle.derive(bicircle.ScenarioConfig(2, 3, 2))
     finally:
         spans.uninstall()
     assert bicircle.scenario.derive is original

@@ -46,7 +46,6 @@ from bicircle import (
 )
 from bicircle.cli import build_parser
 from reference import circles, far_probe_specs, figure_model, render_svg_cycle
-from test_golden import CASES, GOLDEN
 
 DELTA = F(1, 2 * 10**6)  # the largest rounding error of one six-decimal text
 SVG = "{http://www.w3.org/2000/svg}"
@@ -310,6 +309,8 @@ def test_every_golden_figure_is_drawn_where_its_model_puts_it():
     # The render command's committed SVGs, the ~100-digit one among them, each
     # against the spec its arguments ask for. The six demo figures open the
     # render-svg cycle above; tests/test_golden.py holds them to demos/output.
+    from test_golden import CASES, GOLDEN  # here, not at collection: no test module imports another there
+
     names = [name for name, argv in CASES.items() if argv[0] == "render"]
     for name in names:
         args = build_parser().parse_args(CASES[name])
